@@ -32,6 +32,7 @@ __all__ = [
     "add_identity",
     "lu_factor",
     "lu_solve",
+    "inverse",
     "solve",
     "solve_right",
     "qr_full",
@@ -49,11 +50,20 @@ def gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def gemm_into(out: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``out[:] = A @ B`` without allocating a result array."""
-    m, k = A.shape
-    n = B.shape[1]
-    record_flops(2.0 * m * k * n, (A.nbytes + B.nbytes) + 8.0 * m * n)
-    np.matmul(A, B, out=out)
+    """``out[:] = A @ B`` without allocating a result array.
+
+    With a leading batch axis on ``out`` (and on ``A`` or ``B``; the
+    other operand is shared) this is one counted call for the whole
+    batch.  It runs one gemm per entry: ``np.matmul`` would stage a
+    batch whose views share a buffer with ``out`` through a temporary.
+    """
+    record_flops(2.0 * out.size * A.shape[-1], A.nbytes + B.nbytes + out.nbytes)
+    if out.ndim == 2:
+        np.matmul(A, B, out=out)
+        return out
+    for i in range(out.shape[0]):
+        np.matmul(A if A.ndim == 2 else A[i], B if B.ndim == 2 else B[i],
+                  out=out[i])
     return out
 
 
@@ -123,6 +133,12 @@ def lu_factor(A: np.ndarray) -> LUFactors:
 
 def lu_solve(factors: LUFactors, B: np.ndarray) -> np.ndarray:
     return factors.solve(B)
+
+
+def inverse(A: np.ndarray) -> np.ndarray:
+    """Explicit ``A^{-1}``: LU factorisation, then a solve against ``I``
+    (two counted calls, ``2 n^3`` flops in all)."""
+    return LUFactors(A).solve(np.eye(A.shape[0], dtype=A.dtype))
 
 
 def solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:

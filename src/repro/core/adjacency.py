@@ -17,7 +17,8 @@ boundary case so the wrapping stage and the DQMC engine can move blocks
 around without re-deriving them.
 
 :class:`AdjacencyOps` caches one LU factorisation per ``B`` block so a
-column sweep pays the factorisation once.
+column sweep pays the factorisation once, and, for the panel moves of
+:mod:`repro.core.wrap`, one explicit inverse per block.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class AdjacencyOps:
         self.pc = pc
         self._lu: dict[int, kr.LUFactors] = {}
         self._lu_t: dict[int, kr.LUFactors] = {}
+        self._inv: dict[int, np.ndarray] = {}
 
     # -- factor caches ---------------------------------------------------
     def _factor(self, i: int) -> kr.LUFactors:
@@ -68,6 +70,15 @@ class AdjacencyOps:
                 np.ascontiguousarray(self.pc.block(i).T)
             )
         return f
+
+    def inverse(self, i: int) -> np.ndarray:
+        """``B_i^{-1}`` (cached).  A panel of moves that share ``B_i``
+        then costs one gemm instead of one LU solve per block."""
+        i = torus_index(i, self.pc.L)
+        inv = self._inv.get(i)
+        if inv is None:
+            inv = self._inv[i] = kr.inverse(self.pc.block(i))
+        return inv
 
     # -- the four moves ---------------------------------------------------
     def up(self, G_kl: np.ndarray, k: int, l: int) -> np.ndarray:

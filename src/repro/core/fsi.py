@@ -105,7 +105,8 @@ def fsi(
     rng:
         Source of randomness for ``q``.
     num_threads:
-        OpenMP-style team size for the CLS and WRP loops.
+        OpenMP-style team size for the CLS loop and the diagonal
+        patterns' WRP seed loop (COLUMNS/ROWS wrap as panel gemms).
     guards:
         When given, run the :mod:`repro.resilience.guards` battery on
         inputs and stage outputs; a trip raises
@@ -165,12 +166,11 @@ def fsi(
                 pc, seeds, selection, num_threads=num_threads, ops=ops
             )
         if guards is not None and guards.screen_stages:
-            blocks = [selected[kl] for kl in selected]
             picked = _guards.sample_indices(
-                len(blocks), guards.result_screen_samples
+                len(selected), guards.result_screen_samples
             )
             _guards.screen_finite(
-                "result", *(blocks[i] for i in picked), report=report
+                "result", selected.data[picked], report=report
             )
     return FSIResult(
         selected=selected, seeds=seeds, selection=selection, ops=ops,
@@ -249,9 +249,7 @@ def fsi_resilient(
             last_err = err
             continue
         if cur != c:
-            blocks = {
-                kl: result.selected[kl] for kl in requested.block_indices()
-            }
+            blocks = result.selected.stack(requested.block_indices())
             # The finer rung produced a (b', b', N, N) seed grid over
             # its own index set I' ⊃ I; served seeds must be indexed by
             # the *served* selection, so slice the grid down to the
@@ -259,7 +257,7 @@ def fsi_resilient(
             finer = result.selection.seeds
             pos = [finer.index(s) for s in requested.seeds]
             result = FSIResult(
-                selected=SelectedInversion(requested, blocks, pc.N),
+                selected=SelectedInversion(requested, blocks),
                 seeds=np.ascontiguousarray(result.seeds[np.ix_(pos, pos)]),
                 selection=requested,
                 ops=result.ops,
@@ -277,14 +275,13 @@ def fsi_resilient(
     from ..dqmc.stabilize import stable_equal_time
 
     report = GuardReport()
+    selected = SelectedInversion.empty(requested, (pc.N, pc.N), pc.B.dtype)
     with _telemetry.span("fsi_udt", L=L, N=pc.N, pattern=pattern.name):
-        blocks = {
-            (k, l): stable_equal_time(pc, k)
-            for k, l in requested.block_indices()
-        }
-    _guards.screen_finite("udt", *blocks.values(), report=report)
+        for i, (k, _) in enumerate(requested.block_indices()):
+            selected.data[i] = stable_equal_time(pc, k)
+    _guards.screen_finite("udt", selected.data, report=report)
     result = FSIResult(
-        selected=SelectedInversion(requested, blocks, pc.N),
+        selected=selected,
         seeds=np.empty((0, 0, pc.N, pc.N), dtype=pc.B.dtype),
         selection=requested,
         ops=AdjacencyOps(pc),

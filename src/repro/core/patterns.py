@@ -21,15 +21,18 @@ blocks, b block rows and b block columns").
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .pcyclic import torus_index
 
-__all__ = ["Pattern", "Selection", "SelectedInversion", "seed_indices"]
+__all__ = [
+    "BlockArray", "Pattern", "Selection", "SelectedInversion", "seed_indices",
+]
 
 
 class Pattern(Enum):
@@ -116,71 +119,147 @@ class Selection:
         return self.L**2 / self.count()
 
 
-class SelectedInversion:
+class BlockArray(Mapping[tuple[int, int], np.ndarray]):
+    """Blocks of ``G`` in one contiguous ``(n_blocks, *block_shape)`` array.
+
+    ``keys[i]`` is the 1-based ``(k, l)`` of ``data[i]``.  Indexing
+    returns a view of the slot and assignment writes into it, so the
+    blocks of a result are one buffer: one pickle frame, one vectorised
+    screen, one ``nbytes``.  Spectral results stack shifts inside each
+    block (``block_shape = (n_omega, N, N)``).
+    """
+
+    def __init__(self, keys: Sequence[tuple[int, int]], data: np.ndarray):
+        keys = tuple(keys)
+        if data.shape[0] != len(keys):
+            raise ValueError(
+                f"{len(keys)} keys for a block array of shape {data.shape}"
+            )
+        self.data = data
+        self._keys = keys
+        self._pos = {kl: i for i, kl in enumerate(keys)}
+
+    @classmethod
+    def from_mapping(
+        cls, blocks: Mapping[tuple[int, int], np.ndarray]
+    ) -> "BlockArray":
+        """Stack ``blocks`` into one buffer, in their own key order."""
+        keys = list(blocks)
+        if not keys:
+            return BlockArray(keys, np.empty((0,)))
+        return BlockArray(keys, np.stack([blocks[kl] for kl in keys]))
+
+    def _key(self, kl: tuple[int, int]) -> tuple[int, int]:
+        return kl
+
+    def __getitem__(self, kl: tuple[int, int]) -> np.ndarray:
+        return self.data[self._pos[self._key(kl)]]
+
+    def __setitem__(self, kl: tuple[int, int], value: np.ndarray) -> None:
+        self.data[self._pos[self._key(kl)]] = value
+
+    def __contains__(self, kl: object) -> bool:
+        return self._key(kl) in self._pos  # type: ignore[arg-type]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    @property
+    def nbytes(self) -> int:
+        return int(self.data.nbytes)
+
+    def with_data(self, data: np.ndarray) -> "BlockArray":
+        """The same keys (and selection) over another buffer."""
+        if data.shape[0] != len(self._keys):
+            raise ValueError(
+                f"{len(self._keys)} keys for a block array of shape"
+                f" {data.shape}"
+            )
+        out = copy.copy(self)
+        out.data = data
+        return out
+
+    def stack(self, keys: Sequence[tuple[int, int]]) -> np.ndarray:
+        """The blocks at ``keys`` stacked: a view when they are adjacent
+        and in order in the buffer, else a copy."""
+        pos = [self._pos[self._key(kl)] for kl in keys]
+        first = pos[0]
+        if pos == list(range(first, first + len(pos))):
+            return self.data[first : first + len(pos)]
+        return self.data[pos]
+
+
+class SelectedInversion(BlockArray):
     """Computed selected blocks of ``G``, keyed by 1-based ``(k, l)``.
 
-    A thin mapping with pattern-aware accessors; blocks are the arrays
-    produced by the solver (not copies).
+    A :class:`BlockArray` whose keys are ``selection.block_indices()``
+    in order, with torus-aware keys and pattern-aware accessors.
+    ``blocks`` is either that array (``(n_blocks, *block_shape)``, used
+    as is) or a mapping over exactly the selection's blocks, which is
+    stacked into one.
     """
 
     def __init__(
         self,
         selection: Selection,
-        blocks: Mapping[tuple[int, int], np.ndarray],
-        N: int,
+        blocks: Mapping[tuple[int, int], np.ndarray] | np.ndarray,
+        N: int | None = None,
     ):
-        self.selection = selection
-        self.N = N
-        expected = set(selection.block_indices())
-        got = set(blocks)
-        if got != expected:
-            missing = sorted(expected - got)[:5]
-            extra = sorted(got - expected)[:5]
-            raise ValueError(
-                f"block set does not match pattern: missing {missing},"
-                f" unexpected {extra}"
+        keys = selection.block_indices()
+        if not isinstance(blocks, np.ndarray):
+            expected = set(keys)
+            got = set(blocks)
+            if got != expected:
+                missing = sorted(expected - got)[:5]
+                extra = sorted(got - expected)[:5]
+                raise ValueError(
+                    f"block set does not match pattern: missing {missing},"
+                    f" unexpected {extra}"
+                )
+            blocks = (
+                np.stack([blocks[kl] for kl in keys]) if keys
+                else np.empty((0, N or 0, N or 0))
             )
-        self._blocks = dict(blocks)
+        super().__init__(keys, blocks)
+        self.selection = selection
+        self.N = int(blocks.shape[-1]) if N is None else N
 
-    # -- mapping interface --------------------------------------------
-    def __getitem__(self, kl: tuple[int, int]) -> np.ndarray:
+    @classmethod
+    def empty(
+        cls,
+        selection: Selection,
+        block_shape: tuple[int, ...],
+        dtype: np.dtype | type = np.float64,
+    ) -> "SelectedInversion":
+        """An uninitialised result for ``selection``, to fill in place."""
+        data = np.empty((selection.count(),) + tuple(block_shape), dtype=dtype)
+        return cls(selection, data)
+
+    def _key(self, kl: tuple[int, int]) -> tuple[int, int]:
         k, l = kl
         L = self.selection.L
-        return self._blocks[(torus_index(k, L), torus_index(l, L))]
-
-    def __contains__(self, kl: tuple[int, int]) -> bool:
-        k, l = kl
-        L = self.selection.L
-        return (torus_index(k, L), torus_index(l, L)) in self._blocks
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._blocks)
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def items(self):
-        return self._blocks.items()
+        return (torus_index(k, L), torus_index(l, L))
 
     # -- structured accessors -------------------------------------------
     def column(self, l: int) -> np.ndarray:
-        """Stacked block column ``l`` as ``(L, N, N)`` (COLUMNS pattern)."""
+        """Block column ``l`` as ``(L, N, N)`` (a view for COLUMNS)."""
         L = self.selection.L
-        l = torus_index(l, L)
-        return np.stack([self._blocks[(k, l)] for k in range(1, L + 1)])
+        return self.stack([(k, l) for k in range(1, L + 1)])
 
     def row(self, k: int) -> np.ndarray:
-        """Stacked block row ``k`` as ``(L, N, N)`` (ROWS pattern)."""
+        """Block row ``k`` as ``(L, N, N)`` (a view for ROWS)."""
         L = self.selection.L
-        k = torus_index(k, L)
-        return np.stack([self._blocks[(k, l)] for l in range(1, L + 1)])
+        return self.stack([(k, l) for l in range(1, L + 1)])
 
     def diagonal_blocks(self) -> dict[int, np.ndarray]:
         """All selected diagonal blocks ``{k: G_kk}``."""
-        return {k: v for (k, l), v in self._blocks.items() if k == l}
+        return {k: self.data[i] for i, (k, l) in enumerate(self._keys) if k == l}
 
     def memory_bytes(self) -> int:
-        return sum(v.nbytes for v in self._blocks.values())
+        return self.nbytes
 
     # -- verification ------------------------------------------------------
     def max_relative_error(self, G_dense: np.ndarray) -> float:
@@ -191,7 +270,7 @@ class SelectedInversion:
         """
         N = self.N
         worst = 0.0
-        for (k, l), blk in self._blocks.items():
+        for (k, l), blk in self.items():
             ref = G_dense[(k - 1) * N : k * N, (l - 1) * N : l * N]
             denom = np.linalg.norm(ref)
             err = np.linalg.norm(blk - ref) / (denom if denom > 0 else 1.0)
@@ -211,9 +290,8 @@ class SelectedInversion:
 
         Measurement pipelines often compute selected inversions on one
         allocation and analyse them on another; this is the wire format.
+        Blocks are written as the buffer, in ``block_indices()`` order.
         """
-        keys = sorted(self._blocks)
-        stacked = np.stack([self._blocks[kl] for kl in keys])
         np.savez_compressed(
             path,
             pattern=np.frombuffer(
@@ -222,13 +300,17 @@ class SelectedInversion:
             geometry=np.array(
                 [self.selection.L, self.selection.c, self.selection.q, self.N]
             ),
-            keys=np.array(keys, dtype=np.int64),
-            blocks=stacked,
+            keys=np.array(self._keys, dtype=np.int64),
+            blocks=self.data,
         )
 
     @classmethod
     def load(cls, path) -> "SelectedInversion":
-        """Rebuild a :meth:`save`d selected inversion."""
+        """Rebuild a :meth:`save`d selected inversion.
+
+        Blocks are matched to their stored ``keys``, so files written in
+        any key order (earlier versions sorted them) load the same.
+        """
         data = np.load(path)
         pattern = Pattern(bytes(data["pattern"]).decode())
         L, c, q, N = (int(v) for v in data["geometry"])

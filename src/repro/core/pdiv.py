@@ -319,9 +319,10 @@ def fsi_distributed(
             assert parts is not None
 
         with _telemetry.span("pdiv.stitch", partitions=P):
-            blocks, cond = _stitch(pc, bounds, where, parts, wanted, row_mode)
+            selected, cond = _stitch(
+                pc, bounds, where, parts, selection, row_mode
+            )
 
-    selected = SelectedInversion(selection, blocks, N)
     report = PDIVReport(
         bounds=bounds,
         backend=world.name if world is not None else "inline",
@@ -337,10 +338,11 @@ def _stitch(
     bounds: list[tuple[int, int]],
     where: dict[int, tuple[int, int]],
     parts: dict[int, _PartitionPieces],
-    wanted: list[tuple[int, int]],
+    selection: Selection,
     row_mode: bool,
-) -> tuple[dict[tuple[int, int], np.ndarray], float]:
-    """Solve the capacitance system and apply the bridge corrections."""
+) -> tuple[SelectedInversion, float]:
+    """Solve the capacitance system and apply the bridge corrections,
+    writing each selected block into its slot of the result."""
     N = pc.N
     P = len(bounds)
     dtype = pc.dtype
@@ -363,6 +365,7 @@ def _stitch(
     # One capacitance solve per distinct selected column l: the only
     # nonzero block rows of Y^T e_l come from R_{p_l} (rows p_l and its
     # cyclic successor), so S_l = C^{-1} Y^T e_l costs O((PN)^2 N).
+    wanted = selection.block_indices()
     S: dict[int, np.ndarray] = {}
     for l in sorted({l for _, l in wanted}):
         p_l, l_loc = where[l]
@@ -375,8 +378,8 @@ def _stitch(
         S[l] = clu.solve(ycol).reshape(P, N, N)
         record_flops(2.0 * (P * N) ** 2 * N)
 
-    blocks: dict[tuple[int, int], np.ndarray] = {}
-    for k, l in wanted:
+    out = SelectedInversion.empty(selection, (N, N), dtype)
+    for i, (k, l) in enumerate(wanted):
         (p_k, k_loc), (p_l, l_loc) = where[k], where[l]
         corr = kr.gemm(parts[p_k].X[k_loc - 1], S[l][p_k])
         if p_k == p_l:
@@ -386,7 +389,7 @@ def _stitch(
                 if row_mode
                 else piece.cols[l_loc][k_loc - 1]
             )
-            blocks[(k, l)] = base - corr
+            np.subtract(base, corr, out=out.data[i])
         else:
-            blocks[(k, l)] = -corr
-    return blocks, cond
+            np.negative(corr, out=out.data[i])
+    return out, cond

@@ -41,6 +41,7 @@ import numpy.typing as npt
 
 from ..perf.tracer import record_flops
 from . import _kernels as kr
+from .patterns import BlockArray
 from .pcyclic import BlockPCyclic, torus_index
 from .solve import PCyclicSolver
 
@@ -290,13 +291,15 @@ class PCyclicWoodbury:
         self,
         blocks: Mapping[tuple[int, int], np.ndarray],
         flips: Sequence[RankOneFlip],
-    ) -> tuple[dict[tuple[int, int], np.ndarray], DeltaReport]:
+    ) -> tuple[BlockArray, DeltaReport]:
         """Woodbury-update cached blocks of ``G`` to blocks of ``G'``.
 
         ``blocks`` maps 1-based ``(k, l)`` to the *base* block
-        ``G_kl``; the return value maps the same keys to ``G'_kl``
-        for the perturbed matrix, plus the :class:`DeltaReport` the
-        caller's guards consume.  An empty flip list returns copies.
+        ``G_kl`` (a :class:`~repro.core.patterns.BlockArray`, or any
+        mapping, which is stacked into one); the return value is a
+        block array of the same type and keys holding ``G'_kl`` for the
+        perturbed matrix, plus the :class:`DeltaReport` the caller's
+        guards consume.  An empty flip list returns a copy.
 
         Flip positions ``(slice, site)`` must be distinct: repeated
         rescalings of one column compose multiplicatively, not
@@ -305,9 +308,13 @@ class PCyclicWoodbury:
         """
         L = self.L
         r = len(flips)
+        base: BlockArray = (
+            blocks if isinstance(blocks, BlockArray)
+            else BlockArray.from_mapping(blocks)
+        )
         if r == 0:
             return (
-                {kl: np.array(blk, copy=True) for kl, blk in blocks.items()},
+                base.with_data(base.data.copy()),
                 DeltaReport(rank=0, solve_residual=0.0, capacitance_cond=1.0),
             )
         U, V = self._factors(flips)
@@ -336,7 +343,7 @@ class PCyclicWoodbury:
             rank=r, solve_residual=residual, capacitance_cond=cond,
         )
         if not np.isfinite(cond):
-            return {kl: np.array(b, copy=True) for kl, b in blocks.items()}, report
+            return base.with_data(base.data.copy()), report
 
         # T_l = C^{-1} Y_l^T, shared across every row of block column l:
         # one LAPACK solve for all L block columns, then one batched
@@ -344,11 +351,7 @@ class PCyclicWoodbury:
         Cf = kr.lu_factor(C)
         T = Cf.solve(np.ascontiguousarray(Y.reshape(L * self.N, r).T))
         T = np.ascontiguousarray(T.reshape(r, L, self.N).transpose(1, 0, 2))
-        keys = list(blocks.keys())
-        n = len(keys)
-        karr = np.fromiter((k - 1 for k, _ in keys), dtype=np.intp, count=n)
-        larr = np.fromiter((l - 1 for _, l in keys), dtype=np.intp, count=n)
-        deltas = np.matmul(X[karr], T[larr])
-        record_flops(2.0 * n * self.N * self.N * r)
-        out = {kl: blocks[kl] - deltas[j] for j, kl in enumerate(keys)}
-        return out, report
+        keys = np.array(list(base), dtype=np.intp).reshape(-1, 2) - 1
+        deltas = np.matmul(X[keys[:, 0]], T[keys[:, 1]])
+        record_flops(2.0 * len(keys) * self.N * self.N * r)
+        return base.with_data(base.data - deltas), report

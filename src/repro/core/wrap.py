@@ -6,13 +6,14 @@ into its ``c - 1`` missing neighbours with the adjacency relations of
 Eqs. (4)-(7) until the requested selection pattern is covered:
 
 * **COLUMNS** (S3): each seed expands *vertically*; following Alg. 2 the
-  walk is split into an upward half (``ceil((c-1)/2)`` solves, Eq. (4))
-  and a downward half (``floor((c-1)/2)`` gemms, Eq. (5)) so that no
-  block is more than ``~c/2`` relation-applications away from an exact
-  seed — this bounds the accumulated floating-point error, which is the
-  stated reason the paper splits the loop.
-* **ROWS** (S4): the transpose walk — leftward gemms (Eq. (6)) and
-  rightward solves (Eq. (7)).
+  walk is split into an upward half (``ceil((c-1)/2)`` moves with
+  ``B^{-1}``, Eq. (4)) and a downward half (``floor((c-1)/2)`` moves
+  with ``B``, Eq. (5)) so that no block is more than ``~c/2``
+  relation-applications away from an exact seed — this bounds the
+  accumulated floating-point error, which is the stated reason the
+  paper splits the loop.
+* **ROWS** (S4): the transpose walk — leftward moves with ``B``
+  (Eq. (6)) and rightward moves with ``B^{-1}`` (Eq. (7)).
 * **DIAGONAL** (S1) / **SUBDIAGONAL** (S2): the seeds *are* the
   diagonal selection; the sub-diagonal follows with one rightward move
   per seed.
@@ -25,8 +26,28 @@ Note on loop bounds: Alg. 2 as printed walks ``ceil((c-1)/2)`` up and
 next seed also produces.  We use ``ceil((c-1)/2)`` up / ``floor((c-1)/2)``
 down — the same error radius, exact tiling, no duplicates.
 
-The ``b^2`` seed walks are data-independent; like the paper we hand one
-walk per OpenMP-style task (``parallel_for`` over seeds).
+**Panel formulation (COLUMNS / ROWS).**  The seed walks are
+data-independent, and the ``b`` walks that start in one seed row move
+in lockstep: every up-move out of row ``k`` multiplies by the same
+``B_k^{-1}``, every down-move into row ``k + 1`` by the same
+``B_{k+1}``.  So the ``b`` blocks of a block row form one panel and
+each step is one batched gemm ``(N x N) . (N x bN)`` written straight
+into the result buffer (ROWS: block-column panels, multiplied from the
+right).  The boundary cases of :class:`~repro.core.adjacency.
+AdjacencyOps` become slice updates: a seam crossing negates the shared
+matrix, and the one block of a panel that starts or lands on the
+diagonal gets ``-/+ B^{-1}`` or ``+I`` (``B^{-1}(G - I) = B^{-1}G -
+B^{-1}``).  The up-moves use an explicit inverse, formed once per row
+(:meth:`AdjacencyOps.inverse`), rather than an LU solve: at ``N = 100``
+one LU solve costs about 356 us against 45 us for a gemm, and half the
+moves would otherwise be solves.  A COLUMNS solve at ``L = 64, c = 8``
+makes ``b (c-1)`` gemm calls plus ``b ceil((c-1)/2)`` inverses, where
+the per-block walk made ``b^2 (c-1)``.
+
+FULL_DIAGONAL and SUBDIAGONAL keep the per-seed moves on a thread team:
+no two of their moves share a ``B``, so an inverse would not be reused.
+Every pattern writes into one :class:`~repro.core.patterns.
+SelectedInversion` buffer in ``block_indices()`` order.
 """
 
 from __future__ import annotations
@@ -35,6 +56,7 @@ import numpy as np
 
 from ..parallel.openmp import parallel_for
 from ..telemetry import runtime as _telemetry
+from . import _kernels as kr
 from .adjacency import AdjacencyOps
 from .patterns import Pattern, SelectedInversion, Selection
 from .pcyclic import BlockPCyclic, torus_index
@@ -69,17 +91,17 @@ def wrap(
         Pattern + ``(L, c, q)`` geometry.  Must be consistent with the
         seed grid shape (``b = L / c``).
     num_threads:
-        Team size for the seed loop.
+        Team size for the SUBDIAGONAL / FULL_DIAGONAL seed loops.
     ops:
-        Optional pre-built :class:`AdjacencyOps` (shares LU caches
-        across calls for the same matrix).
+        Optional pre-built :class:`AdjacencyOps` (shares LU and inverse
+        caches across calls for the same matrix).
 
     Returns
     -------
     SelectedInversion
     """
     L, N = pc.L, pc.N
-    c, q = selection.c, selection.q
+    c = selection.c
     b = L // c
     if selection.L != L:
         raise ValueError(f"selection L={selection.L} != matrix L={L}")
@@ -89,111 +111,118 @@ def wrap(
         )
     if ops is None:
         ops = AdjacencyOps(pc)
-    out: dict[tuple[int, int], np.ndarray] = {}
+    dtype = np.result_type(G_seeds.dtype, pc.B.dtype)
+    out = SelectedInversion.empty(selection, (N, N), dtype)
     seeds = selection.seeds  # [c-q, 2c-q, ..., bc-q]
+    up_steps, down_steps = _up_down_steps(c)
 
     pattern = selection.pattern
     if pattern is Pattern.DIAGONAL:
-        for k0, k in enumerate(seeds, start=1):
-            out[(k, k)] = np.array(G_seeds[k0 - 1, k0 - 1], copy=True)
-        return SelectedInversion(selection, out, N)
+        out.data[:] = G_seeds[np.arange(b), np.arange(b)]
+        return out
 
     if pattern is Pattern.SUBDIAGONAL:
         # One rightward move from each diagonal seed (skip k = L, whose
-        # "sub-diagonal" would be the corner).
-        results: list[tuple[int, np.ndarray] | None] = [None] * b
-        todo = [
-            (k0, k) for k0, k in enumerate(seeds, start=1) if k != L
-        ]
+        # "sub-diagonal" would be the corner); slot t is the t-th kept.
+        todo = [(k0, k) for k0, k in enumerate(seeds) if k != L]
 
-        def sub_body(idx: int) -> None:
-            k0, k = todo[idx]
-            g = ops.right(G_seeds[k0 - 1, k0 - 1], k, k)
-            results[idx] = (k, g)
+        def sub_body(t: int) -> None:
+            k0, k = todo[t]
+            out.data[t] = ops.right(G_seeds[k0, k0], k, k)
 
         with _telemetry.span("wrp.subdiagonal", seeds=len(todo)):
             parallel_for(sub_body, len(todo), num_threads=num_threads)
-        for item in results[: len(todo)]:
-            assert item is not None
-            k, g = item
-            out[(k, torus_index(k + 1, L))] = g
-        return SelectedInversion(selection, out, N)
-
-    up_steps, down_steps = _up_down_steps(c)
-
-    if pattern in (Pattern.COLUMNS, Pattern.ROWS):
-        # b^2 independent seed walks, each producing c-1 blocks.
-        tasks = [
-            (k0, l0) for k0 in range(1, b + 1) for l0 in range(1, b + 1)
-        ]
-        chunks: list[dict[tuple[int, int], np.ndarray]] = [
-            {} for _ in tasks
-        ]
-
-        def walk_body(idx: int) -> None:
-            k0, l0 = tasks[idx]
-            local = chunks[idx]
-            k, l = c * k0 - q, c * l0 - q
-            seed = G_seeds[k0 - 1, l0 - 1]
-            local[(k, l)] = np.array(seed, copy=True)
-            if pattern is Pattern.COLUMNS:
-                g, kk = seed, k
-                for _ in range(up_steps):  # Eq. (4), solves
-                    g = ops.up(g, kk, l)
-                    kk = torus_index(kk - 1, L)
-                    local[(kk, l)] = g
-                g, kk = seed, k
-                for _ in range(down_steps):  # Eq. (5), gemms
-                    g = ops.down(g, kk, l)
-                    kk = torus_index(kk + 1, L)
-                    local[(kk, l)] = g
-            else:  # ROWS: expand horizontally
-                g, ll = seed, l
-                for _ in range(up_steps):  # Eq. (6), gemms (leftward)
-                    g = ops.left(g, k, ll)
-                    ll = torus_index(ll - 1, L)
-                    local[(k, ll)] = g
-                g, ll = seed, l
-                for _ in range(down_steps):  # Eq. (7), solves (rightward)
-                    g = ops.right(g, k, ll)
-                    ll = torus_index(ll + 1, L)
-                    local[(k, ll)] = g
-
-        with _telemetry.span(
-            "wrp.walks", seeds=len(tasks), pattern=pattern.name
-        ):
-            parallel_for(walk_body, len(tasks), num_threads=num_threads)
-        for local in chunks:
-            out.update(local)
-        return SelectedInversion(selection, out, N)
+        return out
 
     if pattern is Pattern.FULL_DIAGONAL:
-        chunks = [{} for _ in range(b)]
-
-        def diag_body(i0: int) -> None:
-            k0 = i0 + 1
-            local = chunks[i0]
-            k = c * k0 - q
-            seed = G_seeds[k0 - 1, k0 - 1]
-            local[(k, k)] = np.array(seed, copy=True)
-            g, kk = seed, k
+        # Slot k-1 holds G_kk.
+        def diag_body(k0: int) -> None:
+            k = seeds[k0]
+            g = out.data[k - 1] = G_seeds[k0, k0]
+            kk = k
             for _ in range(up_steps):
                 g = ops.up_left(g, kk, kk)
                 kk = torus_index(kk - 1, L)
-                local[(kk, kk)] = g
-            g, kk = seed, k
+                out.data[kk - 1] = g
+            g, kk = G_seeds[k0, k0], k
             for _ in range(down_steps):
                 g = ops.down_right(g, kk, kk)
                 kk = torus_index(kk + 1, L)
-                local[(kk, kk)] = g
+                out.data[kk - 1] = g
 
         with _telemetry.span("wrp.full_diagonal", seeds=b):
             parallel_for(diag_body, b, num_threads=num_threads)
-        for local in chunks:
-            out.update(local)
-        return SelectedInversion(selection, out, N)
+        return out
+
+    if pattern in (Pattern.COLUMNS, Pattern.ROWS):
+        with _telemetry.span("wrp.panels", panels=b, pattern=pattern.name):
+            _panel_walks(ops, G_seeds, selection, out, up_steps, down_steps)
+        return out
 
     raise AssertionError(f"unhandled pattern {pattern}")  # pragma: no cover
+
+
+def _panel_walks(
+    ops: AdjacencyOps,
+    G_seeds: np.ndarray,
+    selection: Selection,
+    out: SelectedInversion,
+    up_steps: int,
+    down_steps: int,
+) -> None:
+    """COLUMNS / ROWS: every seed row's (column's) walks as panel gemms.
+
+    ``panels[:, r - 1]`` is the panel at block row ``r`` (COLUMNS: the
+    ``b`` blocks ``G_{r, l}``, ``l`` in ``I``) or block column ``r``
+    (ROWS: ``G_{k, r}``, ``k`` in ``I``) — a strided view of the buffer,
+    which holds the blocks column (row) by column (row).
+    """
+    L, N = selection.L, out.N
+    seeds = selection.seeds
+    b = len(seeds)
+    slot = {r: i for i, r in enumerate(seeds)}  # seed index -> panel entry
+    panels = out.data.reshape(b, L, N, N)
+    columns = selection.pattern is Pattern.COLUMNS
+
+    def signed(M: np.ndarray, seam: bool) -> np.ndarray:
+        return -M if seam else M
+
+    for i, r in enumerate(seeds):
+        panels[:, r - 1] = G_seeds[i] if columns else G_seeds[:, i]
+        # Up (Eq. (4), B_rr^{-1} from the left) / left (Eq. (6), B_rr
+        # from the right), from rr to rr - 1.
+        rr = r
+        for _ in range(up_steps):
+            dst = torus_index(rr - 1, L)
+            src, into = panels[:, rr - 1], panels[:, dst - 1]
+            if columns:
+                M = signed(ops.inverse(rr), rr == 1)
+                kr.gemm_into(into, M, src)
+                if rr in slot:  # started on the diagonal: B^{-1}(G - I)
+                    into[slot[rr]] -= M
+            else:
+                M = signed(ops.pc.block(rr), rr == 1)
+                kr.gemm_into(into, src, M)
+                if dst in slot:  # landed on the diagonal
+                    kr.add_identity(into[slot[dst]])
+            rr = dst
+        # Down (Eq. (5), B_{rr+1} from the left) / right (Eq. (7),
+        # B_{rr+1}^{-1} from the right), from rr to rr + 1.
+        rr = r
+        for _ in range(down_steps):
+            dst = torus_index(rr + 1, L)
+            src, into = panels[:, rr - 1], panels[:, dst - 1]
+            if columns:
+                M = signed(ops.pc.block(dst), dst == 1)
+                kr.gemm_into(into, M, src)
+                if dst in slot:
+                    kr.add_identity(into[slot[dst]])
+            else:
+                M = signed(ops.inverse(dst), dst == 1)
+                kr.gemm_into(into, src, M)
+                if rr in slot:  # started on the diagonal: (G - I) B^{-1}
+                    into[slot[rr]] -= M
+            rr = dst
 
 
 def wrap_flops(L: int, N: int, c: int, pattern: Pattern) -> float:

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.patterns import Pattern, Selection
+from ..core.patterns import Pattern, SelectedInversion, Selection
 from ..hubbard.hs_field import HSField
 from ..hubbard.matrix import HubbardModel
 from ..perf.tracer import FlopTracer
@@ -207,7 +207,7 @@ class FleetJobOutput:
     """One matrix's selected blocks + accounting from a selected fleet."""
 
     selection: Selection
-    blocks: dict[tuple[int, int], np.ndarray]
+    blocks: SelectedInversion
     flops: float = 0.0
     stage_flops: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
@@ -260,7 +260,7 @@ def _selected_rank_work(
                 global_index,
                 FleetJobOutput(
                     selection=res.selection,
-                    blocks=dict(res.selected.items()),
+                    blocks=res.selected,
                     flops=tracer.total_flops,
                     stage_flops={n_: tracer.flops(n_) for n_ in tracer.stages},
                     seconds=elapsed,

@@ -41,6 +41,7 @@ __all__ = [
     "NumericalHealthError",
     "GuardConfig",
     "GuardReport",
+    "all_finite",
     "screen_finite",
     "estimate_condition",
     "check_cluster_conditions",
@@ -166,12 +167,17 @@ def _maybe_nonfinite(arr: np.ndarray) -> bool:
     return not bool(np.isfinite(arr.sum()))
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """``np.isfinite(arr).all()``, through the one-reduction fast path."""
+    return not _maybe_nonfinite(arr) or bool(np.isfinite(arr).all())
+
+
 def screen_finite(site: str, *arrays: np.ndarray,
                   report: GuardReport | None = None) -> None:
     """Raise :class:`NumericalHealthError` if any array has NaN/Inf."""
     bad = None
     for arr in arrays:
-        if _maybe_nonfinite(arr) and not np.isfinite(arr).all():
+        if not all_finite(arr):
             bad = arr
             break
     if report is not None:
@@ -215,22 +221,26 @@ def estimate_condition(A: np.ndarray) -> float:
     norm_a = float(np.linalg.norm(A, 1))
     if norm_a == 0.0:
         return float("inf")
+    # LUFactors solves through trsm, not LAPACK getrs: the bundled
+    # OpenBLAS getrs corrupts the heap under concurrent callers, and
+    # estimates run inside spectral sweep teams.
+    from ..core._kernels import LUFactors
+
     try:
-        lu, piv = sla.lu_factor(A, check_finite=False)
+        lu = LUFactors(A)
     except (sla.LinAlgError, ValueError):
         return float("inf")
-    diag = np.abs(np.diag(lu))
+    diag = np.abs(np.diag(lu.lu))
     if not np.all(diag > 0.0) or not np.isfinite(diag).all():
         return float("inf")
     # onenormest probes the *adjoint* through rmatvec: for complex
-    # blocks that is the conjugate transpose (lu_solve trans=2), not the
-    # plain transpose — using trans=1 silently estimates the wrong norm.
+    # blocks that is the conjugate transpose (trans=2), not the plain
+    # transpose — using trans=1 silently estimates the wrong norm.
     rtrans = 2 if np.iscomplexobj(A) else 1
     op = spla.LinearOperator(
         A.shape,
-        matvec=lambda x: sla.lu_solve((lu, piv), x, check_finite=False),
-        rmatvec=lambda x: sla.lu_solve((lu, piv), x, trans=rtrans,
-                                       check_finite=False),
+        matvec=lu.solve,
+        rmatvec=lambda x: lu.solve(x, trans=rtrans),
         dtype=A.dtype,
     )
     try:

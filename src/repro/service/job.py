@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..core.patterns import Pattern, Selection
+from ..core.patterns import BlockArray, Pattern, Selection
 from ..hubbard.hs_field import HSField
 from ..hubbard.lattice import RectangularLattice
 from ..hubbard.matrix import HubbardModel
@@ -259,8 +259,10 @@ class GreensJob:
 class JobResult:
     """Computed selected blocks plus execution accounting.
 
-    ``blocks`` is keyed by 1-based ``(k, l)`` exactly like
-    :class:`~repro.core.patterns.SelectedInversion`; ``stage_flops``
+    ``blocks`` is keyed by 1-based ``(k, l)`` and holds every block in
+    one buffer: a :class:`~repro.core.patterns.BlockArray` (the
+    solver's :class:`~repro.core.patterns.SelectedInversion` as is; any
+    other mapping passed in is stacked into one); ``stage_flops``
     carries the per-stage :class:`~repro.perf.tracer.FlopTracer`
     summary from the worker so service metrics can attribute flops to
     CLS/BSOFI/WRP without re-tracing.
@@ -268,7 +270,7 @@ class JobResult:
 
     fingerprint: str
     selection: Selection
-    blocks: dict[tuple[int, int], np.ndarray]
+    blocks: BlockArray
     flops: float = 0.0
     stage_flops: dict[str, float] = field(default_factory=dict)
     exec_seconds: float = 0.0
@@ -298,10 +300,14 @@ class JobResult:
     #: before the result is cached).
     spans: list[dict] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.blocks, BlockArray):
+            self.blocks = BlockArray.from_mapping(self.blocks)
+
     @property
     def nbytes(self) -> int:
         """Cache accounting: bytes held by the selected blocks."""
-        return sum(b.nbytes for b in self.blocks.values())
+        return self.blocks.nbytes
 
     def block(self, k: int, l: int) -> np.ndarray:
         """Fetch block ``(k, l)`` (1-based, as selected)."""

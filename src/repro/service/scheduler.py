@@ -42,7 +42,7 @@ from ..core.smw import PCyclicWoodbury, diag_flips
 from ..hubbard.hs_field import HSField
 from ..perf.tracer import FlopTracer
 from ..resilience.chaos import FaultKind, FaultPlan
-from ..resilience.guards import GuardConfig, NumericalHealthError
+from ..resilience.guards import GuardConfig, NumericalHealthError, all_finite
 from ..resilience.health import BreakerState, CircuitBreaker, ServiceState
 from ..telemetry import runtime as _telemetry
 from ..telemetry.context import use_context
@@ -561,10 +561,10 @@ class GreensService:
                 self.metrics.failed.inc()
                 return
             t0 = time.perf_counter()
-            blocks = {
-                kl: np.concatenate([r.blocks[kl] for r in results], axis=0)
-                for kl in results[0].blocks
-            }
+            # Chunks share the block index; shifts are axis 1.
+            blocks = results[0].blocks.with_data(
+                np.concatenate([r.blocks.data for r in results], axis=1)
+            )
             stage_flops: dict[str, float] = {}
             for r in results:
                 for stage, f in r.stage_flops.items():
@@ -749,15 +749,19 @@ class GreensService:
         Worker-side guards should have caught non-finite blocks already,
         but the cache outlives any one worker — a corrupted result
         served from it would keep resurfacing, so the store is screened
-        independently whenever guards are configured.
+        independently whenever guards are configured: one reduction over
+        the result buffer, and a per-block scan only to name the block.
         """
-        for kl, block in result.blocks.items():
-            if not np.isfinite(block).all():
-                raise NumericalHealthError(
-                    f"result block {kl} of {result.fingerprint[:12]} has"
-                    " non-finite entries",
-                    check="finite", site="result",
-                )
+        blocks = result.blocks
+        if all_finite(blocks.data):
+            return
+        per_block = np.isfinite(blocks.data.reshape(len(blocks), -1)).all(axis=1)
+        kl = list(blocks)[int(np.argmin(per_block))]
+        raise NumericalHealthError(
+            f"result block {kl} of {result.fingerprint[:12]} has"
+            " non-finite entries",
+            check="finite", site="result",
+        )
 
     def _complete_entry(self, entry: QueueEntry, result: JobResult) -> None:
         """Cache the result, then resolve every coalesced ticket.

@@ -30,6 +30,7 @@ worker process.
 from __future__ import annotations
 
 import inspect
+import itertools
 import os
 import random
 import threading
@@ -40,6 +41,7 @@ from concurrent.futures import (
     TimeoutError as _FutureTimeout,
 )
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import resource_tracker
 from typing import Callable, Sequence
 
 from ..parallel.budget import ParallelBudget
@@ -48,6 +50,7 @@ from ..resilience import chaos as _chaos
 from ..resilience.chaos import FaultKind, FaultPlan
 from ..resilience.guards import GuardConfig
 from ..telemetry import runtime as _telemetry
+from . import handoff
 from .errors import JobTimeoutError, ServiceClosedError, WorkerCrashError
 from .job import GreensJob, JobResult
 
@@ -107,7 +110,7 @@ def execute_job(
                                 grid, num_threads=num_threads
                             )
                         selection = factor.selection
-                        blocks = dict(swept.blocks)
+                        blocks = swept.blocks
                         rung = f"spectral({grid.n})"
                     elif guards is not None:
                         res = fsi_resilient(
@@ -115,7 +118,7 @@ def execute_job(
                             num_threads=num_threads, guards=guards,
                         )
                         selection = res.selection
-                        blocks = dict(res.selected.items())
+                        blocks = res.selected
                         rung = res.rung
                     elif pdiv_partitions >= 2:
                         from ..core.pdiv import fsi_distributed
@@ -125,7 +128,7 @@ def execute_job(
                             partitions=pdiv_partitions, transport=transport,
                         )
                         selection = res.selection
-                        blocks = dict(res.selected.items())
+                        blocks = res.selected
                         rung = f"pdiv({res.report.partitions})"
                     else:
                         res = fsi(
@@ -133,7 +136,7 @@ def execute_job(
                             num_threads=num_threads,
                         )
                         selection = res.selection
-                        blocks = dict(res.selected.items())
+                        blocks = res.selected
                         rung = res.rung
                     elapsed = time.perf_counter() - t0
     return JobResult(
@@ -268,6 +271,14 @@ def chaos_batch_task(
         )
 
 
+def _exported_task(
+    segment: str, task_fn: Callable[..., list], args: tuple, kwargs: dict
+) -> handoff.Parcel:
+    """Worker side of :meth:`WorkerPool.run_batch`: run the task, then
+    hand its result buffers over through the shared-memory ``segment``."""
+    return handoff.export(task_fn(*args, **kwargs), segment)
+
+
 class WorkerPool:
     """A recycling ``ProcessPoolExecutor`` with timeout + crash retry.
 
@@ -287,6 +298,12 @@ class WorkerPool:
     2^(attempt-1)))``.  Deterministic backoff synchronises retry storms
     — every dispatcher thread that lost a worker to the same crash
     wakes at the same instant and hammers the recycled pool together.
+
+    Results come back through :mod:`repro.service.handoff`: each batch's
+    block buffers travel in one shared-memory segment named
+    ``<segment_prefix><generation>-<seq>``, not through the result
+    pipe.  :meth:`_recycle` and :meth:`shutdown` sweep the segments a
+    killed worker left behind.
     """
 
     def __init__(
@@ -332,6 +349,12 @@ class WorkerPool:
         self.budget = ParallelBudget.resolve(
             processes=workers, ranks=fleet_ranks, team=threads_per_rank
         )
+        #: Names of this pool's result segments start with this.
+        self.segment_prefix = handoff.pool_prefix()
+        self._segments = itertools.count()
+        # Workers fork with the resource tracker's pipe, so segment
+        # (un)registrations from every process reach one tracker.
+        resource_tracker.ensure_running()
         self._lock = threading.Lock()
         self._generation = 0
         self._closed = False
@@ -344,11 +367,15 @@ class WorkerPool:
             initializer=self.budget.apply,
         )
 
-    def _current(self) -> tuple[ProcessPoolExecutor, int]:
+    def _current(self) -> tuple[ProcessPoolExecutor, int, str]:
+        """The live executor, its generation, and a fresh segment name."""
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("worker pool is shut down")
-            return self._executor, self._generation
+            segment = (
+                f"{self.segment_prefix}{self._generation}-{next(self._segments)}"
+            )
+            return self._executor, self._generation, segment
 
     def _recycle(self, seen_generation: int) -> None:
         """Replace a broken/stuck executor exactly once per generation."""
@@ -360,7 +387,9 @@ class WorkerPool:
             self._executor = self._new_executor()
         # Reap the old pool outside the lock; terminate stuck children so
         # a timed-out job cannot pin a CPU (or the interpreter) forever.
+        # Its workers are dead after that, so their segments can go.
         _terminate(old)
+        handoff.sweep(self.segment_prefix, seen_generation + 1)
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -379,25 +408,24 @@ class WorkerPool:
             kwargs["transport"] = self._transport
         if self._pdiv_partitions >= 2 and "pdiv_partitions" in self._task_params:
             kwargs["pdiv_partitions"] = self._pdiv_partitions
+        args = (list(jobs), self._fleet_ranks, self._threads_per_rank)
         while True:
-            executor, generation = self._current()
+            executor, generation, segment = self._current()
             try:
                 future = executor.submit(
-                    self._task_fn,
-                    list(jobs),
-                    self._fleet_ranks,
-                    self._threads_per_rank,
-                    **kwargs,
+                    _exported_task, segment, self._task_fn, args, kwargs
                 )
-                return future.result(timeout=self.job_timeout)
+                return handoff.receive(future.result(timeout=self.job_timeout))
             except _FutureTimeout:
                 self._recycle(generation)
                 raise JobTimeoutError(
                     f"batch of {len(jobs)} exceeded {self.job_timeout}s"
                 ) from None
-            except (BrokenProcessPool, CancelledError) as exc:
+            except (BrokenProcessPool, CancelledError, handoff.SegmentLost) as exc:
                 # CancelledError: our future was parked on an executor a
                 # sibling thread recycled — same recovery as a crash.
+                # SegmentLost: that recycle swept our result segment
+                # before we mapped it.
                 attempts += 1
                 self._recycle(generation)
                 if attempts > self.max_retries:
@@ -420,10 +448,18 @@ class WorkerPool:
                 return
             self._closed = True
             executor = self._executor
+            generations = self._generation + 1
         if cancel_futures:
             _terminate(executor, wait=wait)
         else:
             executor.shutdown(wait=wait)
+            if not wait:
+                return  # running tasks still hand their segments over
+        handoff.sweep(self.segment_prefix, generations)
+
+
+#: How long :func:`_terminate` waits for each terminated worker to exit.
+_REAP_SECONDS = 5.0
 
 
 def _terminate(executor: ProcessPoolExecutor, wait: bool = False) -> None:
@@ -435,10 +471,14 @@ def _terminate(executor: ProcessPoolExecutor, wait: bool = False) -> None:
     caller blocked on the task with it.  ``shutdown`` drops the table
     and the manager thread, so both are taken before it runs.
     """
-    processes = executor._processes
+    table = executor._processes
     manager = executor._executor_manager_thread
     executor.shutdown(wait=False, cancel_futures=True)
-    for proc in list((processes or {}).values()):
+    processes = list((table or {}).values())
+    for proc in processes:
         proc.terminate()
+    # Joined, so none of them can still write a result segment.
+    for proc in processes:
+        proc.join(timeout=_REAP_SECONDS)
     if wait and manager is not None:
         manager.join()

@@ -154,9 +154,13 @@ class _ShiftedOps(AdjacencyOps):
         # Parent LU caches stay empty: factors delegate to the base ops.
         self._lu: dict[int, kr.LUFactors] = {}
         self._lu_t: dict[int, kr.LUFactors] = {}
+        self._inv: dict[int, np.ndarray] = {}
 
     def _factor(self, i: int):
         return _ScaledLU(self._base._factor(i), self._s)
+
+    def inverse(self, i: int) -> np.ndarray:
+        return self._base.inverse(i) * (1.0 / self._s)
 
     def _factor_t(self, i: int):
         return _ScaledLU(self._base._factor_t(i), self._s)
@@ -167,14 +171,16 @@ class SpectralResult:
     """Selected resolvent blocks over a whole :class:`OmegaGrid`.
 
     ``blocks[(k, l)]`` stacks the selected block ``G(z_j)_{kl}`` over
-    the grid: shape ``(n_omega, N, N)``, complex.  ``rungs[j]`` records
+    the grid: shape ``(n_omega, N, N)``, complex — one
+    :class:`~repro.core.patterns.SelectedInversion` buffer of shape
+    ``(n_blocks, n_omega, N, N)``.  ``rungs[j]`` records
     the solve path that served shift ``j`` (``"factored"`` for the
     shared-factorisation fast path, else the ladder rung name).
     """
 
     grid: OmegaGrid
     selection: Selection
-    blocks: dict[tuple[int, int], np.ndarray]
+    blocks: SelectedInversion
     rungs: list[str] = field(default_factory=list)
 
     @property
@@ -287,18 +293,15 @@ class ResolventFactor:
             self._base_ops.pc, seeds, self.selection,
             num_threads=num_threads, ops=ops,
         )
-        # G(z) = M~(z)^{-1} / (z-1); wrap outputs are fresh per-shift
-        # arrays, so the scale is safe in place.
-        inv_d = 1.0 / d
-        for _, blk in selected.items():
-            blk *= inv_d
+        # G(z) = M~(z)^{-1} / (z-1); the wrap output is a fresh
+        # per-shift buffer, so the scale is safe in place.
+        selected.data *= 1.0 / d
         if guards is not None and guards.screen_stages:
-            blocks = [selected[kl] for kl in selected]
             picked = _guards.sample_indices(
-                len(blocks), guards.result_screen_samples
+                len(selected), guards.result_screen_samples
             )
             _guards.screen_finite(
-                "result", *(blocks[i] for i in picked), report=report
+                "result", selected.data[picked], report=report
             )
         return selected
 
@@ -326,9 +329,7 @@ class ResolventFactor:
                 pc_z, self.c, self.pattern, q=self.q,
                 num_threads=num_threads, guards=self.guards,
             )
-            inv_d = 1.0 / d
-            for _, blk in result.selected.items():
-                blk *= inv_d
+            result.selected.data *= 1.0 / d
             return result.selected, result.rung
 
     # -- the grid ------------------------------------------------------
@@ -344,7 +345,10 @@ class ResolventFactor:
         """
         zs = grid.z
         n = grid.n
-        results: list[SelectedInversion | None] = [None] * n
+        N = self.pc.N
+        blocks = SelectedInversion.empty(
+            self.selection, (n, N, N), np.complex128
+        )
         rungs = [""] * n
         with _telemetry.span(
             "spectral.sweep", n_omega=n, pattern=self.pattern.name,
@@ -352,15 +356,11 @@ class ResolventFactor:
         ):
             def body(j: int) -> None:
                 selected, rung = self.solve_shift(zs[j], num_threads=1)
-                results[j] = selected
+                blocks.data[:, j] = selected.data
                 rungs[j] = rung
                 _count_shift(rung)
 
             parallel_for(body, n, num_threads=num_threads)
-        blocks = {
-            kl: np.ascontiguousarray(np.stack([res[kl] for res in results]))
-            for kl in self.selection.block_indices()
-        }
         return SpectralResult(
             grid=grid, selection=self.selection, blocks=blocks, rungs=rungs
         )

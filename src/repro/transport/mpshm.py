@@ -22,26 +22,13 @@ from __future__ import annotations
 import numpy as np
 
 from .base import register_backend
-from .process import ChannelSet, ProcessWorld
+from .process import ChannelSet, ProcessWorld, untrack_segment
 
 __all__ = ["MpShmTransport", "SHM_MIN_BYTES"]
 
 #: Buffers at least this large take the shared-memory path; below it the
 #: pickle-through-pipe cost is lower than two segment syscalls.
 SHM_MIN_BYTES = 1 << 16
-
-
-def _unregister_from_tracker(name: str) -> None:
-    try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}" if not name.startswith("/") else name,
-                                    "shared_memory")
-    except (ImportError, AttributeError, KeyError, ValueError, OSError):
-        # Tracker internals vary across Python versions; an unknown
-        # segment name or a missing API is fine — the explicit
-        # close()/unlink() pair in the frame path owns the lifecycle.
-        pass
 
 
 class _PipeChannelSet(ChannelSet):
@@ -67,7 +54,7 @@ class _PipeChannelSet(ChannelSet):
         from multiprocessing import shared_memory
 
         shm = shared_memory.SharedMemory(create=True, size=buf.nbytes)
-        _unregister_from_tracker(shm.name)
+        untrack_segment(shm.name)
         try:
             np.ndarray(buf.shape, dtype=buf.dtype, buffer=shm.buf)[...] = buf
             self.send_frame(

@@ -51,7 +51,26 @@ from .base import (
     _Mailbox,
 )
 
-__all__ = ["ChannelSet", "ProcessCommunicator", "ProcessWorld"]
+__all__ = ["ChannelSet", "ProcessCommunicator", "ProcessWorld", "untrack_segment"]
+
+
+def untrack_segment(name: str) -> None:
+    """Hand a shared-memory segment this process created to its reader.
+
+    Unregisters ``name`` from the ``multiprocessing`` resource tracker,
+    which would otherwise unlink it when the creating process exits,
+    racing the process that reads it; the reader then owns the unlink.
+    """
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.unregister(f"/{name}" if not name.startswith("/") else name,
+                                    "shared_memory")
+    except (ImportError, AttributeError, KeyError, ValueError, OSError):
+        # Tracker internals vary across Python versions; an unknown
+        # segment name or a missing API is fine — the reader's explicit
+        # unlink owns the lifecycle.
+        pass
 
 
 class ChannelSet:

@@ -207,13 +207,13 @@ class TestTransportTeardown:
     def test_tracker_unregister_tolerates_api_failures(self, monkeypatch):
         from multiprocessing import resource_tracker
 
-        from repro.transport.mpshm import _unregister_from_tracker
+        from repro.transport.process import untrack_segment
 
         def refuse(name, rtype):
             raise ValueError(f"unknown segment {name}")
 
         monkeypatch.setattr(resource_tracker, "unregister", refuse)
-        _unregister_from_tracker("repro-test-nonexistent-segment")
+        untrack_segment("repro-test-nonexistent-segment")
 
 
 # ----------------------------------------------------------------------

@@ -135,6 +135,23 @@ class TestSelectedInversion:
             G[(k - 1) * 2 : k * 2, (k - 1) * 2 : k * 2] = float(k)
         assert sel_inv.max_relative_error(G) == 0.0
 
+    def test_flat_buffer_slots(self, sel_inv):
+        assert sel_inv.data.shape == (2, 2, 2)
+        assert sel_inv.nbytes == sel_inv.data.nbytes
+        assert np.shares_memory(sel_inv[(7, 7)], sel_inv.data)
+        sel_inv[(11, 11)] = np.zeros((2, 2))  # torus key, written in place
+        assert not sel_inv.data[0].any()
+
+    def test_column_of_columns_pattern_is_a_view(self):
+        sel = Selection(Pattern.COLUMNS, L=4, c=2, q=0)
+        si = SelectedInversion(
+            sel, {kl: np.full((2, 2), float(kl[0])) for kl in sel.block_indices()}
+        )
+        col = si.column(4)
+        assert col.shape == (4, 2, 2)
+        assert np.shares_memory(col, si.data)
+        assert [float(b[0, 0]) for b in col] == [1.0, 2.0, 3.0, 4.0]
+
     def test_row_column_accessors_require_pattern(self):
         sel = Selection(Pattern.ROWS, L=4, c=2, q=0)
         blocks = {
@@ -160,6 +177,39 @@ class TestPersistence:
         assert len(loaded) == len(res.selected)
         for kl in res.selected:
             np.testing.assert_array_equal(loaded[kl], res.selected[kl])
+
+    def test_saves_the_buffer_in_block_order(self, tmp_path):
+        from repro.core.fsi import fsi
+        from repro.core.pcyclic import random_pcyclic
+
+        pc = random_pcyclic(8, 3, np.random.default_rng(2), scale=0.6)
+        sel = fsi(pc, 4, pattern=Pattern.ROWS, q=2, num_threads=1).selected
+        path = tmp_path / "rows.npz"
+        sel.save(path)
+        with np.load(path) as data:
+            assert [tuple(k) for k in data["keys"]] == sel.selection.block_indices()
+            np.testing.assert_array_equal(data["blocks"], sel.data)
+
+    def test_loads_the_old_sorted_key_layout(self, tmp_path):
+        """Files written before the flat buffer stored blocks in sorted
+        key order; they load by their keys."""
+        sel = Selection(Pattern.COLUMNS, L=4, c=2, q=1)
+        rng = np.random.default_rng(3)
+        blocks = {kl: rng.standard_normal((2, 2)) for kl in sel.block_indices()}
+        keys = sorted(blocks)
+        assert keys != sel.block_indices()
+        path = tmp_path / "old.npz"
+        np.savez_compressed(
+            path,
+            pattern=np.frombuffer(b"columns", dtype=np.uint8),
+            geometry=np.array([4, 2, 1, 2]),
+            keys=np.array(keys, dtype=np.int64),
+            blocks=np.stack([blocks[kl] for kl in keys]),
+        )
+        loaded = SelectedInversion.load(path)
+        assert list(loaded) == sel.block_indices()
+        for kl, blk in blocks.items():
+            np.testing.assert_array_equal(loaded[kl], blk)
 
     def test_roundtrip_all_patterns(self, tmp_path):
         from repro.core.fsi import fsi

@@ -102,6 +102,27 @@ class TestGuards:
             # practice; allow slack for the estimator's lower-bound bias.
             assert exact * 0.3 <= est <= exact * 1.01
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_estimate_condition_large_blocks_under_a_team(self, dtype):
+        """Above the exact-inverse size the estimate solves with LU
+        factors; 4 threads estimating at once (as spectral sweep teams
+        do) must agree with the serial value."""
+        from repro.parallel.openmp import parallel_for
+
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((160, 160)) + 12 * np.eye(160)
+        if dtype is np.complex128:
+            A = A + 1j * rng.standard_normal((160, 160))
+        serial = estimate_condition(A)
+        assert serial == pytest.approx(np.linalg.cond(A, 1), rel=0.5)
+        got = [0.0] * 16
+
+        def body(i: int) -> None:
+            got[i] = estimate_condition(A)
+
+        parallel_for(body, len(got), num_threads=4)
+        np.testing.assert_allclose(got, serial, rtol=1e-12)
+
     def test_estimate_condition_singular_is_inf(self):
         A = np.ones((4, 4))  # rank 1
         assert estimate_condition(A) == np.inf
