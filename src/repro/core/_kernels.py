@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import get_blas_funcs
+from scipy.linalg.lapack import get_lapack_funcs
 
 from ..perf.tracer import record_flops
 
@@ -37,6 +38,7 @@ __all__ = [
     "solve_right",
     "qr_full",
     "triangular_inverse",
+    "triangular_solve",
     "LUFactors",
 ]
 
@@ -151,11 +153,51 @@ def solve_right(B: np.ndarray, A: np.ndarray) -> np.ndarray:
     return LUFactors(np.ascontiguousarray(A.T)).solve(B.T).T
 
 
-def qr_full(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder QR with explicit full ``Q`` (used by BSOFI panels)."""
+#: Block size of the compact-WY reflector blocks in :func:`qr_full`.
+#: 32 is the fastest of 8..100 for the ``200 x 100`` BSOFI panel on
+#: OpenBLAS; any value gives the same reflectors.
+_QR_BLOCK = 32
+
+
+def qr_full(
+    A: np.ndarray, out: np.ndarray | None = None, overwrite_a: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR with explicit full ``Q`` (used by BSOFI panels).
+
+    ``geqrt`` factors ``A`` into compact-WY reflector blocks and
+    ``gemqrt`` applies them to the identity.  The reflectors are those of
+    ``geqrf``; forming ``Q`` this way is one blocked BLAS-3 sweep, where
+    ``orgqr`` (behind ``scipy.linalg.qr``) rebuilds the block reflectors
+    it needs: about 1 against 2.5 ms for a ``200 x 100`` panel on one
+    OpenBLAS thread.  The sweep forms ``I Q^H`` column-major, which is
+    ``Q`` (conjugated, for complex) row-major, so it runs in place in
+    ``out`` — a C-contiguous ``m x m`` array of ``A``'s dtype — or in a
+    new array.  ``overwrite_a`` lets ``geqrt`` factor a Fortran-ordered
+    ``A`` in place.  ``R`` has the shape of ``A``.
+    """
     m, n = A.shape
     record_flops(2.0 * n * n * (m - n / 3.0) + 4.0 / 3.0 * m**3, A.nbytes)
-    return sla.qr(A, mode="full", check_finite=False)
+    geqrt, gemqrt = get_lapack_funcs(("geqrt", "gemqrt"), (A,))
+    k = min(m, n)
+    vr, t, info = geqrt(min(_QR_BLOCK, k), A, overwrite_a=overwrite_a)
+    if info != 0:  # pragma: no cover - argument errors only
+        raise ValueError(f"geqrt failed with info={info}")
+    if out is None:
+        out = np.empty((m, m), dtype=vr.dtype)
+    elif (out.shape != (m, m) or out.dtype != vr.dtype
+          or not out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous ({m}, {m}) {vr.dtype} array")
+    QH = out.T
+    QH.fill(0.0)
+    np.fill_diagonal(QH, 1.0)
+    cplx = np.iscomplexobj(vr)
+    _, info = gemqrt(vr[:, :k], t, QH, side="R", trans="C" if cplx else "T",
+                     overwrite_c=1)
+    if info != 0:  # pragma: no cover - argument errors only
+        raise ValueError(f"gemqrt failed with info={info}")
+    if cplx:
+        np.conjugate(out, out=out)
+    return out, np.triu(vr)
 
 
 def triangular_inverse(R: np.ndarray, lower: bool = False) -> np.ndarray:
@@ -164,3 +206,18 @@ def triangular_inverse(R: np.ndarray, lower: bool = False) -> np.ndarray:
     record_flops(n**3 / 3.0, R.nbytes)
     eye = np.eye(n, dtype=R.dtype)
     return sla.solve_triangular(R, eye, lower=lower, check_finite=False)
+
+
+def triangular_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``R^{-1} B`` for upper-triangular ``R`` (``m n^2`` flops for
+    ``m`` right-hand sides).
+
+    Solved as ``X^T = B^T R^{-T}``, a right-side ``trsm`` on the
+    Fortran-ordered view ``B.T`` of a C-ordered ``B``: no copies, and
+    OpenBLAS's right-side kernel is about twice as fast as its left-side
+    one for ``N = 100`` and ``2N`` right-hand sides.
+    """
+    n = R.shape[0]
+    record_flops(float(B.shape[1]) * n * n, R.nbytes + B.nbytes)
+    trsm = get_blas_funcs("trsm", (R, B))
+    return trsm(1.0, R, B.T, side=1, trans_a=1).T

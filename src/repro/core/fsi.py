@@ -4,7 +4,10 @@
 selected inversion of a block p-cyclic matrix in
 ``O((2(c-1) + 7b) b N^3)`` to ``O(3 b L N^3)`` flops depending on the
 pattern, versus ``O(b L^2 N^3)`` for the explicit form and
-``O((NL)^3)`` for a full dense inversion.
+``O((NL)^3)`` for a full dense inversion.  (Those are the paper's
+counts; the diagonal patterns here compute only the band of the reduced
+inverse, which drops BSOFI from ``7 b^2 N^3`` to ``O(b N^3)`` — see
+:mod:`repro.core.bsofi`.)
 
 Stages are tagged ``"cls"``, ``"bsofi"`` and ``"wrp"`` on the active
 :class:`~repro.perf.tracer.FlopTracer` so per-stage rates (Fig. 8 top)
@@ -32,7 +35,7 @@ from ..resilience import guards as _guards
 from ..resilience.guards import GuardConfig, GuardReport, NumericalHealthError
 from ..telemetry import runtime as _telemetry
 from .adjacency import AdjacencyOps
-from .bsofi import bsofi, bsofi_flops
+from .bsofi import SeedSet, bsofi_flops, bsofi_seeds
 from .cls import cls, cls_flops
 from .patterns import Pattern, SelectedInversion, Selection
 from .pcyclic import BlockPCyclic
@@ -49,10 +52,9 @@ class FSIResult:
     ----------
     selected:
         The requested :class:`SelectedInversion`.
-    seeds:
-        The ``(b, b, N, N)`` inverse of the reduced matrix (every block
-        an exact block of ``G``) — DQMC measurement code often wants
-        these *in addition* to the wrapped pattern.
+    seed_set:
+        BSOFI's output (:class:`~repro.core.bsofi.SeedSet`): the band
+        the solve used, and the grid behind :attr:`seeds`.
     selection:
         Pattern + geometry actually used (includes the drawn ``q``).
     ops:
@@ -62,18 +64,26 @@ class FSIResult:
         Which solve path produced the result: ``"direct"`` for the
         requested cluster factor, ``"c=<n>"`` for a fallback rung of
         the ladder, ``"udt"`` for the stabilized last resort (which
-        produces no seeds).
+        produces an empty seed grid).
     health:
         Guard observations for the serving attempt (``None`` when the
         guards were off).
     """
 
     selected: SelectedInversion
-    seeds: np.ndarray
+    seed_set: SeedSet = field(repr=False, compare=False)
     selection: Selection
     ops: AdjacencyOps
     rung: str = "direct"
     health: GuardReport | None = field(default=None, compare=False)
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """The ``(b, b, N, N)`` inverse of the reduced matrix (every
+        block an exact block of ``G``) — DQMC measurement code often
+        wants these *in addition* to the wrapped pattern.  For the
+        diagonal patterns it is completed on first read."""
+        return self.seed_set.grid
 
 
 def fsi(
@@ -154,12 +164,14 @@ def fsi(
             if guards.condition_samples:
                 _guards.check_cluster_conditions(reduced.B, guards, report)
         with _telemetry.span("bsofi"), staged("bsofi"):
-            seeds = bsofi(reduced)
+            seeds = bsofi_seeds(reduced, pattern)
         if guards is not None:
             if guards.screen_stages:
-                _guards.screen_finite("bsofi", seeds, report=report)
+                _guards.screen_finite("bsofi", *seeds.band.arrays,
+                                      report=report)
             if guards.residual_samples:
-                _guards.check_seed_residual(reduced.B, seeds, guards, report)
+                _guards.check_seed_residual(reduced.B, seeds.band, guards,
+                                            report)
         ops = AdjacencyOps(pc)
         with _telemetry.span("wrp", pattern=pattern.name), staged("wrp"):
             selected = wrap(
@@ -173,7 +185,7 @@ def fsi(
                 "result", selected.data[picked], report=report
             )
     return FSIResult(
-        selected=selected, seeds=seeds, selection=selection, ops=ops,
+        selected=selected, seed_set=seeds, selection=selection, ops=ops,
         health=report,
     )
 
@@ -250,15 +262,15 @@ def fsi_resilient(
             continue
         if cur != c:
             blocks = result.selected.stack(requested.block_indices())
-            # The finer rung produced a (b', b', N, N) seed grid over
-            # its own index set I' ⊃ I; served seeds must be indexed by
-            # the *served* selection, so slice the grid down to the
-            # rows/columns of the requested seed set.
+            # The finer rung's seeds cover its own index set I' ⊃ I;
+            # served seeds must be indexed by the *served* selection, so
+            # the grid is the finer one's rows/columns of the requested
+            # seed set (sliced on first read).
             finer = result.selection.seeds
             pos = [finer.index(s) for s in requested.seeds]
             result = FSIResult(
                 selected=SelectedInversion(requested, blocks),
-                seeds=np.ascontiguousarray(result.seeds[np.ix_(pos, pos)]),
+                seed_set=result.seed_set.take(pos),
                 selection=requested,
                 ops=result.ops,
                 health=result.health,
@@ -282,7 +294,7 @@ def fsi_resilient(
     _guards.screen_finite("udt", selected.data, report=report)
     result = FSIResult(
         selected=selected,
-        seeds=np.empty((0, 0, pc.N, pc.N), dtype=pc.B.dtype),
+        seed_set=SeedSet(grid=np.empty((0, 0, pc.N, pc.N), dtype=pc.B.dtype)),
         selection=requested,
         ops=AdjacencyOps(pc),
         rung="udt",
@@ -295,7 +307,9 @@ def fsi_resilient(
 def fsi_flops(L: int, N: int, c: int, pattern: Pattern) -> float:
     """Closed-form FSI cost for a pattern (the Sec. II-C table).
 
-    ``CLS + BSOFI + WRP``:
+    ``CLS + BSOFI + WRP``, with the paper's full-inverse BSOFI for every
+    pattern (the band solve of the diagonal patterns costs
+    :func:`~repro.core.bsofi.bsofi_band_flops` instead):
 
     * S1 diagonals:      ``[2(c-1) + 7b] b N^3``
     * S2 sub-diagonals:  ``[2c + 7b] b N^3`` (one extra move per seed)

@@ -217,10 +217,14 @@ class DeltaReport:
     backward-stable solves keep it near machine epsilon, so anything
     large means the base matrix is too ill-conditioned for the update
     and the caller should fall back to a fresh solve.
-    ``capacitance_cond`` is the 2-norm condition number of the ``r x r``
-    capacitance ``C = I + V^T X``; a near-singular ``C`` means the flip
-    batch nearly annihilates ``M'`` (Metropolis would reject such a
-    move, but a *served* result must never be built on it).
+    ``capacitance_cond`` is the condition of the ``r x r`` capacitance
+    ``C = I + V^T X`` relative to its two terms,
+    ``(1 + |V^T X|_2) / sigma_min(C)``: at least the 2-norm condition
+    number of ``C``, and unlike it not identically 1 for ``r = 1``, where
+    a ``C`` that cancels to rounding level is the near-singular case.  A
+    near-singular ``C`` means the flip batch nearly annihilates ``M'``
+    (Metropolis would reject such a move, but a *served* result must
+    never be built on it).
     """
 
     rank: int
@@ -333,12 +337,16 @@ class PCyclicWoodbury:
 
         # Capacitance C = I + V^T X: V's columns are unit vectors, so
         # V^T X just gathers rows of X.
-        C = np.eye(r, dtype=X.dtype)
+        VtX = np.empty((r, r), dtype=X.dtype)
         for j, flip in enumerate(flips):
             m = torus_index(flip.slice_index - 1, L) - 1
-            C[j, :] += X[m, flip.site, :]
-        with np.errstate(all="ignore"):
-            cond = float(np.linalg.cond(C)) if np.all(np.isfinite(C)) else np.inf
+            VtX[j, :] = X[m, flip.site, :]
+        C = VtX + np.eye(r)
+        cond = np.inf
+        if np.all(np.isfinite(C)):
+            with np.errstate(all="ignore"):
+                smin = np.linalg.svd(C, compute_uv=False)[-1]
+                cond = float((1.0 + np.linalg.norm(VtX, 2)) / smin)
         report = DeltaReport(
             rank=r, solve_residual=residual, capacitance_cond=cond,
         )

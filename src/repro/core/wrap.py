@@ -48,6 +48,10 @@ FULL_DIAGONAL and SUBDIAGONAL keep the per-seed moves on a thread team:
 no two of their moves share a ``B``, so an inverse would not be reused.
 Every pattern writes into one :class:`~repro.core.patterns.
 SelectedInversion` buffer in ``block_indices()`` order.
+
+The diagonal patterns read only the diagonal seeds ``G~_{k0,k0}``, so
+they accept the band of a :class:`~repro.core.bsofi.SeedSet`; COLUMNS
+and ROWS read its grid.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from ..parallel.openmp import parallel_for
 from ..telemetry import runtime as _telemetry
 from . import _kernels as kr
 from .adjacency import AdjacencyOps
+from .bsofi import GRID_PATTERNS, SeedSet
 from .patterns import Pattern, SelectedInversion, Selection
 from .pcyclic import BlockPCyclic, torus_index
 
@@ -72,7 +77,7 @@ def _up_down_steps(c: int) -> tuple[int, int]:
 
 def wrap(
     pc: BlockPCyclic,
-    G_seeds: np.ndarray,
+    G_seeds: np.ndarray | SeedSet,
     selection: Selection,
     num_threads: int | None = None,
     ops: AdjacencyOps | None = None,
@@ -86,7 +91,8 @@ def wrap(
         moves use its ``B`` blocks.
     G_seeds:
         The ``(b, b, N, N)`` output of :func:`repro.core.bsofi.bsofi`
-        on the CLS-reduced matrix.
+        on the CLS-reduced matrix, or the
+        :func:`~repro.core.bsofi.bsofi_seeds` output for the pattern.
     selection:
         Pattern + ``(L, c, q)`` geometry.  Must be consistent with the
         seed grid shape (``b = L / c``).
@@ -105,20 +111,34 @@ def wrap(
     b = L // c
     if selection.L != L:
         raise ValueError(f"selection L={selection.L} != matrix L={L}")
-    if G_seeds.shape != (b, b, N, N):
-        raise ValueError(
-            f"seed grid shape {G_seeds.shape} != expected {(b, b, N, N)}"
-        )
+    if isinstance(G_seeds, np.ndarray):
+        if G_seeds.shape != (b, b, N, N):
+            raise ValueError(
+                f"seed grid shape {G_seeds.shape} != expected {(b, b, N, N)}"
+            )
+        G_seeds = SeedSet(grid=G_seeds)
+    pattern = selection.pattern
+    # COLUMNS / ROWS walk from the whole grid, the rest from its diagonal.
+    grid = pattern in GRID_PATTERNS
+    seed_blocks = G_seeds.grid if grid else G_seeds.band.diag
+    if seed_blocks.shape[0] != b:
+        raise ValueError(f"{seed_blocks.shape[0]} seeds != expected b = {b}")
     if ops is None:
         ops = AdjacencyOps(pc)
-    dtype = np.result_type(G_seeds.dtype, pc.B.dtype)
+    dtype = np.result_type(seed_blocks.dtype, pc.B.dtype)
     out = SelectedInversion.empty(selection, (N, N), dtype)
     seeds = selection.seeds  # [c-q, 2c-q, ..., bc-q]
     up_steps, down_steps = _up_down_steps(c)
 
-    pattern = selection.pattern
+    if grid:
+        with _telemetry.span("wrp.panels", panels=b, pattern=pattern.name):
+            _panel_walks(ops, seed_blocks, selection, out, up_steps,
+                         down_steps)
+        return out
+
+    diag = seed_blocks  # G~_{k0,k0}
     if pattern is Pattern.DIAGONAL:
-        out.data[:] = G_seeds[np.arange(b), np.arange(b)]
+        out.data[:] = diag
         return out
 
     if pattern is Pattern.SUBDIAGONAL:
@@ -128,7 +148,7 @@ def wrap(
 
         def sub_body(t: int) -> None:
             k0, k = todo[t]
-            out.data[t] = ops.right(G_seeds[k0, k0], k, k)
+            out.data[t] = ops.right(diag[k0], k, k)
 
         with _telemetry.span("wrp.subdiagonal", seeds=len(todo)):
             parallel_for(sub_body, len(todo), num_threads=num_threads)
@@ -138,13 +158,13 @@ def wrap(
         # Slot k-1 holds G_kk.
         def diag_body(k0: int) -> None:
             k = seeds[k0]
-            g = out.data[k - 1] = G_seeds[k0, k0]
+            g = out.data[k - 1] = diag[k0]
             kk = k
             for _ in range(up_steps):
                 g = ops.up_left(g, kk, kk)
                 kk = torus_index(kk - 1, L)
                 out.data[kk - 1] = g
-            g, kk = G_seeds[k0, k0], k
+            g, kk = diag[k0], k
             for _ in range(down_steps):
                 g = ops.down_right(g, kk, kk)
                 kk = torus_index(kk + 1, L)
@@ -152,11 +172,6 @@ def wrap(
 
         with _telemetry.span("wrp.full_diagonal", seeds=b):
             parallel_for(diag_body, b, num_threads=num_threads)
-        return out
-
-    if pattern in (Pattern.COLUMNS, Pattern.ROWS):
-        with _telemetry.span("wrp.panels", panels=b, pattern=pattern.name):
-            _panel_walks(ops, G_seeds, selection, out, up_steps, down_steps)
         return out
 
     raise AssertionError(f"unhandled pattern {pattern}")  # pragma: no cover

@@ -15,7 +15,7 @@ instead of real MPI:
 
 Green's functions never cross rank boundaries — only the tiny ``h``
 buffers and the reduced measurement vectors do, exactly as in the
-paper; the per-rank *memory* high-water mark (matrix + seed grid +
+paper; the per-rank *memory* high-water mark (matrix + BSOFI seeds +
 selected blocks) is reported so the OOM analysis of Fig. 9 can be
 checked against the analytic model.
 """
@@ -187,7 +187,7 @@ def rank_work(
         peak = max(
             peak,
             pc.memory_bytes()
-            + res.seeds.nbytes
+            + res.seed_set.nbytes
             + res.selected.memory_bytes(),
         )
     local["peak_bytes"] = float(peak)

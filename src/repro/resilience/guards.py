@@ -30,12 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from ..telemetry import runtime as _telemetry
+
+if TYPE_CHECKING:
+    from ..core.bsofi import SeedBand
 
 __all__ = [
     "NumericalHealthError",
@@ -356,49 +360,57 @@ def check_cluster_conditions(
     return worst
 
 
+def _frobenius(A: np.ndarray) -> float:
+    return float(np.sqrt(np.vdot(A, A).real))
+
+
+def _band_pair(
+    seeds: SeedBand | np.ndarray, k0: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks that diagonal entry ``k0`` of ``M~ G~`` reads:
+    ``G~_{k0,k0}`` and ``G~_{k0-1,k0}`` (for ``k0 = 0`` the corner
+    ``G~_{b-1,0}``), 0-based, from a seed grid or its band."""
+    if isinstance(seeds, np.ndarray):
+        b = seeds.shape[0]
+        return seeds[k0, k0], (seeds[k0 - 1, k0] if k0 else seeds[b - 1, 0])
+    return seeds.diag[k0], (seeds.upper[k0 - 1] if k0 else seeds.corner)
+
+
 def check_seed_residual(
     B: np.ndarray,
-    seeds: np.ndarray,
+    seeds: SeedBand | np.ndarray,
     config: GuardConfig,
     report: GuardReport | None = None,
 ) -> float:
     """Sampled identity residual of the BSOFI inverse.
 
     ``B`` holds the reduced blocks ``B~_i`` (``(b, N, N)``); ``seeds``
-    is the BSOFI inverse ``G~`` (``(b, b, N, N)``).  For sampled rows
-    ``k`` the reduced p-cyclic structure gives
+    is the band of the BSOFI inverse ``G~`` (a
+    :class:`~repro.core.bsofi.SeedBand`) or the whole ``(b, b, N, N)``
+    grid.  For sampled rows ``k`` the reduced p-cyclic structure gives
 
-        ``(M~ G~)_{k,l} = G~_{k,l} - B~_k G~_{k-1,l}``  (``k >= 2``)
-        ``(M~ G~)_{1,l} = G~_{1,l} + B~_1 G~_{b,l}``
+        ``(M~ G~)_{k,k} = G~_{k,k} - B~_k G~_{k-1,k}``  (``k >= 2``)
+        ``(M~ G~)_{1,1} = G~_{1,1} + B~_1 G~_{b,1}``
 
-    which must equal ``delta_{kl} I``.  Each sample costs one gemm.
+    which must equal ``I``: the diagonal, the super-diagonal and the
+    corner of ``G~`` — exactly the band.  Each sample costs one gemm.
     Raises when the worst relative residual exceeds
     ``config.residual_limit``; returns the worst residual.
     """
     b, N = B.shape[0], B.shape[1]
     worst = 0.0
-    eye = np.eye(N, dtype=seeds.dtype)
-    for k0 in sample_indices(b, config.residual_samples):
-        l0 = k0  # diagonal entries see both the I and the product term
-        if b == 1:
-            # Degenerate M~ = I + B~_1: residual of (I + B)G - I.
-            prod = B[0] @ seeds[0, 0]
-            R = seeds[0, 0] + prod - eye
-        elif k0 == 0:
-            prod = B[0] @ seeds[b - 1, l0]
-            R = seeds[0, l0] + prod - (eye if l0 == 0 else 0.0)
-        else:
-            prod = B[k0] @ seeds[k0 - 1, l0]
-            R = seeds[k0, l0] - prod - (eye if l0 == k0 else 0.0)
-        scale = max(
-            1.0,
-            float(np.linalg.norm(seeds[k0, l0])) + float(np.linalg.norm(prod)),
-        )
-        with np.errstate(invalid="ignore"):
-            resid = float(np.linalg.norm(R)) / scale
-        if not np.isfinite(resid):
-            resid = float("inf")
-        worst = max(worst, resid)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for k0 in sample_indices(b, config.residual_samples):
+            G_kk, G_nb = _band_pair(seeds, k0)
+            prod = B[k0] @ G_nb
+            # Row 1 holds +B~_1 in the corner (b = 1: M~ = I + B~_1).
+            R = G_kk + prod if k0 == 0 else G_kk - prod
+            R.flat[:: N + 1] -= 1.0
+            scale = max(1.0, _frobenius(G_kk) + _frobenius(prod))
+            resid = _frobenius(R) / scale
+            if not np.isfinite(resid):
+                resid = float("inf")
+            worst = max(worst, resid)
     if report is not None:
         report.checks_run += 1
         report.worst_residual = max(report.worst_residual, worst)

@@ -49,7 +49,7 @@ import numpy as np
 
 from ..core import _kernels as kr
 from ..core.adjacency import AdjacencyOps
-from ..core.bsofi import bsofi, bsofi_flops
+from ..core.bsofi import bsofi_flops, bsofi_seeds
 from ..core.cls import cls, cls_flops
 from ..core.fsi import fsi_resilient
 from ..core.patterns import Pattern, SelectedInversion, Selection
@@ -282,12 +282,14 @@ class ResolventFactor:
                 _guards.screen_finite("cls", reduced_z.B, report=report)
             if guards.condition_samples:
                 _guards.check_cluster_conditions(reduced_z.B, guards, report)
-        seeds = bsofi(reduced_z)
+        seeds = bsofi_seeds(reduced_z, self.pattern)
         if guards is not None:
             if guards.screen_stages:
-                _guards.screen_finite("bsofi", seeds, report=report)
+                _guards.screen_finite("bsofi", *seeds.band.arrays,
+                                      report=report)
             if guards.residual_samples:
-                _guards.check_seed_residual(reduced_z.B, seeds, guards, report)
+                _guards.check_seed_residual(reduced_z.B, seeds.band, guards,
+                                            report)
         ops = _ShiftedOps(self._base_ops, s)
         selected = wrap(
             self._base_ops.pc, seeds, self.selection,

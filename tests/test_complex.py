@@ -37,6 +37,15 @@ class TestComplexCore:
             pc.to_dense() @ dense, np.eye(24), atol=1e-11
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_dense_factors_keep_the_imaginary_part(self):
+        pc = random_complex_pc(5, 3, seed=2)
+        f = bsofi_qr(pc)
+        Q, R = f.to_dense_q(), f.to_dense_r()
+        assert Q.dtype == R.dtype == np.complex128
+        np.testing.assert_allclose(Q @ R, pc.to_dense(), atol=1e-12)
+        np.testing.assert_allclose(Q.conj().T @ Q, np.eye(15), atol=1e-12)
+
     def test_panel_q_unitary(self):
         pc = random_complex_pc(4, 3, seed=1)
         f = bsofi_qr(pc)
@@ -218,6 +227,22 @@ class TestComplexGuards:
         with pytest.raises(NumericalHealthError) as err:
             guards.check_cluster_conditions(pc.B, tight)
         assert err.value.check == "condition"
+
+    def test_seed_residual_reads_the_band(self):
+        from repro.core.bsofi import SeedBand, bsofi_band
+
+        pc = random_complex_pc(5, 3, seed=38)
+        band = bsofi_band(bsofi_qr(pc))
+        config = GuardConfig(residual_samples=5)
+        assert guards.check_seed_residual(pc.B, band, config) < 1e-12
+        assert guards.check_seed_residual(
+            pc.B, band, config
+        ) == pytest.approx(guards.check_seed_residual(pc.B, bsofi(pc), config))
+        for name in ("diag", "upper", "corner"):
+            bad = SeedBand(*(a.copy() for a in band.arrays))
+            getattr(bad, name)[...] += 0.5
+            with pytest.raises(NumericalHealthError):
+                guards.check_seed_residual(pc.B, bad, config)
 
     def test_seed_residual_complex(self):
         pc = random_complex_pc(4, 3, seed=37)

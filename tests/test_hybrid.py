@@ -209,6 +209,37 @@ class TestSelectedFleet:
         assert run_selected_fleet(model, [], n_ranks=2) == []
 
 
+class TestLazySeedGrid:
+    def test_diagonal_fleet_records_no_grid_completion(self, model):
+        """Fleet bookkeeping counts the seeds a solve holds; it never
+        completes the seed grid a DIAGONAL solve does not need."""
+        from repro.core.bsofi import bsofi_band_flops
+        from repro.parallel.hybrid import rank_work
+        from repro.perf.tracer import FlopTracer
+        from repro.transport import create_world
+
+        cfg = HybridConfig(n_matrices=4, n_ranks=2, threads_per_rank=1, c=4,
+                           pattern=Pattern.DIAGONAL)
+
+        def traced(comm, model, cfg):
+            with FlopTracer() as tr:
+                rank_work(comm, model, cfg)
+            return tr.summary()
+
+        per_rank = create_world(2, backend="threads").run(traced, model, cfg)
+        for stages in per_rank:
+            assert "bsofi.grid" not in stages
+            assert stages["bsofi"]["flops"] == pytest.approx(
+                2 * bsofi_band_flops(model.L // 4, model.N))
+
+    def test_peak_counts_the_band(self, model):
+        kwargs = dict(n_matrices=2, n_ranks=1, threads_per_rank=1, c=4)
+        diag = run_fsi_fleet(model, HybridConfig(pattern=Pattern.DIAGONAL,
+                                                 **kwargs))
+        cols = run_fsi_fleet(model, HybridConfig(**kwargs))
+        assert 0 < diag.per_rank_peak_bytes < cols.per_rank_peak_bytes
+
+
 class TestMemory:
     def test_peak_memory_plausible(self, model):
         from repro.perf.machine import fsi_rank_memory_bytes

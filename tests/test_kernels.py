@@ -36,3 +36,35 @@ def test_singular_factor_solves_to_non_finite():
     with np.errstate(all="ignore"):
         x = factors.solve(np.eye(4))
     assert not np.isfinite(x).all()
+
+
+@pytest.mark.parametrize("shape", [(200, 100), (8, 8), (9, 4), (3, 5)])
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_qr_full_against_scipy(shape, is_complex):
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal(shape)
+    if is_complex:
+        A = A + 1j * rng.standard_normal(shape)
+    Q, R = kr.qr_full(A)
+    Qs, Rs = sla.qr(A, mode="full")
+    m = shape[0]
+    assert Q.shape == Qs.shape and R.shape == Rs.shape
+    assert Q.flags.c_contiguous
+    assert Q.dtype == A.dtype and R.dtype == A.dtype
+    np.testing.assert_allclose(Q @ R, A, atol=1e-12)
+    np.testing.assert_allclose(Q.conj().T @ Q, np.eye(m), atol=1e-12)
+    np.testing.assert_array_equal(np.tril(R, -1), 0.0)
+    # Same Householder reflectors as geqrf: R agrees, not just up to signs.
+    np.testing.assert_allclose(R, Rs, atol=1e-12)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+def test_triangular_solve(is_complex):
+    rng = np.random.default_rng(4)
+    R = np.triu(rng.standard_normal((6, 6))) + 4.0 * np.eye(6)
+    B = rng.standard_normal((6, 9))
+    if is_complex:
+        R = R + 1j * np.triu(rng.standard_normal((6, 6)))
+        B = B + 1j * rng.standard_normal((6, 9))
+    np.testing.assert_allclose(kr.triangular_solve(R, B),
+                               sla.solve_triangular(R, B), atol=1e-13)

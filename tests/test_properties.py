@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adjacency import AdjacencyOps
-from repro.core.bsofi import bsofi
+from repro.core.bsofi import SeedBand, bsofi, bsofi_band, bsofi_qr
 from repro.core.cls import cls
 from repro.core.patterns import Pattern, Selection, seed_indices
 from repro.core.pcyclic import random_pcyclic, torus_index
@@ -147,6 +147,22 @@ class TestLinearAlgebraProperties:
         dense = np.block([[G[i, j] for j in range(L)] for i in range(L)])
         resid = np.abs(pc.to_dense() @ dense - np.eye(L * N)).max()
         assert resid < 1e-8
+
+    @given(st.integers(2, 8), st.integers(1, 5), st.booleans(),
+           st.integers(0, 2**16))
+    @settings(max_examples=25, deadline=None)
+    def test_bsofi_band_is_the_grid_band(self, b, N, is_complex, seed):
+        """The band recurrence reproduces the diagonal, super-diagonal and
+        corner blocks of the full inverse, real or complex."""
+        rng = np.random.default_rng(seed)
+        pc = random_pcyclic(b, N, rng, scale=0.5)
+        if is_complex:
+            pc = type(pc)(pc.B + 0.5j * random_pcyclic(b, N, rng, scale=0.5).B)
+        band = bsofi_band(bsofi_qr(pc))
+        ref = SeedBand.of_grid(bsofi(pc))
+        for got, want in zip(band.arrays, ref.arrays):
+            assert got.dtype == want.dtype
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-12)
 
     @given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**16))
     @settings(max_examples=15, deadline=None)
