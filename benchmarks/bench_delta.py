@@ -14,8 +14,9 @@ that contract down twice:
   (``(N, L, c) = (100, 64, 8)`` — L >= 64) and **fails below a 5x
   speedup**.  It also re-verifies the updated blocks against a fresh
   solve to 1e-8, so the gate can never pass on a fast-but-wrong path,
-  and writes the measurement to ``BENCH_delta.json`` — the repo's
-  committed perf-trajectory point for the delta path.
+  and writes the measurement to ``BENCH_delta.json`` (the shared
+  envelope of ``benchmarks/envelope.py``) — the repo's committed
+  perf-trajectory point for the delta path.
 
 Run the gate locally with::
 
@@ -25,9 +26,6 @@ Run the gate locally with::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
-import sys
 import time
 from pathlib import Path
 
@@ -38,6 +36,8 @@ from repro.bench.workloads import BENCH_SMALL, VALIDATION, make_hubbard
 from repro.core.fsi import fsi
 from repro.core.patterns import Pattern
 from repro.core.smw import PCyclicWoodbury, diag_flips
+
+from envelope import write_record
 
 #: Minimum warm single-flip speedup over the full solve (the CI gate).
 SPEEDUP_FLOOR = 5.0
@@ -157,8 +157,8 @@ def measure_delta(seed: int = 1) -> dict:
         worst = max(worst, float(np.linalg.norm(blk - refb)) / scale)
 
     return {
-        "workload": {"N": w.N, "L": w.L, "c": w.c, "pattern": "full_diagonal"},
-        "rank": 1,
+        "workload": {"N": w.N, "L": w.L, "c": w.c, "pattern": "full_diagonal",
+                     "rank": 1},
         "delta_ms": delta_s * 1e3,
         "solve_ms": solve_s * 1e3,
         "speedup": solve_s / delta_s,
@@ -185,35 +185,37 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     stats = measure_delta(seed=args.seed)
-    record = {
-        "benchmark": "delta-serving",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        **stats,
-    }
-    Path(args.json_out).write_text(json.dumps(record, indent=2) + "\n")
+    workload = stats.pop("workload")
     print(
         f"warm rank-1 delta: {stats['delta_ms']:.2f} ms vs"
         f" {stats['solve_ms']:.2f} ms full solve"
         f" = {stats['speedup']:.1f}x"
         f" (floor {SPEEDUP_FLOOR:.0f}x) at (N, L, c) ="
-        f" ({stats['workload']['N']}, {stats['workload']['L']},"
-        f" {stats['workload']['c']})"
+        f" ({workload['N']}, {workload['L']}, {workload['c']})"
     )
     print(
         f"  max relative error vs fresh solve: {stats['max_rel_error']:.3e}"
         f" (floor {ACCURACY_FLOOR:.0e});"
         f" solve residual {stats['solve_residual']:.3e}"
     )
-    print(f"  wrote {args.json_out}")
-    if args.check:
-        if stats["speedup"] < SPEEDUP_FLOOR:
-            print("FAIL: delta speedup below floor", file=sys.stderr)
-            return 1
-        if stats["max_rel_error"] > ACCURACY_FLOOR:
-            print("FAIL: delta accuracy above floor", file=sys.stderr)
-            return 1
-    return 0
+    gates = {
+        "speedup": {
+            "metric": "full solve ms / warm rank-1 delta ms (same run)",
+            "speedup": stats["speedup"],
+            "floor": SPEEDUP_FLOOR,
+            "passed": stats["speedup"] >= SPEEDUP_FLOOR,
+        },
+        "accuracy": {
+            "metric": "max relative error of the delta blocks vs a fresh solve",
+            "max_rel_error": stats["max_rel_error"],
+            "ceiling": ACCURACY_FLOOR,
+            "passed": stats["max_rel_error"] <= ACCURACY_FLOOR,
+        },
+    }
+    passed = write_record(
+        args.json_out, "delta-serving", workload, [stats], gates
+    )
+    return 0 if passed or not args.check else 1
 
 
 if __name__ == "__main__":

@@ -20,7 +20,8 @@ full FSI pipeline per shift.  This file pins that contract down twice:
   fast-but-wrong sweep,
   measures the complex guard battery's overhead on the sweep against
   the repo-wide 5% budget, and writes the measurement to
-  ``BENCH_spectral.json`` — the committed perf-trajectory point for
+  ``BENCH_spectral.json`` (the shared envelope of
+  ``benchmarks/envelope.py``) — the committed perf-trajectory point for
   the spectral path.
 
 Run the gate locally with::
@@ -31,9 +32,6 @@ Run the gate locally with::
 from __future__ import annotations
 
 import argparse
-import json
-import platform
-import sys
 import time
 from pathlib import Path
 
@@ -50,6 +48,8 @@ from repro.core.fsi import fsi
 from repro.core.patterns import Pattern
 from repro.resilience.guards import GuardConfig
 from repro.spectral import OmegaGrid, ResolventFactor, shifted_pcyclic
+
+from envelope import write_record
 
 #: Minimum factored-sweep speedup over naive per-shift FSI (the CI gate).
 SPEEDUP_FLOOR = 3.0
@@ -184,10 +184,9 @@ def measure_sweep(seed: int = 1) -> dict:
             worst = max(worst, err)
 
     return {
-        "workload": {
-            "N": w.N, "L": w.L, "c": w.c, "n_omega": grid.n,
-            "eta": float(grid.etas[0]), "pattern": "diagonal",
-        },
+        "point": "sweep",
+        "N": w.N, "L": w.L, "c": w.c, "n_omega": grid.n,
+        "eta": float(grid.etas[0]), "pattern": "diagonal",
         "factored_ms": factored_s * 1e3,
         "naive_ms": naive_s * 1e3,
         "speedup": naive_s / factored_s,
@@ -256,7 +255,8 @@ def measure_guard_overhead(seed: int = 1) -> dict:
     sweep_s = _best_of(lambda: factor.sweep(grid, num_threads=1), repeats=5)
     per_shift = sweep_s / grid.n
     return {
-        "guard_workload": {"N": w.N, "L": w.L, "c": w.c, "n_omega": grid.n},
+        "point": "guards",
+        "N": w.N, "L": w.L, "c": w.c, "n_omega": grid.n,
         "guard_component_us": {k: v * 1e6 for k, v in costs.items()},
         "guard_battery_us": battery * 1e6,
         "shift_ms": per_shift * 1e3,
@@ -283,49 +283,52 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    stats = {**measure_sweep(seed=args.seed),
-             **measure_guard_overhead(seed=args.seed)}
-    record = {
-        "benchmark": "spectral-sweep",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        **stats,
-    }
-    Path(args.json_out).write_text(json.dumps(record, indent=2) + "\n")
-    wl = stats["workload"]
+    sweep = measure_sweep(seed=args.seed)
+    guard = measure_guard_overhead(seed=args.seed)
     print(
-        f"factored sweep: {stats['factored_ms']:.1f} ms vs"
-        f" {stats['naive_ms']:.1f} ms naive per-shift"
-        f" = {stats['speedup']:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)"
-        f" at (N, L, c) = ({wl['N']}, {wl['L']}, {wl['c']}),"
-        f" {wl['n_omega']} shifts"
+        f"factored sweep: {sweep['factored_ms']:.1f} ms vs"
+        f" {sweep['naive_ms']:.1f} ms naive per-shift"
+        f" = {sweep['speedup']:.1f}x (floor {SPEEDUP_FLOOR:.0f}x)"
+        f" at (N, L, c) = ({sweep['N']}, {sweep['L']}, {sweep['c']}),"
+        f" {sweep['n_omega']} shifts"
     )
     print(
-        f"  max error vs naive path: {stats['max_rel_error']:.3e}"
+        f"  max error vs naive path: {sweep['max_rel_error']:.3e}"
         f" (floor {ACCURACY_FLOOR:.0e})"
     )
     print(
-        f"  guard battery: {stats['guard_battery_us']:.0f} us on a"
-        f" {stats['shift_ms']:.2f} ms shift at (N, L, c) ="
-        f" ({stats['guard_workload']['N']}, {stats['guard_workload']['L']},"
-        f" {stats['guard_workload']['c']})"
-        f" = {stats['guard_overhead']:.3%} overhead"
+        f"  guard battery: {guard['guard_battery_us']:.0f} us on a"
+        f" {guard['shift_ms']:.2f} ms shift at (N, L, c) ="
+        f" ({guard['N']}, {guard['L']}, {guard['c']})"
+        f" = {guard['guard_overhead']:.3%} overhead"
         f" (budget {GUARD_OVERHEAD_BUDGET:.0%})"
     )
-    print(f"  wrote {args.json_out}")
-    if args.check:
-        if stats["speedup"] < SPEEDUP_FLOOR:
-            print("FAIL: spectral sweep speedup below floor", file=sys.stderr)
-            return 1
-        if stats["max_rel_error"] > ACCURACY_FLOOR:
-            print("FAIL: spectral sweep accuracy above floor",
-                  file=sys.stderr)
-            return 1
-        if stats["guard_overhead"] > GUARD_OVERHEAD_BUDGET:
-            print("FAIL: spectral guard overhead above budget",
-                  file=sys.stderr)
-            return 1
-    return 0
+    gates = {
+        "speedup": {
+            "metric": "naive per-shift ms / factored sweep ms (same run)",
+            "speedup": sweep["speedup"],
+            "floor": SPEEDUP_FLOOR,
+            "passed": bool(sweep["speedup"] >= SPEEDUP_FLOOR),
+        },
+        "accuracy": {
+            "metric": "max error of the swept blocks vs the naive path",
+            "max_rel_error": sweep["max_rel_error"],
+            "ceiling": ACCURACY_FLOOR,
+            "passed": bool(sweep["max_rel_error"] <= ACCURACY_FLOOR),
+        },
+        "guard_overhead": {
+            "metric": "guard battery us / unguarded shift us (same run)",
+            "guard_overhead": guard["guard_overhead"],
+            "ceiling": GUARD_OVERHEAD_BUDGET,
+            "passed": bool(guard["guard_overhead"] <= GUARD_OVERHEAD_BUDGET),
+        },
+    }
+    workload = {"lattice": f"{SWEEP.nx}x{SWEEP.ny}", "seed": args.seed,
+                "sweep_eta": sweep["eta"], "pattern": "diagonal"}
+    passed = write_record(
+        args.json_out, "spectral-sweep", workload, [sweep, guard], gates
+    )
+    return 0 if passed or not args.check else 1
 
 
 if __name__ == "__main__":

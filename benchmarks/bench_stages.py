@@ -23,8 +23,9 @@ never an absolute time:
 * DIAGONAL BSOFI (the band) must take at most
   :data:`BAND_GRID_RATIO` of COLUMNS BSOFI (the grid).
 
-The result goes to ``BENCH_stages.json`` (envelope: ``host``,
-``workload``, ``points``, ``gates``).
+The result goes to ``BENCH_stages.json`` in the shared envelope of
+``benchmarks/envelope.py`` (``host``, ``workload``, ``points``,
+``gates``).
 
 Run it with::
 
@@ -34,9 +35,6 @@ Run it with::
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import platform
 import statistics
 import sys
 import time
@@ -57,7 +55,9 @@ from repro.core.bsofi import (
 from repro.core.cls import cls, cls_flops
 from repro.core.patterns import Pattern, Selection
 from repro.core.wrap import wrap, wrap_flops
-from repro.parallel.budget import blas_threads, process_budget
+from repro.parallel.budget import process_budget
+
+from envelope import write_record
 
 #: COLUMNS WRP must reach this share of the same run's dgemm rate.
 WRP_GEMM_FRACTION = 0.35
@@ -102,19 +102,6 @@ def dgemm_gflops(n: int = 100, seconds: float = 0.1, repeats: int = 7) -> float:
             calls += 20
         rates.append(2.0 * n**3 * calls / (time.perf_counter() - t0) / 1e9)
     return statistics.median(rates)
-
-
-def host_record() -> dict:
-    deps = np.show_config(mode="dicts").get("Build Dependencies", {})
-    blas = deps.get("blas", {})
-    return {
-        "cores": len(os.sched_getaffinity(0)),
-        "machine": platform.machine(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
-        "blas_threads": blas_threads(),
-    }
 
 
 def measure_stages(repeats: int = 7, seed: int = 1, q: int = 3) -> list[dict]:
@@ -190,18 +177,6 @@ def main(argv: list[str] | None = None) -> int:
             "passed": band / full <= BAND_GRID_RATIO,
         },
     }
-    passed = all(g["passed"] for g in gates.values())
-    record = {
-        "benchmark": "fsi-stages",
-        "host": host_record(),
-        "workload": {"lattice": f"{VALIDATION.nx}x{VALIDATION.ny}",
-                     "N": VALIDATION.nx * VALIDATION.ny, "L": VALIDATION.L,
-                     "c": C, "q": 3, "repeats": args.repeats,
-                     "blas_threads": budget.blas},
-        "points": points,
-        "gates": gates,
-    }
-    Path(args.json_out).write_text(json.dumps(record, indent=2) + "\n")
     print(f"dgemm N=100, {budget.blas} BLAS thread(s): {gemm:.1f} GFLOP/s")
     for p in points:
         print(f"  {p['pattern']:>13} {p['stage']:>8}: {p['ms']:8.2f} ms"
@@ -211,7 +186,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"DIAGONAL BSOFI at {band / full:.0%} of COLUMNS BSOFI"
           f" (ceiling {BAND_GRID_RATIO:.0%}):"
           f" {'PASS' if gates['bsofi_band']['passed'] else 'FAIL'}")
-    print(f"  wrote {args.json_out}")
+    passed = write_record(
+        args.json_out, "fsi-stages",
+        {"lattice": f"{VALIDATION.nx}x{VALIDATION.ny}",
+         "N": VALIDATION.nx * VALIDATION.ny, "L": VALIDATION.L,
+         "c": C, "q": 3, "repeats": args.repeats, "blas_threads": budget.blas},
+        points, gates,
+    )
     return 0 if passed or not args.check else 1
 
 

@@ -24,7 +24,7 @@ from repro.apps.trace import exact_trace, hutchinson_trace
 from repro.bench.report import Table, banner
 from repro.core.solve import PCyclicSolver
 from repro.hubbard.matrix import build_hubbard_matrix
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 def run(nx: int = 6, L: int = 32, c: int = 8, seed: int = 0) -> Table:

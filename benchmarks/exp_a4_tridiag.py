@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.bench.report import Table, banner
 from repro.core.patterns import Pattern
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 from repro.tridiag import fsi_tridiagonal, laplacian_chain, random_btd
 
 

@@ -24,7 +24,7 @@ from repro.core.fsi import fsi
 from repro.core.greens_explicit import explicit_selected_columns
 from repro.core.patterns import Pattern
 from repro.core.pcyclic import random_pcyclic
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 def formula_table(L: int = 100, N: int = 1000, c: int = 10) -> Table:

@@ -11,10 +11,11 @@ Simulations"* (Jiang, Bai, Scalettar — IPDPS 2016):
   propagator, HS fields, block p-cyclic matrix assembly);
 * :mod:`repro.dqmc` — a working DQMC engine (Metropolis sweeps with
   rank-1 updates, UDT stabilisation, equal-time + SPXX measurements);
-* :mod:`repro.parallel` — the hybrid runtime (SimMPI ranks + OpenMP-
-  style threads) running Alg. 3;
-* :mod:`repro.perf` — flop tracing, the Edison machine model, and the
-  analytic performance model that regenerates the paper's figures.
+* :mod:`repro.parallel` — the hybrid runtime (:mod:`repro.transport`
+  ranks + OpenMP-style threads) running Alg. 3;
+* :mod:`repro.telemetry` — spans, metrics and per-stage flop tracing;
+* :mod:`repro.perf` — the Edison machine model and the analytic
+  performance model that regenerates the paper's figures.
 
 Quickstart::
 
@@ -51,8 +52,7 @@ from .hubbard import (
     build_hubbard_matrix,
 )
 from .core.solve import PCyclicSolver, determinant
-from .parallel import HybridConfig, SimMPI, run_fsi_fleet, run_selected_fleet
-from .perf import FlopTracer
+from .parallel import HybridConfig, run_fsi_fleet, run_selected_fleet
 from .service import (
     GreensJob,
     GreensService,
@@ -60,6 +60,8 @@ from .service import (
     ModelSpec,
     ServiceConfig,
 )
+from .telemetry import FlopTracer
+from .transport import SimMPI
 from .tridiag import BlockTridiagonal, fsi_tridiagonal
 
 __version__ = "1.0.0"

@@ -15,6 +15,7 @@ from .locks import NoBlockingUnderLock
 from .metric_names import MetricNameContract
 from .picklable import PicklableExceptions
 from .sharedmem import SharedMemoryLifecycle
+from .shims import NoReexportShims
 from .solvers import GuardedSolversOnly
 from .spans import SpanPropagation
 
@@ -24,6 +25,7 @@ __all__ = [
     "MetricNameContract",
     "MonotonicClocks",
     "NoBlockingUnderLock",
+    "NoReexportShims",
     "NoSilentExcept",
     "PicklableExceptions",
     "SharedMemoryLifecycle",
@@ -41,6 +43,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     SpanPropagation,       # RPR006
     SharedMemoryLifecycle, # RPR007
     NoSilentExcept,        # RPR008
+    NoReexportShims,       # RPR009
 )
 
 

@@ -1,6 +1,6 @@
 """Experiment harness: timed, traced runs of the core pipelines.
 
-Wraps the library entry points with a :class:`~repro.perf.tracer.FlopTracer`
+Wraps the library entry points with a :class:`~repro.telemetry.FlopTracer`
 and wall-clock timing so every experiment script reports measured flops,
 measured seconds and the achieved (real-hardware) rate next to the
 modeled Edison numbers.
@@ -17,7 +17,7 @@ from ..core.fsi import fsi
 from ..core.greens_explicit import explicit_selected_columns
 from ..core.patterns import Pattern, Selection
 from ..core.pcyclic import BlockPCyclic
-from ..perf.tracer import FlopTracer
+from ..telemetry import FlopTracer
 
 __all__ = ["TimedRun", "run_fsi", "run_lu_baseline", "run_explicit_baseline"]
 

@@ -3,7 +3,7 @@
 All core algorithms (CLS, BSOFI, WRP, baselines) perform their matrix
 arithmetic through these wrappers so that
 
-* flop counts flow into the active :class:`repro.perf.tracer.FlopTracer`
+* flop counts flow into the active :class:`repro.telemetry.FlopTracer`
   (the evaluation section reports per-stage flop rates), and
 * the flop-counting conventions are defined in exactly one place.
 
@@ -24,7 +24,7 @@ import scipy.linalg as sla
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
-from ..perf.tracer import record_flops
+from ..telemetry.flops import record_flops
 
 __all__ = [
     "gemm",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..perf.tracer import current_tracers
+from ..telemetry import runtime as _telemetry
 from . import _kernels as kr
 from .patterns import SelectedInversion, Selection
 from .pcyclic import BlockPCyclic
@@ -32,18 +32,9 @@ __all__ = [
 ]
 
 
-def _staged(name: str):
-    tracers = current_tracers()
-    if tracers:
-        return tracers[-1].stage(name)
-    import contextlib
-
-    return contextlib.nullcontext()
-
-
 def full_lu_inverse(pc: BlockPCyclic) -> np.ndarray:
     """Dense ``G = M^{-1}`` via pivoted LU (the DGETRF/DGETRI baseline)."""
-    with _staged("lu"):
+    with _telemetry.stage("lu"):
         M = pc.to_dense()
         n = M.shape[0]
         f = kr.lu_factor(M)

@@ -67,13 +67,11 @@ this is why the paper pairs CLS with BSOFI instead of an LU inversion
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..perf.tracer import current_tracers
 from ..telemetry import runtime as _telemetry
 from . import _kernels as kr
 from .patterns import Pattern
@@ -342,9 +340,9 @@ class SeedSet:
     """BSOFI's output for one reduced matrix: the band, and the grid.
 
     Built from a grid, or from a band plus a callable that completes the
-    grid: the callable runs on the first read of :attr:`grid`, under a
-    ``"bsofi.grid"`` stage of the active
-    :class:`~repro.perf.tracer.FlopTracer`, and its result is cached.
+    grid: the callable runs on the first read of :attr:`grid`, as the
+    ``"bsofi.grid"`` :func:`repro.telemetry.stage`, and its result is
+    cached.
     ``held`` is the byte count the callable keeps alive until then.
     """
 
@@ -380,10 +378,7 @@ class SeedSet:
         """The ``(b, b, N, N)`` inverse of the reduced matrix."""
         if self._grid is None:
             assert self._complete is not None
-            tracers = current_tracers()
-            staged = (tracers[-1].stage("bsofi.grid") if tracers
-                      else contextlib.nullcontext())
-            with _telemetry.span("bsofi.grid"), staged:
+            with _telemetry.stage("bsofi.grid"):
                 self._grid = self._complete()
             self._complete, self._held = None, 0
         return self._grid

@@ -9,9 +9,10 @@ counts; the diagonal patterns here compute only the band of the reduced
 inverse, which drops BSOFI from ``7 b^2 N^3`` to ``O(b N^3)`` — see
 :mod:`repro.core.bsofi`.)
 
-Stages are tagged ``"cls"``, ``"bsofi"`` and ``"wrp"`` on the active
-:class:`~repro.perf.tracer.FlopTracer` so per-stage rates (Fig. 8 top)
-can be reconstructed from real runs.
+The stages and the guards between them run in
+:func:`~repro.core.pipeline.run_stages`; each is a
+:func:`repro.telemetry.stage` (``"cls"``, ``"bsofi"``, ``"wrp"``), so
+per-stage spans and flop rates (Fig. 8 top) come from real runs.
 
 :func:`fsi_resilient` wraps :func:`fsi` with the numerical health
 guards of :mod:`repro.resilience.guards` and an adaptive fallback
@@ -29,17 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..perf.tracer import current_tracers
-from ..resilience import chaos as _chaos
 from ..resilience import guards as _guards
 from ..resilience.guards import GuardConfig, GuardReport, NumericalHealthError
 from ..telemetry import runtime as _telemetry
 from .adjacency import AdjacencyOps
-from .bsofi import SeedSet, bsofi_flops, bsofi_seeds
-from .cls import cls, cls_flops
+from .bsofi import SeedSet, bsofi_flops
+from .cls import cls_flops
 from .patterns import Pattern, SelectedInversion, Selection
 from .pcyclic import BlockPCyclic
-from .wrap import wrap, wrap_flops
+from .pipeline import cluster_offset, run_stages
+from .wrap import wrap_flops
 
 __all__ = ["fsi", "fsi_resilient", "fsi_flops", "FSIResult", "fallback_rungs"]
 
@@ -128,62 +128,15 @@ def fsi(
     -------
     FSIResult
     """
-    L = pc.L
-    if c < 1 or L % c != 0:
-        raise ValueError(f"c={c} must be a positive divisor of L={L}")
-    if q is None:
-        q = int(np.random.default_rng(rng).integers(0, c))
-    selection = Selection(pattern, L=L, c=c, q=q)
-    report = GuardReport() if guards is not None else None
-
-    tracers = current_tracers()
-    tracer = tracers[-1] if tracers else None
-
-    def staged(name: str):
-        if tracer is not None:
-            return tracer.stage(name)
-        import contextlib
-
-        return contextlib.nullcontext()
-
-    if guards is not None and guards.screen_input:
-        _guards.screen_finite("input", pc.B, report=report)
-
+    q = cluster_offset(pc.L, c, q, rng)
+    selection = Selection(pattern, L=pc.L, c=c, q=q)
+    ops = AdjacencyOps(pc)
     with _telemetry.span(
-        "fsi", L=L, N=pc.N, c=c, q=q, pattern=pattern.name
+        "fsi", L=pc.L, N=pc.N, c=c, q=q, pattern=pattern.name
     ):
-        with _telemetry.span("cls"), staged("cls"):
-            reduced = cls(pc, c, q, num_threads=num_threads)
-        if _chaos.is_active():
-            corrupted = _chaos.corrupt_array("cls.output", reduced.B)
-            if corrupted is not None:
-                reduced = BlockPCyclic(corrupted)
-        if guards is not None:
-            if guards.screen_stages:
-                _guards.screen_finite("cls", reduced.B, report=report)
-            if guards.condition_samples:
-                _guards.check_cluster_conditions(reduced.B, guards, report)
-        with _telemetry.span("bsofi"), staged("bsofi"):
-            seeds = bsofi_seeds(reduced, pattern)
-        if guards is not None:
-            if guards.screen_stages:
-                _guards.screen_finite("bsofi", *seeds.band.arrays,
-                                      report=report)
-            if guards.residual_samples:
-                _guards.check_seed_residual(reduced.B, seeds.band, guards,
-                                            report)
-        ops = AdjacencyOps(pc)
-        with _telemetry.span("wrp", pattern=pattern.name), staged("wrp"):
-            selected = wrap(
-                pc, seeds, selection, num_threads=num_threads, ops=ops
-            )
-        if guards is not None and guards.screen_stages:
-            picked = _guards.sample_indices(
-                len(selected), guards.result_screen_samples
-            )
-            _guards.screen_finite(
-                "result", selected.data[picked], report=report
-            )
+        selected, seeds, report = run_stages(
+            pc, selection, ops, guards=guards, num_threads=num_threads
+        )
     return FSIResult(
         selected=selected, seed_set=seeds, selection=selection, ops=ops,
         health=report,
@@ -243,10 +196,7 @@ def fsi_resilient(
     if guards is None:
         guards = GuardConfig()
     L = pc.L
-    if c < 1 or L % c != 0:
-        raise ValueError(f"c={c} must be a positive divisor of L={L}")
-    if q is None:
-        q = int(np.random.default_rng(rng).integers(0, c))
+    q = cluster_offset(L, c, q, rng)
     requested = Selection(pattern, L=L, c=c, q=q)
 
     last_err: NumericalHealthError | None = None

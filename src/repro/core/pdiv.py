@@ -47,18 +47,18 @@ crosses the wire — never a dense inverse.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from ..perf.tracer import current_tracers, record_flops
 from ..telemetry import runtime as _telemetry
+from ..telemetry.flops import record_flops
 from ..transport import CommStats, create_world
 from . import _kernels as kr
 from .patterns import Pattern, SelectedInversion, Selection
 from .pcyclic import BlockPCyclic
+from .pipeline import cluster_offset
 from .smw import transpose_pcyclic
 from .solve import PCyclicSolver
 
@@ -267,10 +267,7 @@ def fsi_distributed(
         (default: the ``REPRO_TRANSPORT`` environment variable).
     """
     L, N = pc.L, pc.N
-    if c < 1 or L % c != 0:
-        raise ValueError(f"c={c} must be a positive divisor of L={L}")
-    if q is None:
-        q = int(np.random.default_rng(rng).integers(0, c))
+    q = cluster_offset(L, c, q, rng)
     selection = Selection(pattern, L=L, c=c, q=q)
 
     P = min(partitions if partitions is not None else 4, L)
@@ -293,15 +290,9 @@ def fsi_distributed(
         else:
             needs[p_l][0].append(l_loc)
 
-    tracers = current_tracers()
-    tracer = tracers[-1] if tracers else None
-    staged = (
-        tracer.stage("pdiv") if tracer is not None else contextlib.nullcontext()
-    )
-
-    with _telemetry.span(
+    with _telemetry.stage(
         "pdiv", L=L, N=N, partitions=P, ranks=n_ranks, pattern=pattern.name
-    ), staged:
+    ):
         world = None
         if n_ranks == 1:
             parts = {}

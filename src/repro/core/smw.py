@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import numpy.typing as npt
 
-from ..perf.tracer import record_flops
+from ..telemetry.flops import record_flops
 from . import _kernels as kr
 from .patterns import BlockArray
 from .pcyclic import BlockPCyclic, torus_index

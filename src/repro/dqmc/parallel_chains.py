@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hubbard.matrix import HubbardModel
-from ..parallel.simmpi import Communicator, SimMPI
+from ..transport.threads import Communicator, SimMPI
 from .engine import DQMC, DQMCConfig
 from .stats import jackknife, jackknife_ratio
 

@@ -1,9 +1,9 @@
 """Hybrid parallel runtime: transport ranks + OpenMP-style threads.
 
-The rank runtime itself now lives in :mod:`repro.transport` (threads,
-mp-shm, and sockets backends); this package keeps the fleet drivers, the
-per-process parallelism budget (:mod:`repro.parallel.budget`) and
-re-exports the historical SimMPI names.
+The rank runtime lives in :mod:`repro.transport` (threads, mp-shm, and
+sockets backends); this package holds the fleet drivers, the
+OpenMP-style thread teams and the per-process parallelism budget
+(:mod:`repro.parallel.budget`).
 """
 
 from .budget import ParallelBudget, process_budget
@@ -23,29 +23,13 @@ from .openmp import (
     parallel_map,
     set_max_threads,
 )
-from .simmpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    CommStats,
-    Communicator,
-    RankError,
-    SimMPI,
-    TransportTimeoutError,
-)
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "CommStats",
-    "Communicator",
-    "TransportTimeoutError",
     "FleetJobOutput",
     "FleetMatrixError",
     "HybridConfig",
     "HybridReport",
     "ParallelBudget",
-    "RankError",
-    "SimMPI",
     "ThreadTeam",
     "chunk_ranges",
     "get_max_threads",

@@ -1,6 +1,6 @@
 """Hybrid driver — parallel application of FSI to many Green's functions.
 
-This is Alg. 3 of the paper, running on :mod:`repro.parallel.simmpi`
+This is Alg. 3 of the paper, running on :mod:`repro.transport`
 instead of real MPI:
 
 * the root rank generates the HS parameter arrays ``h`` for all ``m``
@@ -31,7 +31,7 @@ import numpy as np
 from ..core.patterns import Pattern, SelectedInversion, Selection
 from ..hubbard.hs_field import HSField
 from ..hubbard.matrix import HubbardModel
-from ..perf.tracer import FlopTracer
+from ..telemetry import FlopTracer
 from ..telemetry import runtime as _telemetry
 from ..transport import BaseCommunicator as Communicator
 from ..transport import CommStats, create_world

@@ -20,10 +20,10 @@ Every team of more than one thread starts under the process's budget,
 which runs BLAS single-threaded: the team is the parallel layer, and
 threaded OpenBLAS called from inside one oversubscribes the cores.
 
-Worker threads adopt the caller's :class:`~repro.perf.tracer.FlopTracer`
-stack so flop accounting keeps working inside parallel regions, and the
-fork/join bookkeeping feeds the OpenMP-overhead term of the performance
-model.
+Team threads adopt the forking thread's telemetry — its
+:class:`~repro.telemetry.FlopTracer` stack, active stage and span
+context — through :func:`repro.telemetry.capture_thread`, so flop
+accounting and traces keep working inside parallel regions.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
-from ..perf import tracer as _tracer
-from ..telemetry.context import current_context, use_context
+from ..telemetry import runtime as _telemetry
 from .budget import process_budget
 
 __all__ = [
@@ -93,29 +92,16 @@ def chunk_ranges(n: int, parts: int) -> list[range]:
 def _run_team(
     tasks: Sequence[Callable[[], Any]], num_threads: int
 ) -> list[Any]:
-    """Execute thunks on a transient team, propagating tracer context."""
+    """Execute thunks on a transient team, propagating telemetry."""
     if num_threads == 1 or len(tasks) <= 1:
         return [t() for t in tasks]
     # No team starts before the process's budget (one BLAS thread per
     # team member) is in force.
     process_budget()
-    # Capture per-tracer (tracer, active stage) pairs and the ambient
-    # telemetry span context on the forking thread: worker threads must
-    # attribute flops to the stage that spawned them (stage labels are
-    # thread-local) and parent their spans into the caller's trace.
-    tracers = [
-        (tr, tr.current_stage) for tr in _tracer.current_tracers()
-    ]
-    span_ctx = current_context()
+    adopt = _telemetry.capture_thread()
 
     def wrapped(task: Callable[[], Any]) -> Any:
-        # Adopt the parent's tracer stack on this worker thread.
-        import contextlib
-
-        with contextlib.ExitStack() as stack:
-            for tr, stage in tracers:
-                stack.enter_context(tr.attach_thread(stage=stage))
-            stack.enter_context(use_context(span_ctx))
+        with adopt():
             return task()
 
     with ThreadPoolExecutor(max_workers=min(num_threads, len(tasks))) as ex:

@@ -1,46 +1,16 @@
-"""Performance substrate: flop tracing, the Edison machine model, and
-the analytic performance model used to regenerate the paper's figures.
-
-Only the tracer is imported eagerly: the tuner/model modules depend on
-:mod:`repro.core` flop formulas, while :mod:`repro.core`'s kernels
-depend on the tracer — loading them lazily keeps the package import
-acyclic.
+"""Performance substrate: the Edison machine model and the analytic
+performance model used to regenerate the paper's figures.  (Measured
+flops come from :class:`repro.telemetry.FlopTracer`.)
 """
 
-from .tracer import FlopTracer, current_tracers, record_flops
+from .machine import EDISON, MachineSpec, fsi_rank_memory_bytes
+from .tuner import TuningResult, enumerate_configs, tune_hybrid
 
 __all__ = [
     "EDISON",
-    "FlopTracer",
     "MachineSpec",
     "TuningResult",
-    "current_tracers",
     "enumerate_configs",
     "fsi_rank_memory_bytes",
-    "record_flops",
     "tune_hybrid",
 ]
-
-_LAZY = {
-    "EDISON": ("machine", "EDISON"),
-    "MachineSpec": ("machine", "MachineSpec"),
-    "fsi_rank_memory_bytes": ("machine", "fsi_rank_memory_bytes"),
-    "TuningResult": ("tuner", "TuningResult"),
-    "enumerate_configs": ("tuner", "enumerate_configs"),
-    "tune_hybrid": ("tuner", "tune_hybrid"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro.perf' has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    module = importlib.import_module(f".{module_name}", __name__)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value

@@ -1,7 +1,7 @@
 """Analytic performance model — regenerates the paper's figures.
 
 The reproduction runs the *algorithms* for real (exact numerics, real
-flop counts from :mod:`repro.perf.tracer`), but the paper's evaluation
+flop counts from :mod:`repro.telemetry.flops`), but the paper's evaluation
 numbers are properties of Edison.  This module converts *work*
 (flops, bytes) into *Edison time* using a small set of mechanisms:
 

@@ -263,7 +263,7 @@ class JobResult:
     one buffer: a :class:`~repro.core.patterns.BlockArray` (the
     solver's :class:`~repro.core.patterns.SelectedInversion` as is; any
     other mapping passed in is stacked into one); ``stage_flops``
-    carries the per-stage :class:`~repro.perf.tracer.FlopTracer`
+    carries the per-stage :class:`~repro.telemetry.FlopTracer`
     summary from the worker so service metrics can attribute flops to
     CLS/BSOFI/WRP without re-tracing.
     """

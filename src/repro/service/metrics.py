@@ -16,7 +16,7 @@ are computed under a single lock acquisition, so concurrent observers
 can never produce a torn (mutually inconsistent) snapshot.
 
 FlopTracer interop is unchanged: workers run under a
-:class:`~repro.perf.tracer.FlopTracer` and ship its per-stage summary
+:class:`~repro.telemetry.FlopTracer` and ship its per-stage summary
 back with each result, which :meth:`ServiceMetrics.absorb_stage_flops`
 folds into the ``repro_stage_flops_total{stage=...}`` counter family.
 """

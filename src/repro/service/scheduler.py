@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core.smw import PCyclicWoodbury, diag_flips
 from ..hubbard.hs_field import HSField
-from ..perf.tracer import FlopTracer
+from ..telemetry import FlopTracer
 from ..resilience.chaos import FaultKind, FaultPlan
 from ..resilience.guards import GuardConfig, NumericalHealthError, all_finite
 from ..resilience.health import BreakerState, CircuitBreaker, ServiceState

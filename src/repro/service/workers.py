@@ -19,9 +19,9 @@ behaviours a serving layer cannot live without:
 
 Worker-side entry points (:func:`execute_job`, :func:`execute_batch`)
 are module-level functions of picklable arguments.  Each runs under a
-:class:`~repro.perf.tracer.FlopTracer` and returns the per-stage flop
+:class:`~repro.telemetry.FlopTracer` and returns the per-stage flop
 summary with the blocks, so the service can aggregate CLS/BSOFI/WRP
-rates without re-tracing.  Batches of more than one compatible job run
+rates without re-tracing; spectral jobs report the same stages.  Batches of more than one compatible job run
 as a SimMPI fleet (:func:`repro.parallel.hybrid.run_selected_fleet`) —
 the same Alg. 3 machinery the offline driver uses, now inside one
 worker process.
@@ -44,8 +44,10 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 from typing import Callable, Sequence
 
+from ..core.patterns import BlockArray, Selection
+from ..core.pcyclic import BlockPCyclic
 from ..parallel.budget import ParallelBudget
-from ..perf.tracer import FlopTracer
+from ..telemetry import FlopTracer
 from ..resilience import chaos as _chaos
 from ..resilience.chaos import FaultKind, FaultPlan
 from ..resilience.guards import GuardConfig
@@ -83,62 +85,22 @@ def execute_job(
     job's omega-grid instead of an equal-time FSI — guards, when given,
     ride along as the per-shift fallback ladder — and report rung
     ``spectral(n_omega)`` with blocks stacked ``(n_omega, N, N)``.
+    Every path reports ``stage_flops`` by its
+    :func:`repro.telemetry.stage` labels (``cls``/``bsofi``/``wrp``
+    for FSI and spectral jobs, ``pdiv`` for PDIV).
     """
-    # Worker-side imports keep module load light.
-    from ..core.fsi import fsi, fsi_resilient
-
     model = job.spec.build_model()
     pc = model.build_matrix(job.field(), job.spec.sigma)
     with _telemetry.activate_remote(trace_ctx) as local_collector:
         with _telemetry.span(
             "worker.job", fingerprint=job.fingerprint[:12],
             workload=job.workload,
-        ):
-            with _chaos.job_key(job.fingerprint):
-                with FlopTracer() as tracer:
-                    t0 = time.perf_counter()
-                    if job.spectral is not None:
-                        from ..spectral.resolvent import ResolventFactor
-
-                        grid = job.spectral.grid()
-                        with tracer.stage("spectral"):
-                            factor = ResolventFactor(
-                                pc, job.c, pattern=job.pattern, q=job.q,
-                                guards=guards, num_threads=num_threads,
-                            )
-                            swept = factor.sweep(
-                                grid, num_threads=num_threads
-                            )
-                        selection = factor.selection
-                        blocks = swept.blocks
-                        rung = f"spectral({grid.n})"
-                    elif guards is not None:
-                        res = fsi_resilient(
-                            pc, job.c, pattern=job.pattern, q=job.q,
-                            num_threads=num_threads, guards=guards,
-                        )
-                        selection = res.selection
-                        blocks = res.selected
-                        rung = res.rung
-                    elif pdiv_partitions >= 2:
-                        from ..core.pdiv import fsi_distributed
-
-                        res = fsi_distributed(
-                            pc, job.c, pattern=job.pattern, q=job.q,
-                            partitions=pdiv_partitions, transport=transport,
-                        )
-                        selection = res.selection
-                        blocks = res.selected
-                        rung = f"pdiv({res.report.partitions})"
-                    else:
-                        res = fsi(
-                            pc, job.c, pattern=job.pattern, q=job.q,
-                            num_threads=num_threads,
-                        )
-                        selection = res.selection
-                        blocks = res.selected
-                        rung = res.rung
-                    elapsed = time.perf_counter() - t0
+        ), _chaos.job_key(job.fingerprint), FlopTracer() as tracer:
+            t0 = time.perf_counter()
+            selection, blocks, rung = _solve(
+                job, pc, num_threads, guards, pdiv_partitions, transport
+            )
+            elapsed = time.perf_counter() - t0
     return JobResult(
         fingerprint=job.fingerprint,
         selection=selection,
@@ -150,6 +112,45 @@ def execute_job(
         h=job.h,
         spans=local_collector.drain() if local_collector is not None else [],
     )
+
+
+def _solve(
+    job: GreensJob,
+    pc: BlockPCyclic,
+    num_threads: int | None,
+    guards: GuardConfig | None,
+    pdiv_partitions: int,
+    transport: str | None,
+) -> tuple[Selection, BlockArray, str]:
+    """``(selection, blocks, rung)`` of the one serving path for ``job``:
+    a spectral sweep, else the guarded ladder, else PDIV, else ``fsi``."""
+    # Worker-side imports keep module load light.
+    from ..core.fsi import fsi, fsi_resilient
+
+    if job.spectral is not None:
+        from ..spectral.resolvent import ResolventFactor
+
+        grid = job.spectral.grid()
+        factor = ResolventFactor(
+            pc, job.c, pattern=job.pattern, q=job.q, guards=guards,
+            num_threads=num_threads,
+        )
+        swept = factor.sweep(grid, num_threads=num_threads)
+        return factor.selection, swept.blocks, f"spectral({grid.n})"
+    if guards is None and pdiv_partitions >= 2:
+        from ..core.pdiv import fsi_distributed
+
+        res = fsi_distributed(
+            pc, job.c, pattern=job.pattern, q=job.q,
+            partitions=pdiv_partitions, transport=transport,
+        )
+        return res.selection, res.selected, f"pdiv({res.report.partitions})"
+    solve = fsi if guards is None else fsi_resilient
+    out = solve(
+        pc, job.c, pattern=job.pattern, q=job.q, num_threads=num_threads,
+        guards=guards,
+    )
+    return out.selection, out.selected, out.rung
 
 
 def execute_batch(

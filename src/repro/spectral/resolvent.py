@@ -29,7 +29,9 @@ Everything omega-independent is then computed **once** per matrix
   factors of the base chain serve every shift (:class:`_ScaledLU`).
 
 Per shift only the ``~7 b^2 N^3`` BSOFI inversion of the tiny reduced
-chain (plus pattern wrapping) remains, which is what makes dense
+chain (plus pattern wrapping) remains — run by the same guarded
+:func:`~repro.core.pipeline.run_stages` as :func:`~repro.core.fsi.fsi`,
+with the same ``"bsofi"``/``"wrp"`` stages — which is what makes dense
 omega-grids cheap: see ``benchmarks/bench_spectral.py`` for the gate
 that keeps the factor-once sweep >= 3x the naive per-omega pipeline.
 
@@ -49,12 +51,13 @@ import numpy as np
 
 from ..core import _kernels as kr
 from ..core.adjacency import AdjacencyOps
-from ..core.bsofi import bsofi_flops, bsofi_seeds
+from ..core.bsofi import bsofi_flops
 from ..core.cls import cls, cls_flops
 from ..core.fsi import fsi_resilient
 from ..core.patterns import Pattern, SelectedInversion, Selection
 from ..core.pcyclic import BlockPCyclic
-from ..core.wrap import wrap, wrap_flops
+from ..core.pipeline import cluster_offset, run_stages
+from ..core.wrap import wrap_flops
 from ..parallel.openmp import parallel_for
 from ..resilience import guards as _guards
 from ..resilience.guards import GuardConfig, GuardReport, NumericalHealthError
@@ -236,8 +239,7 @@ class ResolventFactor:
         guards: GuardConfig | None = None,
         num_threads: int | None = None,
     ):
-        if c < 1 or pc.L % c != 0:
-            raise ValueError(f"c={c} must be a positive divisor of L={pc.L}")
+        cluster_offset(pc.L, c, q)
         if not 0 <= q < c:
             raise ValueError(f"q={q} must be in [0, {c})")
         self.pc = pc
@@ -255,7 +257,8 @@ class ResolventFactor:
             # CLS of the *unshifted* chain: scalars commute through the
             # cluster products, so the shifted reduced chain is just
             # s(z)^c times these blocks — computed once, scaled per shift.
-            reduced = cls(pc, c, q, num_threads=num_threads)
+            with _telemetry.stage("cls"):
+                reduced = cls(pc, c, q, num_threads=num_threads)
             if guards is not None and guards.screen_stages:
                 _guards.screen_finite("cls", reduced.B, report=report)
             self._reduced_B = np.ascontiguousarray(
@@ -273,38 +276,14 @@ class ResolventFactor:
     def _solve_factored(
         self, z: complex, num_threads: int | None
     ) -> SelectedInversion:
-        guards = self.guards
-        report = GuardReport() if guards is not None else None
         d, s = shift_scale(z)
-        reduced_z = BlockPCyclic(self._reduced_B * s**self.c)
-        if guards is not None:
-            if guards.screen_stages:
-                _guards.screen_finite("cls", reduced_z.B, report=report)
-            if guards.condition_samples:
-                _guards.check_cluster_conditions(reduced_z.B, guards, report)
-        seeds = bsofi_seeds(reduced_z, self.pattern)
-        if guards is not None:
-            if guards.screen_stages:
-                _guards.screen_finite("bsofi", *seeds.band.arrays,
-                                      report=report)
-            if guards.residual_samples:
-                _guards.check_seed_residual(reduced_z.B, seeds.band, guards,
-                                            report)
-        ops = _ShiftedOps(self._base_ops, s)
-        selected = wrap(
-            self._base_ops.pc, seeds, self.selection,
-            num_threads=num_threads, ops=ops,
+        # G(z) = M~(z)^{-1} / (z-1): the pipeline scales the wrapped
+        # blocks by 1/d before its result screen.
+        selected, _, _ = run_stages(
+            self._base_ops.pc, self.selection, _ShiftedOps(self._base_ops, s),
+            guards=self.guards, num_threads=num_threads,
+            reduced=BlockPCyclic(self._reduced_B * s**self.c), scale=1.0 / d,
         )
-        # G(z) = M~(z)^{-1} / (z-1); the wrap output is a fresh
-        # per-shift buffer, so the scale is safe in place.
-        selected.data *= 1.0 / d
-        if guards is not None and guards.screen_stages:
-            picked = _guards.sample_indices(
-                len(selected), guards.result_screen_samples
-            )
-            _guards.screen_finite(
-                "result", selected.data[picked], report=report
-            )
         return selected
 
     def solve_shift(

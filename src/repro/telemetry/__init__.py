@@ -8,7 +8,7 @@ The subsystem has three halves:
   to CLS/BSOFI/WRP stages;
 * **metrics** — a registry of counters/gauges/histograms with labels
   that :class:`repro.service.metrics.ServiceMetrics`,
-  :class:`repro.parallel.simmpi.CommStats` and the flop tracer
+  :class:`repro.transport.CommStats` and the flop tracer
   re-register into;
 * **exporters** — Chrome trace-event JSON, Prometheus text exposition
   (HTTP or file) and JSONL span logs.
@@ -23,6 +23,9 @@ this).  Turn it on with :func:`configure`::
     with telemetry.span("my.phase", n=64):
         ...
     telemetry.collector().snapshot()   # finished span records
+
+Algorithm stages use :func:`stage` instead of :func:`span`: the same
+span, plus the stage of the innermost active :class:`FlopTracer`.
 
 See ``docs/telemetry.md`` for the full tour.
 """
@@ -47,6 +50,7 @@ from .flops import FlopTracer, current_tracers, record_flops
 from .metrics import Counter, Gauge, Histogram, MetricFamily, MetricRegistry
 from .runtime import (
     activate_remote,
+    capture_thread,
     collector,
     configure,
     disable,
@@ -57,6 +61,7 @@ from .runtime import (
     registry,
     reset,
     span,
+    stage,
     start_span,
 )
 from .spans import NULL_SPAN, Span, TraceCollector, Tracer
@@ -85,6 +90,8 @@ __all__ = [
     "reset",
     "enabled",
     "span",
+    "stage",
+    "capture_thread",
     "start_span",
     "inject",
     "activate_remote",

@@ -10,9 +10,10 @@ The *ambient* context is a per-thread stack: :func:`current_context`
 returns the innermost entry, and new spans parent themselves to it by
 default.  Fan-out layers propagate it explicitly:
 
-* ``parallel_for`` workers enter :func:`use_context` with the forking
-  thread's context (:mod:`repro.parallel.openmp`);
-* SimMPI rank threads do the same (:mod:`repro.parallel.simmpi`);
+* ``parallel_for`` workers re-enter the forking thread's context
+  through :func:`repro.telemetry.capture_thread`
+  (:mod:`repro.parallel.openmp`);
+* SimMPI rank threads do the same (:mod:`repro.transport.threads`);
 * process workers receive a :meth:`SpanContext.to_dict` carrier inside
   the batch dispatch and re-activate it with
   :func:`repro.telemetry.runtime.activate_remote`.

@@ -1,25 +1,14 @@
 """Flop/byte accounting for algorithm stages (registry-backed).
 
-This is the implementation behind :mod:`repro.perf.tracer` (which
-re-exports it unchanged, so ``FlopTracer`` keeps its historical import
-path and public API).  Two things distinguish it from the original:
-
-* the active *stage label* is **thread-local**: a stage entered on the
-  main thread cannot race with stages on ``attach_thread`` workers, so
-  concurrent instrumentation can no longer misattribute flops.  Worker
-  threads inherit the forking thread's stage through
-  ``attach_thread(stage=...)`` (the OpenMP-style layer passes it), so
-  flops performed inside ``parallel_for`` bodies still land in the
-  enclosing stage;
-* on exit, per-stage totals are flushed into the telemetry metric
-  registry (``repro_stage_flops_total{stage=...}`` and friends) when
-  telemetry is enabled, so Prometheus exposition sees the same numbers
-  the tracer reports — without adding any per-kernel overhead.
-
 Every linear-algebra kernel in :mod:`repro.core._kernels` reports its
 flop count to the innermost active :class:`FlopTracer`, tagged with the
-current stage.  Tracers nest; each tracer sees everything executed
-inside its ``with`` block.
+calling thread's stage label.  Tracers nest; each sees everything run
+inside its ``with`` block.  Instrumented code opens stages through
+:func:`repro.telemetry.stage` (span + stage together), and team threads
+inherit the forking thread's tracers and stage through
+:func:`repro.telemetry.capture_thread`.  On exit a tracer flushes its
+per-stage totals into ``repro_stage_flops_total{stage}`` and
+``repro_stage_seconds_total{stage}`` when telemetry is enabled.
 
 Usage::
 
@@ -93,7 +82,8 @@ class FlopTracer:
         self._stage_tls = threading.local()
         self._lock = threading.Lock()
         self._entered_at: float | None = None
-        self._flushed_flops: dict[str, float] = {}
+        #: Per-stage ``(flops, seconds)`` already folded into the registry.
+        self._flushed: dict[str, tuple[float, float]] = {}
         self.total_seconds: float = 0.0
 
     # -- context management -------------------------------------------
@@ -106,12 +96,33 @@ class FlopTracer:
         if self._entered_at is not None:
             self.total_seconds += time.perf_counter() - self._entered_at
             self._entered_at = None
+        self._pop()
+        self._flush_to_registry()
+
+    def _pop(self) -> None:
         stack = _stack()
         if stack and stack[-1] is self:
             stack.pop()
         else:  # pragma: no cover - defensive
             stack.remove(self)
-        self._flush_to_registry()
+
+    @contextmanager
+    def _label(self, name: str | None) -> Iterator[None]:
+        """Set the calling thread's stage label for the block (``None``
+        leaves it alone)."""
+        if name is None:
+            yield
+            return
+        tls = self._stage_tls
+        had_stage, prev = hasattr(tls, "name"), getattr(tls, "name", None)
+        tls.name = name
+        try:
+            yield
+        finally:
+            if had_stage:
+                tls.name = prev
+            else:
+                del tls.name
 
     @contextmanager
     def attach_thread(self, stage: str | None = None) -> Iterator[None]:
@@ -122,23 +133,11 @@ class FlopTracer:
         the team is attributed to the stage that spawned it.
         """
         _stack().append(self)
-        had_stage = hasattr(self._stage_tls, "name")
-        prev = getattr(self._stage_tls, "name", None)
-        if stage is not None:
-            self._stage_tls.name = stage
         try:
-            yield
+            with self._label(stage):
+                yield
         finally:
-            if stage is not None:
-                if had_stage:
-                    self._stage_tls.name = prev
-                else:
-                    del self._stage_tls.name
-            stack = _stack()
-            if stack and stack[-1] is self:
-                stack.pop()
-            else:  # pragma: no cover - defensive
-                stack.remove(self)
+            self._pop()
 
     @property
     def current_stage(self) -> str:
@@ -155,20 +154,14 @@ class FlopTracer:
         threads that inherit it via ``attach_thread(stage=...)``),
         never to unrelated threads recording concurrently.
         """
-        had_stage = hasattr(self._stage_tls, "name")
-        prev = getattr(self._stage_tls, "name", None)
-        self._stage_tls.name = name
         t0 = time.perf_counter()
         try:
-            yield
+            with self._label(name):
+                yield
         finally:
             dt = time.perf_counter() - t0
             with self._lock:
                 self._stats(name).seconds += dt
-            if had_stage:
-                self._stage_tls.name = prev
-            else:
-                del self._stage_tls.name
 
     # -- recording ------------------------------------------------------
     def _stats(self, name: str) -> _StageStats:
@@ -189,8 +182,9 @@ class FlopTracer:
         """Fold per-stage totals into the telemetry metric registry.
 
         Runs on tracer exit (never per kernel call) and only when
-        telemetry is enabled; flushes deltas so re-entering the same
-        tracer never double-counts.
+        telemetry is enabled.  Flops and seconds are flushed as separate
+        deltas for every stage, so re-entering the same tracer never
+        double-counts and a stage without flops still exports its time.
         """
         from . import runtime
 
@@ -210,10 +204,11 @@ class FlopTracer:
         with self._lock:
             deltas = []
             for name, st in self._stages.items():
-                done_flops = self._flushed_flops.get(name, 0.0)
-                if st.flops > done_flops:
-                    deltas.append((name, st.flops - done_flops, st.seconds))
-                    self._flushed_flops[name] = st.flops
+                done_flops, done_seconds = self._flushed.get(name, (0.0, 0.0))
+                deltas.append(
+                    (name, st.flops - done_flops, st.seconds - done_seconds)
+                )
+                self._flushed[name] = (st.flops, st.seconds)
         for name, flops, seconds in deltas:
             flop_family.labels(stage=name).inc(flops)
             seconds_family.labels(stage=name).inc(seconds)

@@ -1,8 +1,8 @@
 """Process-global telemetry state and the instrumentation entry points.
 
 Instrumented code throughout the repo calls the module-level helpers —
-:func:`span`, :func:`start_span`, :func:`inject` — which consult one
-process-global :class:`_State`.  When telemetry is disabled (the
+:func:`span`, :func:`stage`, :func:`start_span`, :func:`inject` — which
+consult one process-global :class:`_State`.  When telemetry is disabled (the
 default) every helper short-circuits on a single attribute check and
 returns the shared no-op span, so hot paths pay essentially nothing;
 :mod:`benchmarks.bench_telemetry` measures and gates exactly this.
@@ -20,10 +20,11 @@ Cross-process flow (the service's worker pool):
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from contextlib import ExitStack, contextmanager
+from typing import Any, Callable, ContextManager, Iterator
 
 from .context import SpanContext, current_context, use_context
+from .flops import FlopTracer, _stack as _tracer_stack
 from .metrics import MetricRegistry
 from .spans import NULL_SPAN, Span, TraceCollector, Tracer, _AMBIENT
 
@@ -33,6 +34,8 @@ __all__ = [
     "reset",
     "enabled",
     "span",
+    "stage",
+    "capture_thread",
     "start_span",
     "inject",
     "activate_remote",
@@ -114,6 +117,51 @@ def span(name: str, **attributes: Any):
     if not _state.enabled:
         return NULL_SPAN
     return _state.tracer.span(name, **attributes)
+
+
+def stage(name: str, **attributes: Any):
+    """Context manager for one algorithm stage.
+
+    Opens the ambient span ``name`` and, when a
+    :class:`~repro.telemetry.flops.FlopTracer` is active on the calling
+    thread, the innermost tracer's stage ``name`` — so one call gives a
+    stage both its trace span and its flop/second accounting.  With no
+    tracer active this *is* :func:`span` (one list check more).
+    """
+    tracers = _tracer_stack()
+    if not tracers:
+        return span(name, **attributes)
+    return _traced_stage(tracers[-1], name, attributes)
+
+
+@contextmanager
+def _traced_stage(
+    tracer: FlopTracer, name: str, attributes: dict[str, Any]
+) -> Iterator[None]:
+    with span(name, **attributes), tracer.stage(name):
+        yield
+
+
+def capture_thread() -> Callable[[], ContextManager[None]]:
+    """Snapshot the calling thread's telemetry for a team of threads.
+
+    Captures the tracer stack, each tracer's active stage and the
+    ambient span context; the returned callable re-enters all three on
+    another thread, so the team's flops land in the stage that forked
+    it and its spans parent into the caller's trace.
+    """
+    tracers = [(tr, tr.current_stage) for tr in _tracer_stack()]
+    ctx = current_context()
+
+    @contextmanager
+    def adopt() -> Iterator[None]:
+        with ExitStack() as stack:
+            for tr, name in tracers:
+                stack.enter_context(tr.attach_thread(stage=name))
+            stack.enter_context(use_context(ctx))
+            yield
+
+    return adopt
 
 
 def start_span(name: str, parent: Any = _AMBIENT, **attributes: Any):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.patterns import Pattern, SelectedInversion, Selection
+from ..core.pipeline import cluster_offset
 from ..parallel.openmp import parallel_for
 from .matrix import BlockTridiagonal
 from .reduction import schur_reduce
@@ -88,10 +89,7 @@ def fsi_tridiagonal(
     the workloads in :mod:`repro.tridiag.matrix`).
     """
     L, N = J.L, J.N
-    if c < 1 or L % c != 0:
-        raise ValueError(f"c={c} must be a positive divisor of L={L}")
-    if q is None:
-        q = int(np.random.default_rng(rng).integers(0, c))
+    q = cluster_offset(L, c, q, rng)
     selection = Selection(pattern, L=L, c=c, q=q)
     seeds_idx = selection.seeds
     b = selection.b

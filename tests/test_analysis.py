@@ -16,8 +16,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.analysis import (
     Baseline,
     ENGINE_RULE_ID,
@@ -33,6 +31,7 @@ from repro.analysis.rules import (
     MetricNameContract,
     MonotonicClocks,
     NoBlockingUnderLock,
+    NoReexportShims,
     NoSilentExcept,
     PicklableExceptions,
     SharedMemoryLifecycle,
@@ -391,6 +390,37 @@ class TestRPR008:
 
 
 # ----------------------------------------------------------------------
+# RPR009 re-export shims
+# ----------------------------------------------------------------------
+
+class TestRPR009:
+    def test_fires_on_reexport_shim(self, tmp_path):
+        findings = lint(tmp_path, "compat/old_path.py", (
+            '"""Compatibility re-export."""\n'
+            "from __future__ import annotations\n"
+            "from repro.telemetry.flops import FlopTracer  # noqa: F401\n"
+            "from ..transport.base import _fold  # noqa: F401\n"
+            "__all__ = ['FlopTracer']\n"
+        ), [NoReexportShims()])
+        assert rule_ids(findings) == ["RPR009"]
+        assert findings[0].line == 3
+
+    def test_clean_package_init_and_modules_with_code(self, tmp_path):
+        shim = "from .flops import FlopTracer  # noqa: F401\n"
+        assert lint(tmp_path, "telemetry/__init__.py", shim,
+                    [NoReexportShims()]) == []
+        assert lint(tmp_path, "core/x.py", (
+            shim + "def f():\n    return FlopTracer()\n"
+        ), [NoReexportShims()]) == []
+        assert lint(tmp_path, "core/empty.py", '"""Nothing yet."""\n',
+                    [NoReexportShims()]) == []
+
+    def test_src_tree_has_no_shims(self):
+        findings = analyze_paths([str(REPO / "src")], [NoReexportShims()])
+        assert [f for f in findings if f.rule == "RPR009"] == []
+
+
+# ----------------------------------------------------------------------
 # engine: suppressions
 # ----------------------------------------------------------------------
 
@@ -508,7 +538,7 @@ class TestBaseline:
 class TestRepoInvariants:
     def test_rule_registry_complete(self):
         ids = sorted(rule_classes())
-        assert ids == [f"RPR00{i}" for i in range(1, 9)]
+        assert ids == [f"RPR00{i}" for i in range(1, 10)]
         for cls in rule_classes().values():
             assert cls.title and cls.invariant
 

@@ -12,7 +12,7 @@ from repro.core.baselines import (
 from repro.core.fsi import fsi
 from repro.core.patterns import Pattern, Selection
 from repro.core.pcyclic import random_pcyclic
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 class TestFullLU:

@@ -19,7 +19,7 @@ from repro.core.greens_explicit import greens_block
 from repro.core.patterns import Pattern, Selection
 from repro.core.pcyclic import BlockPCyclic, random_pcyclic
 from repro.hubbard import HSField, HubbardModel, RectangularLattice
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 def stitch(G):

@@ -6,7 +6,7 @@ import pytest
 from repro.core.bsofi import bsofi
 from repro.core.cls import cls, cls_flops, cluster_product
 from repro.core.pcyclic import torus_index
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 class TestClusterProduct:

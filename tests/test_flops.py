@@ -14,7 +14,7 @@ from repro.core.fsi import fsi
 from repro.core.greens_explicit import explicit_selected_columns
 from repro.core.patterns import Pattern
 from repro.core.pcyclic import random_pcyclic
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 class TestSecIICTable:

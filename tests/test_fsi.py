@@ -6,7 +6,7 @@ import pytest
 from repro.core.fsi import FSIResult, fsi, fsi_flops
 from repro.core.patterns import Pattern, Selection
 from repro.core.pcyclic import random_pcyclic
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 @pytest.fixture(scope="module")

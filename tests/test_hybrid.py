@@ -13,7 +13,7 @@ from repro.parallel.hybrid import (
     run_fsi_fleet,
     run_selected_fleet,
 )
-from repro.parallel.simmpi import RankError
+from repro.transport import RankError
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,7 @@ class TestLazySeedGrid:
         completes the seed grid a DIAGONAL solve does not need."""
         from repro.core.bsofi import bsofi_band_flops
         from repro.parallel.hybrid import rank_work
-        from repro.perf.tracer import FlopTracer
+        from repro.telemetry import FlopTracer
         from repro.transport import create_world
 
         cfg = HybridConfig(n_matrices=4, n_ranks=2, threads_per_rank=1, c=4,

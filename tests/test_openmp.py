@@ -13,7 +13,7 @@ from repro.parallel.openmp import (
     parallel_map,
     set_max_threads,
 )
-from repro.perf.tracer import FlopTracer, record_flops
+from repro.telemetry import FlopTracer, record_flops
 
 
 class TestChunkRanges:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.parallel.simmpi import (
+from repro.transport import (
     ANY_SOURCE,
     ANY_TAG,
     RankError,

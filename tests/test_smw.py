@@ -255,7 +255,7 @@ class TestWoodburyAgainstFreshSolve:
         assert not DeltaReport(1, 1e-14, np.inf).healthy(1e-8, 1e10)
 
     def test_flops_are_recorded(self):
-        from repro.perf.tracer import FlopTracer
+        from repro.telemetry import FlopTracer
 
         model, field, pc = hubbard_setup(L=4, seed=2)
         base = fsi(pc, 2, pattern=Pattern.FULL_DIAGONAL, q=0)

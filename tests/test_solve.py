@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.pcyclic import random_pcyclic
 from repro.core.solve import PCyclicSolver, determinant
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 
 
 class TestSolve:

@@ -29,8 +29,8 @@ from repro.core.fsi import fsi
 from repro.core.patterns import Pattern
 from repro.hubbard.hs_field import HSField
 from repro.parallel.openmp import parallel_for
-from repro.parallel.simmpi import SimMPI
-from repro.perf.tracer import FlopTracer
+from repro.transport import SimMPI
+from repro.telemetry import FlopTracer
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -47,6 +47,14 @@ from repro.telemetry import (
     use_context,
 )
 from repro.telemetry.exporters import MetricsServer
+
+
+def make_hubbard_pc():
+    from repro.hubbard.lattice import RectangularLattice
+    from repro.hubbard.matrix import HubbardModel
+
+    m = HubbardModel(RectangularLattice(2, 2), L=8, U=2.0, beta=1.0)
+    return m.build_matrix(HSField.random(8, 4, np.random.default_rng(0)), +1)
 
 
 @pytest.fixture(autouse=True)
@@ -378,24 +386,93 @@ class TestFlopTracerRegistry:
         telemetry.configure()
         with FlopTracer() as tr:
             with tr.stage("cls"):
-                from repro.perf.tracer import record_flops
+                from repro.telemetry import record_flops
                 record_flops(123.0)
         fam = telemetry.registry().get("repro_stage_flops_total")
         assert fam is not None
         assert fam.labels(stage="cls").value == 123.0
 
+    def test_reentered_tracer_exports_each_second_once(self):
+        """Seconds flush as deltas: a tracer entered three times exports
+        the stage time it measured, not a running sum of running sums."""
+        import time
+
+        from repro.telemetry import record_flops
+
+        telemetry.configure()
+        tr = FlopTracer()
+        for _ in range(3):
+            with tr, tr.stage("cls"):
+                record_flops(10.0)
+                time.sleep(0.01)
+        fam = telemetry.registry().get("repro_stage_seconds_total")
+        assert fam.labels(stage="cls").value == pytest.approx(
+            tr.elapsed("cls"), rel=1e-9
+        )
+        flops = telemetry.registry().get("repro_stage_flops_total")
+        assert flops.labels(stage="cls").value == 30.0
+
+    def test_stage_without_flops_exports_seconds(self):
+        """DIAGONAL WRP is a copy (zero flops); its time still exports."""
+        telemetry.configure()
+        pc = make_hubbard_pc()
+        with FlopTracer() as tr:
+            fsi(pc, 4, Pattern.DIAGONAL, q=0)
+        assert tr.flops("wrp") == 0.0 and tr.elapsed("wrp") > 0.0
+        fam = telemetry.registry().get("repro_stage_seconds_total")
+        exported = {key: child.value for key, child in fam.samples()}
+        assert exported[("wrp",)] == pytest.approx(tr.elapsed("wrp"))
+
     def test_no_registry_writes_when_disabled(self):
         with FlopTracer() as tr:
             with tr.stage("cls"):
-                from repro.perf.tracer import record_flops
+                from repro.telemetry import record_flops
                 record_flops(123.0)
         assert telemetry.registry().get("repro_stage_flops_total") is None
         assert tr.flops("cls") == 123.0  # legacy accounting unaffected
 
-    def test_shim_import_path_still_works(self):
-        from repro.perf.tracer import FlopTracer as Shimmed
-        from repro.telemetry.flops import FlopTracer as Canonical
-        assert Shimmed is Canonical
+
+class TestStage:
+    def test_stage_is_span_without_a_tracer(self):
+        assert telemetry.stage("cls") is NULL_SPAN
+        telemetry.configure()
+        with telemetry.stage("cls", n=3):
+            pass
+        (record,) = telemetry.collector().snapshot()
+        assert record["name"] == "cls" and record["attributes"] == {"n": 3}
+
+    def test_stage_opens_span_and_innermost_tracer_stage(self):
+        from repro.telemetry import record_flops
+
+        telemetry.configure()
+        with FlopTracer() as outer, FlopTracer() as inner:
+            with telemetry.stage("bsofi"):
+                record_flops(5.0)
+        assert inner.flops("bsofi") == 5.0 and inner.elapsed("bsofi") > 0
+        assert outer.flops("default") == 5.0  # only the innermost is staged
+        assert [r["name"] for r in telemetry.collector().snapshot()] == [
+            "bsofi"
+        ]
+
+    def test_capture_thread_carries_tracers_stage_and_context(self):
+        from repro.telemetry import record_flops
+
+        telemetry.configure()
+        seen = {}
+        with FlopTracer() as tr, telemetry.stage("wrp"):
+            adopt = telemetry.capture_thread()
+
+            def worker():
+                with adopt():
+                    record_flops(7.0)
+                    seen["ctx"] = current_context()
+
+            t = threading.Thread(target=worker)
+            t.start()
+            t.join()
+            here = current_context()
+        assert tr.flops("wrp") == 7.0
+        assert seen["ctx"] == here
 
 
 # ----------------------------------------------------------------------

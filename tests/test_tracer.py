@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import _kernels as kr
-from repro.perf.tracer import FlopTracer, current_tracers, record_flops
+from repro.telemetry import FlopTracer, current_tracers, record_flops
 
 
 class TestBasicAccounting:

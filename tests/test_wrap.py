@@ -12,7 +12,7 @@ from repro.core.patterns import Pattern, SelectedInversion, Selection
 from repro.core.pcyclic import random_pcyclic, torus_index
 from repro.core.wrap import _up_down_steps, wrap, wrap_flops
 from repro.hubbard.hs_field import HSField
-from repro.perf.tracer import FlopTracer
+from repro.telemetry import FlopTracer
 from repro.service import ModelSpec
 
 L, N, C = 12, 3, 4
