@@ -36,6 +36,7 @@ from repro.bench.workloads import BENCH_SMALL, VALIDATION, make_hubbard
 from repro.core.fsi import fsi
 from repro.core.patterns import Pattern
 from repro.core.smw import PCyclicWoodbury, diag_flips
+from repro.parallel.budget import process_budget
 
 from envelope import write_record
 
@@ -69,8 +70,8 @@ def _flips(field, model, n: int, seed: int = 3):
 def warm_delta_small():
     pc, model, field = make_hubbard(BENCH_SMALL, seed=1)
     base = fsi(pc, BENCH_SMALL.c, pattern=Pattern.FULL_DIAGONAL, q=0)
-    blocks = dict(base.selected.items())
-    return PCyclicWoodbury(pc), blocks, model, field
+    state = PCyclicWoodbury(pc, BENCH_SMALL.c, 0)
+    return state, base.selected, model, field
 
 
 @pytest.mark.benchmark(group="delta")
@@ -100,9 +101,9 @@ def bench_delta_rank8_warm(benchmark, warm_delta_small):
 
 @pytest.mark.benchmark(group="delta")
 def bench_delta_cold_factor(benchmark, small_problem):
-    """Cold-base cost: the two structured QRs the LRU amortises away."""
+    """Cold-base cost: the CLS and reduced-chain QR the LRU amortises away."""
     pc, _, _ = small_problem
-    benchmark(lambda: PCyclicWoodbury(pc))
+    benchmark(lambda: PCyclicWoodbury(pc, BENCH_SMALL.c, 0))
 
 
 # ----------------------------------------------------------------------
@@ -122,21 +123,22 @@ def measure_delta(seed: int = 1) -> dict:
     """Warm single-flip delta vs full solve at paper validation scale.
 
     ``(N, L, c) = (100, 64, 8)`` — the Sec. V-A geometry, satisfying the
-    gate's L >= 64 requirement.  The Woodbury state is factored once
-    (exactly what the scheduler's per-base LRU holds between sweep
-    requests) and the timed region is one rank-1 ``update_blocks`` on
-    the full diagonal; the baseline is the best-of full FSI solve for
-    the flipped field.  Accuracy of the served blocks against that
+    gate's L >= 64 requirement.  The Woodbury state is factored once on
+    the base's own clustering ``(c, q)``, as the scheduler's per-base
+    LRU holds it between sweep requests, and the timed region is one
+    rank-1 ``update_blocks`` of the base's block array on the full
+    diagonal; the baseline is the best-of full FSI solve for the
+    flipped field.  Accuracy of the served blocks against that
     fresh solve is measured alongside, so the number this file commits
     can never come from a divergent update.
     """
     w = VALIDATION
     pc, model, field = make_hubbard(w, seed=seed)
     base = fsi(pc, w.c, pattern=Pattern.FULL_DIAGONAL, q=0, num_threads=1)
-    blocks = dict(base.selected.items())
+    blocks = base.selected
     flips, flipped = _flips(field, model, 1, seed=seed + 1)
 
-    state = PCyclicWoodbury(pc)  # factor once: the warm-base state
+    state = PCyclicWoodbury(pc, w.c, 0)  # factor once: the warm-base state
     state.update_blocks(blocks, flips)  # warm caches
     delta_s = _best_of(lambda: state.update_blocks(blocks, flips))
 
@@ -169,6 +171,7 @@ def measure_delta(seed: int = 1) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    process_budget()  # measure at the BLAS thread count the service runs
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--check",

@@ -35,6 +35,7 @@ import pytest
 
 from repro.core.patterns import Pattern
 from repro.hubbard import HubbardModel, RectangularLattice
+from repro.parallel.budget import process_budget
 from repro.parallel.hybrid import HybridConfig, run_fsi_fleet, run_selected_fleet
 from repro.parallel.openmp import parallel_for
 from repro.transport import SimMPI
@@ -183,6 +184,7 @@ def measure_fleet(L: int, n_ranks: int = 4, n_jobs: int = 8,
 
 
 def main(argv: list[str] | None = None) -> int:
+    process_budget()  # measure at the BLAS thread count the service runs
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--check",

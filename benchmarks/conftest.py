@@ -12,6 +12,13 @@ import numpy as np
 import pytest
 
 from repro.bench.workloads import BENCH_MEDIUM, BENCH_SMALL, make_hubbard
+from repro.parallel.budget import process_budget
+
+
+@pytest.fixture(scope="session", autouse=True)
+def parallel_budget():
+    """Time everything at the BLAS thread count the service runs."""
+    return process_budget()
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,9 @@ Every ``--check`` benchmark script (``bench_stages``, ``bench_delta``,
                           "floor" or "ceiling", "passed"}}}
 
 A gate with ``"enforced": false`` is recorded but cannot fail the run.
+``bench_stages``, ``bench_delta`` and ``bench_parallel`` apply
+:func:`~repro.parallel.budget.process_budget` before they measure, so
+their ``blas_threads`` is the count the service runs at.
 """
 
 from __future__ import annotations

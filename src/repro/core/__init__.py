@@ -42,7 +42,6 @@ from .smw import (
     PCyclicWoodbury,
     RankOneFlip,
     diag_flips,
-    transpose_pcyclic,
 )
 from .solve import PCyclicSolver, determinant
 from .stability import fsi_accuracy_sweep, recommend_c
@@ -60,7 +59,6 @@ __all__ = [
     "RankOneFlip",
     "determinant",
     "diag_flips",
-    "transpose_pcyclic",
     "FSIResult",
     "Pattern",
     "SelectedInversion",

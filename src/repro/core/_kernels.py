@@ -29,6 +29,7 @@ from ..telemetry.flops import record_flops
 __all__ = [
     "gemm",
     "gemm_into",
+    "gemm_acc",
     "batched_gemm",
     "add_identity",
     "lu_factor",
@@ -66,6 +67,32 @@ def gemm_into(out: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for i in range(out.shape[0]):
         np.matmul(A if A.ndim == 2 else A[i], B if B.ndim == 2 else B[i],
                   out=out[i])
+    return out
+
+
+def gemm_acc(
+    out: np.ndarray, A: np.ndarray, B: np.ndarray, alpha: float = 1.0,
+    c: np.ndarray | None = None,
+) -> np.ndarray:
+    """``out[i] = c[i] + alpha * A[i] @ B[i]`` over a leading batch axis
+    (``c`` defaults to ``out``: an in-place update).
+
+    One BLAS gemm with ``beta = 1`` per entry, on the transposes: a
+    C-ordered ``out[i]`` is the Fortran-ordered ``out[i]^T``, which gemm
+    updates where it lies — no product temporary, and no numpy matmul
+    inner loop for a thin ``A[i]`` (a rank-1 outer product there runs
+    several times slower).  ``c[i]`` is copied in just before its gemm,
+    while the block is still in cache.
+    """
+    record_flops(2.0 * out.size * A.shape[-1], A.nbytes + B.nbytes + out.nbytes)
+    fn = get_blas_funcs("gemm", (A, B, out))
+    for i in range(out.shape[0]):
+        if c is not None:
+            out[i] = c[i]
+        dst = out[i].T
+        res = fn(alpha, B[i].T, A[i].T, beta=1.0, c=dst, overwrite_c=1)
+        if not np.shares_memory(res, dst):
+            dst[...] = res
     return out
 
 

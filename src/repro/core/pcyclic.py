@@ -162,13 +162,23 @@ class BlockPCyclic:
         L, N = self.L, self.N
         x = np.asarray(x)
         xb = x.reshape(L, N, -1)
-        y = np.empty_like(xb)
-        if L == 1:
-            y[0] = xb[0] + self.B[0] @ xb[0]
-        else:
-            y[0] = xb[0] + self.B[0] @ xb[L - 1]
-            for i in range(1, L):
-                y[i] = xb[i] - self.B[i] @ xb[i - 1]
+        y = np.empty(xb.shape, dtype=np.result_type(xb, self.B))
+        y[0] = xb[0] + self.B[0] @ xb[L - 1]
+        y[1:] = xb[1:] - np.matmul(self.B[1:], xb[:-1])
+        return y.reshape(x.shape)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """Apply ``M^T`` (plain transpose) the same way as :meth:`matvec`.
+
+        ``M^T`` has ``-B_{i+1}^T`` above the identity diagonal and the
+        corner ``B_1^T`` at block ``(L, 1)``.
+        """
+        L, N = self.L, self.N
+        x = np.asarray(x)
+        xb = x.reshape(L, N, -1)
+        y = np.empty(xb.shape, dtype=np.result_type(xb, self.B))
+        y[:-1] = xb[:-1] - np.matmul(self.B[1:].transpose(0, 2, 1), xb[1:])
+        y[L - 1] = xb[L - 1] + self.B[0].T @ xb[0]
         return y.reshape(x.shape)
 
     # ------------------------------------------------------------------

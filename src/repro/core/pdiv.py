@@ -28,8 +28,8 @@ second term cancels the spurious local corner.  Woodbury then gives
 where every factor is *partition-local*: block column ``p`` of ``X``
 is one structured solve on ``M~_p``; block row ``p`` of ``Y^T`` needs
 only the last block row ``R_p`` of each local inverse (one transpose
-solve via the reversal trick of :func:`~repro.core.smw.
-transpose_pcyclic`); and ``C`` is a ``PN x PN`` block-cyclic
+solve, :meth:`~repro.core.solve.PCyclicSolver.solve_transpose`, from
+the same local factorisation); and ``C`` is a ``PN x PN`` block-cyclic
 capacitance assembled from the last slice of each ``X_p``.  With
 ``P = 1`` the correction vanishes identically and PDIV degenerates to
 a plain structured solve.
@@ -59,7 +59,6 @@ from . import _kernels as kr
 from .patterns import Pattern, SelectedInversion, Selection
 from .pcyclic import BlockPCyclic
 from .pipeline import cluster_offset
-from .smw import transpose_pcyclic
 from .solve import PCyclicSolver
 
 __all__ = [
@@ -131,22 +130,20 @@ def _partition_work(
 ) -> _PartitionPieces:
     """Factor one partition and produce its stitch pieces.
 
-    All right-hand sides go through two structured QR factorisations
-    (forward and reversed-transpose), batched into single multi-RHS
-    solves — ``O(L_p N^3)`` to factor, ``O(L_p N^2)`` per RHS.
+    All right-hand sides go through one structured QR factorisation
+    (``M~ x`` and ``M~^T y`` solves alike), batched into single
+    multi-RHS solves — ``O(L_p N^3)`` to factor, ``O(L_p N^2)`` per RHS.
     """
     local = BlockPCyclic(np.ascontiguousarray(B_slice))
     Lp, N = local.L, local.N
     dtype = local.dtype
     eye = np.eye(N, dtype=dtype)
     solver = PCyclicSolver(local)
-    tsolver = PCyclicSolver(transpose_pcyclic(local))
 
     def t_solve(rhs_blocks: np.ndarray) -> np.ndarray:
-        """``M~^T Y = rhs`` via the reversal similarity (smw idiom)."""
-        reversed_rhs = rhs_blocks[::-1].reshape(Lp * N, -1)
-        y = tsolver.solve(np.ascontiguousarray(reversed_rhs))
-        return y.reshape(Lp, N, -1)[::-1]
+        """``M~^T Y = rhs`` for ``(L_p, N, k)`` blocks."""
+        y = solver.solve_transpose(rhs_blocks.reshape(Lp * N, -1))
+        return y.reshape(Lp, N, -1)
 
     # Bridge column X_p = M~^{-1} (e_1 (x) B_lo).
     rhs = np.zeros((Lp * N, N), dtype=dtype)
@@ -184,7 +181,7 @@ def _partition_work(
         }
 
     nrhs = N * (2 + len(cols) + len(rows))
-    record_flops(2 * (13 / 3) * Lp * N**3 + 8.0 * Lp * N * N * nrhs)
+    record_flops((13 / 3) * Lp * N**3 + 8.0 * Lp * N * N * nrhs)
     return _PartitionPieces(lo=lo, hi=hi, X=X, R=R, cols=cols, rows=rows)
 
 

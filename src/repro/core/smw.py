@@ -15,12 +15,16 @@ the corresponding block of ``G = M^{-1}``:
     ``G' = G - X C^{-1} Y^T``,  ``X = M^{-1} U``,  ``Y = M^{-T} V``,
     ``C = I_r + V^T X``.
 
-``X`` and ``Y`` cost ``O(L N^2)`` per right-hand side through the
-structured QR factorisation of :class:`~repro.core.solve.PCyclicSolver`
-(backward stable — never an unstabilised ``L``-fold product), so a
-cached selected block is refreshed for ``O(r N^2)`` flops instead of a
-full ``O(b L N^3)`` FSI solve.  Per Bauer ("Fast and stable determinant
-QMC"), long chains of low-rank updates accumulate error; callers should
+Both come from one structured QR
+(:class:`~repro.core.solve.PCyclicSolver`) of the base request's own
+CLS-reduced chain ``cls(M, c, q)``: ``b = L/c`` blocks, solved for the
+cluster ends (``M^T`` via :meth:`~repro.core.solve.PCyclicSolver.
+solve_transpose`), with the ``c - 1`` interior slices of each cluster
+filled by the block recurrence — never a product longer than the
+base's own clusters.  ``X`` and ``Y`` then cost ``O(L N^2)`` per
+right-hand side, so a cached selected block is refreshed for
+``O(r N^2)`` flops instead of a full ``O(b L N^3)`` FSI solve.  Per
+Bauer ("Fast and stable determinant QMC"), long chains of low-rank updates accumulate error; callers should
 bound the chain depth and re-solve from scratch when
 :attr:`DeltaReport.solve_residual` or the capacitance conditioning
 trips (the service's rank/depth budgets and residual guard do exactly
@@ -41,6 +45,7 @@ import numpy.typing as npt
 
 from ..telemetry.flops import record_flops
 from . import _kernels as kr
+from .cls import cls
 from .patterns import BlockArray
 from .pcyclic import BlockPCyclic, torus_index
 from .solve import PCyclicSolver
@@ -49,7 +54,6 @@ __all__ = [
     "FactorPairs",
     "RankOneFlip",
     "diag_flips",
-    "transpose_pcyclic",
     "DeltaReport",
     "PCyclicWoodbury",
 ]
@@ -183,38 +187,25 @@ def diag_flips(
     ]
 
 
-def transpose_pcyclic(pc: BlockPCyclic) -> BlockPCyclic:
-    """The reversal-similarity image of ``M^T`` as a :class:`BlockPCyclic`.
-
-    ``M^T`` has identity diagonal, *super*-diagonal blocks
-    ``-B_{i+1}^T`` and corner ``(M^T)_{L1} = B_1^T`` — not directly
-    representable.  Conjugating with the block-order reversal ``P``
-    restores the normal form: ``P M^T P`` is block p-cyclic with
-
-        ``B'_1 = B_1^T``,  ``B'_i = B_{L+2-i}^T``  (``i = 2..L``),
-
-    so ``M^T y = v  <=>  (P M^T P)(P y) = P v`` — one extra structured
-    QR factorisation buys stable transpose solves.
-    """
-    L = pc.L
-    Bt = np.empty_like(pc.B)
-    Bt[0] = pc.B[0].T
-    for i in range(2, L + 1):
-        Bt[i - 1] = pc.block(L + 2 - i).T
-    return BlockPCyclic(Bt)
-
-
 # ----------------------------------------------------------------------
 # the Woodbury updater
 # ----------------------------------------------------------------------
+
+#: Relative residual on the unreduced chain above which a reduced solve
+#: is refined: a thousand times what the unreduced QR solve leaves.
+_REFINE_TOL = 1e-12
+#: Most refinement steps per solve before the residual guard decides.
+_REFINE_STEPS = 2
+
 
 @dataclass
 class DeltaReport:
     """Diagnostics of one Woodbury application (the delta-path guards).
 
     ``solve_residual`` is the worst relative residual of the two
-    structured solves (``max(|M X - U|, |M^T Y - V|) / |rhs|``) —
-    backward-stable solves keep it near machine epsilon, so anything
+    structured solves on the unreduced chain, after refinement
+    (``max(|M X - U|, |M^T Y - V|) / |rhs|``) — backward-stable
+    solves keep it near machine epsilon, so anything
     large means the base matrix is too ill-conditioned for the update
     and the caller should fall back to a fresh solve.
     ``capacitance_cond`` is the condition of the ``r x r`` capacitance
@@ -243,19 +234,40 @@ class DeltaReport:
 class PCyclicWoodbury:
     """Factor-once rank-``k`` updater for one base matrix ``M``.
 
-    Holds the two structured QR factorisations (``M`` and the reversed
-    transpose) so that every subsequent flip batch against the same
-    base costs ``O(L N^2 r)`` — the serving layer keeps a small LRU of
-    these per cached base fingerprint.
+    ``c`` and ``q`` are the base request's clustering (Eq. (8)): the
+    state factors only the ``b = L/c`` block CLS-reduced chain
+    ``M~ = cls(M, c, q)``, once, and that one structured QR answers
+    both Woodbury solves.  ``M X = U`` accumulates ``U`` along each
+    cluster, solves ``M~`` for the cluster ends and fills the ``c - 1``
+    interior blocks by the recurrence ``x_k = B^_k x_{k-1} + u_k``
+    (``B^_1 = -B_1`` carries the corner sign, ``B^_k = B_k`` else).
+    ``M^T Y = V`` runs the same on the transposed recurrence: its Schur
+    complement on the cluster ends is ``M~^T``, which
+    :meth:`PCyclicSolver.solve_transpose` solves from the same QR.
+    ``c = 1`` is the unreduced chain.  Every subsequent flip batch
+    against the same base costs ``O(L N^2 r)``; the serving layer keeps
+    a small LRU of these per cached base fingerprint.
     """
 
-    def __init__(self, pc: BlockPCyclic) -> None:
+    def __init__(self, pc: BlockPCyclic, c: int = 1, q: int = 0) -> None:
         self.pc = pc
         self.L = pc.L
         self.N = pc.N
-        self._forward = PCyclicSolver(pc)
-        self._pc_t = transpose_pcyclic(pc)
-        self._adjoint = PCyclicSolver(self._pc_t)
+        self.c = c
+        self.q = q
+        self._reduced = PCyclicSolver(cls(pc, c, q))
+        b = self.L // c
+        # _idx[s, i]: 0-based slice of step s of 0-based cluster i (the
+        # slices c i - q .. c i - q + c - 1 on the torus; step c - 1 is
+        # the cluster end, the slice the reduced chain keeps).
+        self._idx = (c * np.arange(b) + np.arange(c)[:, None] - q) % self.L
+        self._steps: np.ndarray | None = None
+        if c > 1:
+            # B^ gathered step-major, so every recurrence step is one
+            # batched matmul over the b clusters; slice 1 is step q of
+            # cluster 0.  With c = 1 no step is taken.
+            self._steps = pc.B[self._idx]
+            self._steps[q, 0] *= -1.0
 
     # ------------------------------------------------------------------
     def _factors(self, flips: Sequence[RankOneFlip]) -> tuple[np.ndarray, np.ndarray]:
@@ -277,18 +289,77 @@ class PCyclicWoodbury:
             V[torus_index(l - 1, L) - 1, flip.site, j] = 1.0
         return U, V
 
+    def _step(self, s: int, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """``B^ x`` (or ``B^T x``) at step ``s`` of every cluster."""
+        assert self._steps is not None
+        B = self._steps[s]
+        record_flops(2.0 * x.size * self.N)
+        return np.matmul(B.transpose(0, 2, 1) if transpose else B, x)
+
+    def _reduced_solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
+        flat = rhs.reshape(-1, rhs.shape[-1])
+        solve = (self._reduced.solve_transpose if transpose
+                 else self._reduced.solve)
+        return solve(flat).reshape(rhs.shape)
+
     def solve(self, rhs_blocks: np.ndarray) -> np.ndarray:
         """``M X = rhs`` for ``rhs`` of shape ``(L, N, r)``."""
-        L, N = self.L, self.N
-        flat = rhs_blocks.reshape(L * N, -1)
-        return self._forward.solve(flat).reshape(L, N, -1)
+        c, idx, u = self.c, self._idx, rhs_blocks
+        acc = u[idx[0]]
+        for s in range(1, c):
+            acc = self._step(s, acc) + u[idx[s]]
+        ends = self._reduced_solve(acc, transpose=False)
+        x = np.empty(u.shape, dtype=ends.dtype)
+        x[idx[c - 1]] = ends
+        # Each cluster starts from the end of the one before it.
+        prev = np.roll(ends, 1, axis=0)
+        for s in range(c - 1):
+            prev = self._step(s, prev) + u[idx[s]]
+            x[idx[s]] = prev
+        return x
 
     def solve_transpose(self, rhs_blocks: np.ndarray) -> np.ndarray:
-        """``M^T Y = rhs`` via the reversed-transpose factorisation."""
-        L, N = self.L, self.N
-        reversed_rhs = rhs_blocks[::-1].reshape(L * N, -1)
-        y = self._adjoint.solve(np.ascontiguousarray(reversed_rhs))
-        return y.reshape(L, N, -1)[::-1]
+        """``M^T Y = rhs`` from the same reduced factorisation."""
+        c, idx, v = self.c, self._idx, rhs_blocks
+        acc = v[idx[c - 1]]
+        if c > 1:
+            # y_k = B^_{k+1}^T y_{k+1} + v_k runs backwards, so a
+            # cluster's interior feeds the end of the cluster before it.
+            tail = v[idx[c - 2]]
+            for s in range(c - 2, 0, -1):
+                tail = self._step(s, tail, transpose=True) + v[idx[s - 1]]
+            acc = acc + np.roll(self._step(0, tail, transpose=True), -1, axis=0)
+        ends = self._reduced_solve(acc, transpose=True)
+        y = np.empty(v.shape, dtype=ends.dtype)
+        y[idx[c - 1]] = ends
+        nxt = ends
+        for s in range(c - 2, -1, -1):
+            nxt = self._step(s + 1, nxt, transpose=True) + v[idx[s]]
+            y[idx[s]] = nxt
+        return y
+
+    def _refined(self, solve, apply, rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """``solve(rhs)`` and the norm of its residual on the unreduced
+        chain (``apply`` is ``M`` or ``M^T``, O(L N^2 r)).
+
+        While the relative residual exceeds :data:`_REFINE_TOL`, up to
+        :data:`_REFINE_STEPS` corrections ``x += solve(rhs - M x)`` are
+        applied.  The reduced chain's rounding error scales with the
+        spread of the cluster products, so at low temperature and large
+        ``c`` one step takes a 1e-5 residual to ~1e-10; at ``c = 1`` and
+        on well-conditioned chains the first residual already passes.
+        """
+        flat = rhs.reshape(self.L * self.N, -1)
+        tol = _REFINE_TOL * max(float(np.linalg.norm(flat)), 1e-300)
+        x = solve(rhs)
+        steps = 0
+        while True:
+            res = flat - apply(x.reshape(flat.shape))
+            norm = float(np.linalg.norm(res))
+            if norm <= tol or steps == _REFINE_STEPS or not np.isfinite(norm):
+                return x, norm
+            x = x + solve(res.reshape(rhs.shape))
+            steps += 1
 
     # ------------------------------------------------------------------
     def update_blocks(
@@ -310,29 +381,20 @@ class PCyclicWoodbury:
         additively (:func:`diag_flips` produces one flip per differing
         entry, which satisfies this by construction).
         """
-        L = self.L
+        L, N = self.L, self.N
         r = len(flips)
         base: BlockArray = (
             blocks if isinstance(blocks, BlockArray)
             else BlockArray.from_mapping(blocks)
         )
         if r == 0:
-            return (
-                base.with_data(base.data.copy()),
-                DeltaReport(rank=0, solve_residual=0.0, capacitance_cond=1.0),
+            return base.with_data(base.data.copy()), DeltaReport(
+                rank=0, solve_residual=0.0, capacitance_cond=1.0
             )
         U, V = self._factors(flips)
-        X = self.solve(U)
-        Y = self.solve_transpose(V)
-
-        # Residuals of both structured solves, via matvec (O(L N^2 r)).
-        flat = lambda A: A.reshape(L * self.N, -1)  # noqa: E731
-        res_fwd = np.linalg.norm(self.pc.matvec(flat(X)) - flat(U))
-        res_adj = np.linalg.norm(
-            self._pc_t.matvec(np.ascontiguousarray(flat(Y[::-1])))
-            - flat(V[::-1])
-        )
-        scale = max(np.linalg.norm(flat(U)), np.linalg.norm(flat(V)), 1e-300)
+        X, res_fwd = self._refined(self.solve, self.pc.matvec, U)
+        Y, res_adj = self._refined(self.solve_transpose, self.pc.rmatvec, V)
+        scale = max(np.linalg.norm(U), np.linalg.norm(V), 1e-300)
         residual = float(max(res_fwd, res_adj) / scale)
 
         # Capacitance C = I + V^T X: V's columns are unit vectors, so
@@ -354,12 +416,12 @@ class PCyclicWoodbury:
             return base.with_data(base.data.copy()), report
 
         # T_l = C^{-1} Y_l^T, shared across every row of block column l:
-        # one LAPACK solve for all L block columns, then one batched
-        # matmul for every cached block — no per-block Python kernels.
+        # one LAPACK solve for all L block columns, then one gemm per
+        # cached block, written into the one output buffer.
         Cf = kr.lu_factor(C)
-        T = Cf.solve(np.ascontiguousarray(Y.reshape(L * self.N, r).T))
-        T = np.ascontiguousarray(T.reshape(r, L, self.N).transpose(1, 0, 2))
+        T = Cf.solve(np.ascontiguousarray(Y.reshape(L * N, r).T))
+        T = np.ascontiguousarray(T.reshape(r, L, N).transpose(1, 0, 2))
         keys = np.array(list(base), dtype=np.intp).reshape(-1, 2) - 1
-        deltas = np.matmul(X[keys[:, 0]], T[keys[:, 1]])
-        record_flops(2.0 * len(keys) * self.N * self.N * r)
-        return base.with_data(base.data - deltas), report
+        out = np.empty(base.data.shape, dtype=base.data.dtype)
+        kr.gemm_acc(out, X[keys[:, 0]], T[keys[:, 1]], alpha=-1.0, c=base.data)
+        return base.with_data(out), report

@@ -97,26 +97,80 @@ class PCyclicSolver:
             )
         return x
 
+    def _forward_substitute_t(self, y: np.ndarray) -> np.ndarray:
+        """Solve ``R^T z = y`` blockwise in place (y shape ``(L, N, k)``).
+
+        ``R^T`` is block lower triangular: ``Rd^T`` on the diagonal,
+        ``Ru^T`` below it and the ``Rc^T`` fill along the last block row.
+        """
+        import scipy.linalg as sla
+
+        f = self._qr
+        assert f is not None
+        n = f.b
+        z = y
+        for i in range(n):
+            acc = y[i]
+            if i > 0:
+                acc = acc - kr.gemm(f.Ru[i - 1].T, z[i - 1])
+            if i == n - 1:
+                for j in range(n - 2):
+                    acc -= kr.gemm(f.Rc[j].T, z[j])
+            z[i] = sla.solve_triangular(
+                f.Rd[i], acc, trans=1, lower=False, check_finite=False
+            )
+        return z
+
+    def _apply_qbar(self, z: np.ndarray) -> np.ndarray:
+        """``z <- conj(Q) z`` blockwise, the inverse of ``Q^T``."""
+        f = self._qr
+        assert f is not None
+        n, N = f.b, f.N
+        z[n - 1] = kr.gemm(f.Qf.conj(), z[n - 1])
+        for i in range(n - 2, -1, -1):
+            stacked = np.concatenate((z[i], z[i + 1]), axis=0)  # (2N, k)
+            stacked = kr.gemm(f.Q[i].conj(), stacked)
+            z[i] = stacked[:N]
+            z[i + 1] = stacked[N:]
+        return z
+
+    def _rhs_blocks(self, rhs: np.ndarray) -> np.ndarray:
+        """A private ``(L, N, k)`` copy of ``rhs`` in the solve dtype."""
+        rhs = np.asarray(rhs)
+        if not np.issubdtype(rhs.dtype, np.inexact):
+            rhs = rhs.astype(float)
+        if rhs.shape[0] != self.N * self.L:
+            raise ValueError(
+                f"rhs leading dimension {rhs.shape[0]} != N*L = {self.N * self.L}"
+            )
+        dtype = np.result_type(rhs.dtype, self.pc.dtype)
+        return rhs.reshape(self.L, self.N, -1).astype(dtype, copy=True)
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve ``M x = rhs`` for one vector or a block of vectors.
 
         ``rhs`` has shape ``(N*L,)`` or ``(N*L, k)``; the result matches.
         """
-        rhs = np.asarray(rhs)
-        if not np.issubdtype(rhs.dtype, np.inexact):
-            rhs = rhs.astype(float)
-        rhs = rhs.astype(np.result_type(rhs.dtype, self.pc.dtype))
-        orig_shape = rhs.shape
-        if rhs.shape[0] != self.N * self.L:
-            raise ValueError(
-                f"rhs leading dimension {rhs.shape[0]} != N*L = {self.N * self.L}"
-            )
-        y = rhs.reshape(self.L, self.N, -1).copy()
+        y = self._rhs_blocks(rhs)
         if self._single is not None:
-            return self._single.solve(y[0]).reshape(orig_shape)
+            return self._single.solve(y[0]).reshape(np.shape(rhs))
         self._apply_qt(y)
         self._back_substitute(y)
-        return y.reshape(orig_shape)
+        return y.reshape(np.shape(rhs))
+
+    def solve_transpose(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve ``M^T y = rhs`` (plain transpose) from the same factors.
+
+        ``M^T = R^T Q^T``: forward-substitute ``R^T z = rhs``, then
+        ``y = conj(Q) z`` — no second factorisation.  Shapes as in
+        :meth:`solve`.
+        """
+        y = self._rhs_blocks(rhs)
+        if self._single is not None:
+            return self._single.solve(y[0], trans=1).reshape(np.shape(rhs))
+        self._forward_substitute_t(y)
+        self._apply_qbar(y)
+        return y.reshape(np.shape(rhs))
 
     # ------------------------------------------------------------------
     def slogdet(self) -> tuple[float | complex, float]:

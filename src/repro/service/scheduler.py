@@ -127,8 +127,8 @@ class ServiceConfig:
     #: Condition-number limit on the Woodbury capacitance matrix.
     delta_cond_limit: float = 1e10
     #: How many per-base :class:`~repro.core.smw.PCyclicWoodbury`
-    #: factorisations to keep (LRU).  Factoring is O(L N^3) — the path
-    #: only pays off when consecutive requests reuse a warm base.
+    #: factorisations to keep (LRU).  Factoring is one CLS plus one
+    #: structured QR of the b-block reduced chain; a warm base skips it.
     delta_solver_states: int = 4
     #: Spectral fan-out width: an omega-grid longer than this many
     #: points is split into contiguous chunk jobs of at most this size,
@@ -594,12 +594,17 @@ class GreensService:
         return ticket
 
     # -- delta fast path (Sherman–Morrison serving) ---------------------
-    def _delta_state(self, base: JobResult, job: GreensJob) -> PCyclicWoodbury:
-        """The per-base Woodbury factorisation (LRU-cached).
+    def _delta_state(
+        self, base: JobResult, job: GreensJob
+    ) -> tuple[PCyclicWoodbury, bool]:
+        """The per-base Woodbury factorisation (LRU-cached) and whether
+        this call built it.
 
-        Factoring a cold base costs two structured QRs — O(L N^3), on
-        the order of a full solve — so the fast path only pays off when
-        consecutive requests hit a warm state; the LRU keeps the last
+        A cold base costs one CLS and one structured QR of the request's
+        own ``b = L/c`` block reduced chain, a fraction of a full solve;
+        the fingerprint probe has already proved ``job.c, job.q`` equal
+        the base's.  The build runs in a ``service.delta.factor`` span
+        under the ambient one.  The LRU keeps the last
         ``delta_solver_states`` bases.
         """
         key = base.fingerprint
@@ -607,22 +612,23 @@ class GreensService:
             state = self._delta_states.get(key)
             if state is not None:
                 self._delta_states.move_to_end(key)
-                return state
+                return state, False
         assert base.h is not None
-        spec = job.spec
-        base_field = HSField.from_buffer(
-            np.frombuffer(base.h, dtype=np.int8), spec.L, spec.N
-        )
-        pc = spec.build_model().build_matrix(base_field, spec.sigma)
-        state = PCyclicWoodbury(pc)
+        with _telemetry.span("service.delta.factor", c=job.c, q=job.q):
+            spec = job.spec
+            base_field = HSField.from_buffer(
+                np.frombuffer(base.h, dtype=np.int8), spec.L, spec.N
+            )
+            pc = spec.build_model().build_matrix(base_field, spec.sigma)
+            state = PCyclicWoodbury(pc, job.c, job.q)
         with self._delta_lock:
             # A racing thread may have built the same state; keep the
-            # first one so warm LU caches are shared.
+            # first one so every request shares one factorisation.
             state = self._delta_states.setdefault(key, state)
             self._delta_states.move_to_end(key)
             while len(self._delta_states) > self.config.delta_solver_states:
                 self._delta_states.popitem(last=False)
-        return state
+        return state, True
 
     def _try_delta(self, job: GreensJob, ticket: JobTicket) -> bool:
         """Serve ``job`` by a Woodbury update of its hinted base.
@@ -644,6 +650,7 @@ class GreensService:
             "service.delta",
             parent=ticket._span.context,
             base=job.base_fingerprint[:12],
+            c=job.c,
         )
 
         def fallback(reason: str) -> bool:
@@ -686,7 +693,9 @@ class GreensService:
             return fallback("rank")
         try:
             t0 = time.perf_counter()
-            state = self._delta_state(base, job)
+            with use_context(span.context):
+                state, cold = self._delta_state(base, job)
+            span.set_attribute("cold", cold)
             with FlopTracer() as tracer, tracer.stage("delta"):
                 blocks, report = state.update_blocks(base.blocks, flips)
             elapsed = time.perf_counter() - t0

@@ -68,3 +68,22 @@ def test_triangular_solve(is_complex):
         B = B + 1j * rng.standard_normal((6, 9))
     np.testing.assert_allclose(kr.triangular_solve(R, B),
                                sla.solve_triangular(R, B), atol=1e-13)
+
+
+@pytest.mark.parametrize("is_complex", [False, True])
+@pytest.mark.parametrize("from_c", [False, True], ids=["in-place", "from-c"])
+def test_gemm_acc(is_complex, from_c):
+    rng = np.random.default_rng(5)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if is_complex else a
+
+    A, B, C = draw(6, 5, 1), draw(6, 1, 5), draw(6, 5, 5)
+    expect = C - np.matmul(A, B)
+    if from_c:
+        out = kr.gemm_acc(np.empty_like(C), A, B, alpha=-1.0, c=C)
+    else:
+        out = kr.gemm_acc(C, A, B, alpha=-1.0)
+        assert out is C
+    np.testing.assert_allclose(out, expect, atol=1e-13)

@@ -6,7 +6,6 @@ Property-based coverage of the incremental serving core:
   (entry reconstruction and the BLAS-3 flush);
 * :func:`diag_flips` recovers exactly the flipped positions with the
   multiplicative Hubbard scale;
-* :func:`transpose_pcyclic` realises ``P M^T P`` in normal form;
 * ``PCyclicWoodbury.update_blocks`` after ``k`` random flips agrees
   with a *fresh* FSI solve of the flipped field to tight tolerance,
   across patterns, ranks and geometries (the tentpole property).
@@ -26,7 +25,6 @@ from repro.core.smw import (
     PCyclicWoodbury,
     RankOneFlip,
     diag_flips,
-    transpose_pcyclic,
 )
 from repro.hubbard.hs_field import HSField
 from repro.hubbard.lattice import RectangularLattice
@@ -102,7 +100,7 @@ class TestFactorPairs:
 
 
 # ----------------------------------------------------------------------
-# diag_flips / transpose_pcyclic
+# diag_flips / the transpose solve
 # ----------------------------------------------------------------------
 
 class TestFlipDiff:
@@ -130,16 +128,6 @@ class TestFlipDiff:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="shapes"):
             diag_flips(np.ones((2, 3)), np.ones((3, 2)), 0.5)
-
-    def test_transpose_pcyclic_realises_reversed_transpose(self):
-        pc = random_pcyclic(6, 4, np.random.default_rng(2), scale=0.5)
-        Mt = transpose_pcyclic(pc).to_dense()
-        n = pc.L * pc.N
-        P = np.zeros((n, n))
-        for i in range(pc.L):
-            j = pc.L - 1 - i
-            P[i * pc.N:(i + 1) * pc.N, j * pc.N:(j + 1) * pc.N] = np.eye(pc.N)
-        np.testing.assert_allclose(Mt, P @ pc.to_dense().T @ P, atol=1e-13)
 
     def test_transpose_solve_solves_mt(self):
         pc = random_pcyclic(5, 3, np.random.default_rng(4), scale=0.4)

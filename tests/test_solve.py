@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pcyclic import random_pcyclic
+from repro.core.pcyclic import BlockPCyclic, random_pcyclic
 from repro.core.solve import PCyclicSolver, determinant
 from repro.telemetry import FlopTracer
 
@@ -52,6 +52,48 @@ class TestSolve:
         with FlopTracer() as t_inv:
             full_lu_inverse(hubbard_pc)
         assert t_solve.total_flops < 0.2 * t_inv.total_flops
+
+
+class TestSolveTranspose:
+    """``M^T y = v`` from the one structured QR of ``M``."""
+
+    @staticmethod
+    def _pc(L: int, N: int, complex_: bool, seed: int) -> BlockPCyclic:
+        rng = np.random.default_rng(seed)
+        pc = random_pcyclic(L, N, rng, scale=0.6)
+        if complex_:
+            pc = BlockPCyclic(pc.B + 0.3j * rng.standard_normal(pc.B.shape))
+        return pc
+
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("L", [1, 2, 7])
+    @pytest.mark.parametrize("k", [None, 3], ids=["vector", "block"])
+    def test_matches_dense_transpose_solve(self, L, complex_, k):
+        N = 4
+        pc = self._pc(L, N, complex_, seed=10 * L + (k or 0))
+        rng = np.random.default_rng(L)
+        shape = (L * N,) if k is None else (L * N, k)
+        v = rng.standard_normal(shape)
+        if complex_:
+            v = v + 1j * rng.standard_normal(shape)
+        y = PCyclicSolver(pc).solve_transpose(v)
+        assert y.shape == v.shape
+        # Plain transpose, not the conjugate transpose.
+        np.testing.assert_allclose(
+            y, np.linalg.solve(pc.to_dense().T, v), rtol=1e-10, atol=1e-12
+        )
+
+    def test_shares_the_forward_factorisation(self, small_pc, rng):
+        solver = PCyclicSolver(small_pc)
+        v = rng.standard_normal((small_pc.shape[0], 2))
+        y = solver.solve_transpose(v)
+        x = solver.solve(v)
+        np.testing.assert_allclose(small_pc.rmatvec(y), v, atol=1e-10)
+        np.testing.assert_allclose(small_pc.matvec(x), v, atol=1e-10)
+
+    def test_wrong_rhs_size(self, small_pc):
+        with pytest.raises(ValueError, match="leading dimension"):
+            PCyclicSolver(small_pc).solve_transpose(np.ones(7))
 
 
 class TestDeterminant:
