@@ -1,11 +1,11 @@
 """RPR005 — metric naming and the register-once contract.
 
-PR 7's sharded-cache lesson: cache hit/miss metrics double-counted the
-moment two layers each incremented them, so the contract became
-"count once, at the routing layer" — and the structural half of that
-contract is that each metric *family* is registered at exactly one
-call site per module, under a ``repro_``-prefixed snake_case name the
-dashboards can rely on.  The rule checks every
+Cache hit/miss metrics double-count the moment two layers each
+increment them, so the contract is "count once, at one layer" — and
+the structural half of that contract is that each metric *family* is
+registered at exactly one call site per module, under a
+``repro_``-prefixed snake_case name the dashboards can rely on.  The
+rule checks every
 ``registry.counter/gauge/histogram("literal", ...)`` call: the literal
 must match ``repro_[a-z_]+`` and must not be registered at two
 distinct call sites in the same module.

@@ -282,7 +282,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         backpressure=BackpressurePolicy(args.backpressure),
         cache_bytes=args.cache_mb * 1024 * 1024,
-        cache_shards=args.cache_shards,
         batch_max=args.batch_max,
         job_timeout=args.job_timeout,
         transport=args.transport,
@@ -619,9 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cache-mb", type=int,
                    default=ServiceConfig.cache_bytes // (1024 * 1024),
                    help="result-cache byte budget in MiB (default: %(default)s)")
-    s.add_argument("--cache-shards", type=int, default=1,
-                   help="result-cache shards (consistent hashing over"
-                        " fingerprints)")
     s.add_argument("--batch-max", type=int, default=4)
     s.add_argument("--job-timeout", type=float, default=None)
     s.add_argument("--transport", default=None,

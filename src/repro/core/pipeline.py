@@ -9,6 +9,9 @@ with its reduced chain, shifted operator and ``1/(z-1)`` scale)::
                  -> BSOFI -> screen band, seed residual
                  -> WRP -> (scale) -> sampled result screen
 
+A shift enters after CLS: its factor screened the input and checked
+the cluster conditions once, on the unshifted chain.
+
 Each stage is a :func:`repro.telemetry.stage` (span + flop accounting).
 """
 
@@ -54,12 +57,14 @@ def run_stages(
 ) -> tuple[SelectedInversion, SeedSet, GuardReport | None]:
     """Run the guarded stages; return ``(selected, seeds, report)``.
 
-    ``reduced`` (the caller's reduced chain) skips the input screen and
-    CLS; ``scale`` multiplies the wrapped blocks before the result
+    ``reduced`` (the caller's reduced chain) skips the input screen, CLS
+    and the cluster-condition check, which the caller runs once where it
+    clustered; ``scale`` multiplies the wrapped blocks before the result
     screen.  A guard trip raises ``NumericalHealthError``.
     """
     report = GuardReport() if guards is not None else None
-    if reduced is None:
+    ran_cls = reduced is None
+    if ran_cls:
         if guards is not None and guards.screen_input:
             _guards.screen_finite("input", pc.B, report=report)
         with _telemetry.stage("cls"):
@@ -71,7 +76,7 @@ def run_stages(
     if guards is not None:
         if guards.screen_stages:
             _guards.screen_finite("cls", reduced.B, report=report)
-        if guards.condition_samples:
+        if guards.condition_samples and ran_cls:
             _guards.check_cluster_conditions(reduced.B, guards, report)
     with _telemetry.stage("bsofi"):
         seeds = bsofi_seeds(reduced, selection.pattern)

@@ -26,7 +26,7 @@ Quickstart::
         blocks = svc.submit(job).result().blocks
 """
 
-from .cache import CacheStats, LRUResultCache, ShardedResultCache
+from .cache import CacheStats, LRUResultCache
 from .errors import (
     InvalidJobError,
     JobFailedError,
@@ -67,7 +67,6 @@ __all__ = [
     "ServiceDegradedError",
     "ServiceError",
     "ServiceMetrics",
-    "ShardedResultCache",
     "WorkerCrashError",
     "WorkerPool",
     "chaos_batch_task",

@@ -15,16 +15,13 @@ resource, exactly as in the paper's Fig. 9 OOM analysis.
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
 
 from .job import JobResult
 
-__all__ = ["CacheStats", "LRUResultCache", "ShardedResultCache"]
+__all__ = ["CacheStats", "LRUResultCache"]
 
 
 @dataclass
@@ -80,9 +77,9 @@ class LRUResultCache:
     def peek(self, fingerprint: str) -> JobResult | None:
         """Like :meth:`get` but without touching the hit/miss counters.
 
-        For *secondary* lookups — e.g. the scheduler probing for a
-        delta-update base — where a miss is not a cache failure and
-        must not depress the reported hit rate.  Recency is still
+        For callers that count lookups themselves (the service counts
+        each request's lookup once, in its metrics) or whose misses are
+        not cache failures (delta-base probes).  Recency is still
         refreshed: a result actively used as a delta base is exactly
         the one eviction should spare.
         """
@@ -151,137 +148,3 @@ class LRUResultCache:
                 bytes_used=self._bytes,
                 bytes_budget=self.max_bytes,
             )
-
-
-def _ring_hash(key: str) -> int:
-    """Stable 64-bit point on the hash ring (never Python's ``hash``,
-    which is salted per process and would re-shard on every restart)."""
-    return int.from_bytes(hashlib.sha1(key.encode()).digest()[:8], "big")
-
-
-class ShardedResultCache:
-    """Consistent-hash router over per-shard :class:`LRUResultCache`\\ s.
-
-    Fingerprints are placed on a hash ring with ``replicas`` virtual
-    nodes per shard; a fingerprint always routes to the same shard, so
-    a delta-eligible request probing for its ``base_fingerprint``
-    lands on the shard that owns the base entry by construction — no
-    cross-shard search.  Because the ring is keyed by a stable content
-    hash, growing the fleet from ``n`` to ``n+1`` shards remaps only
-    ``~1/(n+1)`` of the keyspace (the classic consistent-hashing
-    property), instead of reshuffling everything as ``hash % n`` would.
-
-    **Hit/miss counting happens exactly once, here at the routing
-    layer** (satellite: sharded lookups must not double-count): routed
-    lookups go through the shards' *uncounted* :meth:`LRUResultCache.
-    peek`, and the router tallies per-shard hits/misses itself,
-    reporting them through ``on_lookup(shard, hit)`` so the service
-    can expose a shard-labelled counter family.  The byte budget is
-    split evenly across shards (remainder to the low shards).
-    """
-
-    def __init__(
-        self,
-        max_bytes: int,
-        shards: int = 1,
-        replicas: int = 64,
-        on_lookup: Callable[[int, bool], None] | None = None,
-    ):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        max_bytes = int(max_bytes)
-        base, rem = divmod(max(max_bytes, 0), shards)
-        self.max_bytes = max_bytes
-        self.shards = [
-            LRUResultCache(base + (1 if s < rem else 0)) for s in range(shards)
-        ]
-        self._on_lookup = on_lookup
-        points = sorted(
-            (_ring_hash(f"shard-{s}#{v}"), s)
-            for s in range(shards)
-            for v in range(replicas)
-        )
-        self._ring = [p for p, _ in points]
-        self._owners = [s for _, s in points]
-        self._lock = threading.Lock()
-        self._hits = [0] * shards
-        self._misses = [0] * shards
-
-    # ------------------------------------------------------------------
-    def shard_for(self, fingerprint: str) -> int:
-        """The shard index owning ``fingerprint`` (pure, stable)."""
-        i = bisect.bisect(self._ring, _ring_hash(fingerprint))
-        return self._owners[i % len(self._owners)]
-
-    def get(
-        self, fingerprint: str, count_misses: bool = True
-    ) -> JobResult | None:
-        """Routed lookup; counts one hit or miss against the owning shard.
-
-        ``count_misses=False`` is for re-checks of a fingerprint whose
-        miss was already counted (the scheduler's under-lock race
-        probe): a hit there is a real serve and still counts, a second
-        miss for the same request would inflate the miss rate.
-        """
-        shard = self.shard_for(fingerprint)
-        # peek, not get: the shard's own counters must stay silent so
-        # the lookup is counted exactly once (recency still refreshes).
-        result = self.shards[shard].peek(fingerprint)
-        hit = result is not None
-        if not hit and not count_misses:
-            return None
-        with self._lock:
-            if hit:
-                self._hits[shard] += 1
-            else:
-                self._misses[shard] += 1
-        if self._on_lookup is not None:
-            self._on_lookup(shard, hit)
-        return result
-
-    def peek(self, fingerprint: str) -> JobResult | None:
-        """Uncounted routed lookup (delta-base probes)."""
-        return self.shards[self.shard_for(fingerprint)].peek(fingerprint)
-
-    def put(self, result: JobResult) -> bool:
-        return self.shards[self.shard_for(result.fingerprint)].put(result)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self.shards[self.shard_for(fingerprint)]
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def clear(self) -> None:
-        for shard in self.shards:
-            shard.clear()
-        with self._lock:
-            self._hits = [0] * len(self.shards)
-            self._misses = [0] * len(self.shards)
-
-    # ------------------------------------------------------------------
-    def shard_stats(self) -> list[CacheStats]:
-        """Per-shard stats, with hits/misses from the router's tally."""
-        out = []
-        with self._lock:
-            hits, misses = list(self._hits), list(self._misses)
-        for s, shard in enumerate(self.shards):
-            stats = shard.stats()
-            stats.hits, stats.misses = hits[s], misses[s]
-            out.append(stats)
-        return out
-
-    def stats(self) -> CacheStats:
-        """Fleet-wide aggregate (same shape as a single cache's stats)."""
-        per = self.shard_stats()
-        return CacheStats(
-            hits=sum(s.hits for s in per),
-            misses=sum(s.misses for s in per),
-            evictions=sum(s.evictions for s in per),
-            drops=sum(s.drops for s in per),
-            entries=sum(s.entries for s in per),
-            bytes_used=sum(s.bytes_used for s in per),
-            bytes_budget=self.max_bytes,
-        )

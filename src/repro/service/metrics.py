@@ -67,14 +67,6 @@ class ServiceMetrics:
         self.cache_misses = r.counter(
             "repro_cache_misses_total", "Result-cache misses"
         )
-        # Routed lookups, labelled by the owning shard.  Incremented by
-        # the cache routing layer exactly once per lookup (the shard
-        # caches themselves never count) — see ShardedResultCache.
-        self.cache_lookups = r.counter(
-            "repro_cache_lookups_total",
-            "Result-cache lookups by owning shard and outcome",
-            labels=("shard", "outcome"),
-        )
         self.coalesced = r.counter(
             "repro_jobs_coalesced_total",
             "Submissions coalesced onto an in-flight identical job",

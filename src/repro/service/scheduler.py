@@ -47,7 +47,7 @@ from ..resilience.health import BreakerState, CircuitBreaker, ServiceState
 from ..telemetry import runtime as _telemetry
 from ..telemetry.context import use_context
 from ..telemetry.spans import NULL_SPAN
-from .cache import CacheStats, ShardedResultCache
+from .cache import CacheStats, LRUResultCache
 from .errors import (
     InvalidJobError,
     JobFailedError,
@@ -79,9 +79,6 @@ class ServiceConfig:
     #: chunks an overlapping omega-grid re-reads — not to hold every
     #: result: unique results never read again only grow the process.
     cache_bytes: int = 32 * 1024 * 1024
-    #: Result-cache shards (consistent hashing over fingerprints);
-    #: delta-base probes route to the shard owning the base entry.
-    cache_shards: int = 1
     batch_max: int = 4
     batch_window: float = 0.0
     job_timeout: float | None = None
@@ -145,8 +142,6 @@ class ServiceConfig:
             raise ValueError("batch_max must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.cache_shards < 1:
-            raise ValueError("cache_shards must be >= 1")
         if self.pdiv_partitions < 0:
             raise ValueError("pdiv_partitions must be >= 0")
         if self.delta_rank_budget < 1:
@@ -239,14 +234,9 @@ class GreensService:
         self.config = config or ServiceConfig()
         cfg = self.config
         self.metrics = ServiceMetrics()
-        # Hit/miss counting lives in the cache's routing layer (once
-        # per lookup, shard-labelled) — never at the submit call sites,
-        # which would double-count routed lookups.
-        self.cache = ShardedResultCache(
-            cfg.cache_bytes,
-            shards=cfg.cache_shards,
-            on_lookup=self._count_cache_lookup,
-        )
+        # Lookups go through the uncounted ``peek``: submit() counts
+        # each one once, in ``self.metrics``.
+        self.cache = LRUResultCache(cfg.cache_bytes)
         self._queue = BoundedPriorityQueue(cfg.queue_capacity, cfg.backpressure)
         task_fn = cfg.task_fn
         if cfg.chaos_plan is not None:
@@ -294,18 +284,6 @@ class GreensService:
         ]
         for thread in self._dispatchers:
             thread.start()
-
-    def _count_cache_lookup(self, shard: int, hit: bool) -> None:
-        """The single counting point for routed cache lookups.
-
-        Feeds both the shard-labelled family and the label-less
-        aggregates that drive ``hit_rate`` — one increment each per
-        lookup, regardless of how many shards the fleet has.
-        """
-        self.metrics.cache_lookups.labels(
-            shard=str(shard), outcome="hit" if hit else "miss"
-        ).inc()
-        (self.metrics.cache_hits if hit else self.metrics.cache_misses).inc()
 
     def _register_gauges(self) -> None:
         """Callback gauges over live service state (read at scrape time)."""
@@ -417,15 +395,10 @@ class GreensService:
                 return self._submit_spectral(job, ticket, priority)
             self.metrics.spectral_chunks.inc()
 
-        # The cache's routing layer counts the hit/miss (shard-labelled,
-        # exactly once) — no metric increments here.
-        cached = self.cache.get(job.fingerprint)
+        cached = self.cache.peek(job.fingerprint)
         if cached is not None:
-            ticket.cache_hit = True
-            ticket._resolve(cached)
-            self.metrics.latency.observe(ticket.latency or 0.0)
-            self.metrics.completed.inc()
-            return ticket
+            return self._serve_cached(ticket, cached)
+        self.metrics.cache_misses.inc()
 
         # Delta fast path: a request hinting at a cached base may be
         # served by a rank-k Woodbury update instead of a full solve.
@@ -447,15 +420,11 @@ class GreensService:
             # cached this fingerprint and left the in-flight table
             # between our miss above and acquiring the lock — without
             # this, that race would recompute a cached result.
-            # count_misses=False: this request's miss was already
-            # counted above; only a rescued hit is news.
-            cached = self.cache.get(job.fingerprint, count_misses=False)
+            # This request's miss was counted above; only a rescued
+            # hit is news.
+            cached = self.cache.peek(job.fingerprint)
             if cached is not None:
-                ticket.cache_hit = True
-                ticket._resolve(cached)
-                self.metrics.latency.observe(ticket.latency or 0.0)
-                self.metrics.completed.inc()
-                return ticket
+                return self._serve_cached(ticket, cached)
             # Not cached, not coalescible: this needs fresh compute,
             # which an open breaker sheds instead of queueing behind a
             # dead pool.  (HALF_OPEN still admits — queued jobs are the
@@ -497,6 +466,15 @@ class GreensService:
                 ),
                 counter=self.metrics.shed,
             )
+        return ticket
+
+    def _serve_cached(self, ticket: JobTicket, result: JobResult) -> JobTicket:
+        """Resolve ``ticket`` from a cache hit, counting the hit."""
+        self.metrics.cache_hits.inc()
+        ticket.cache_hit = True
+        ticket._resolve(result)
+        self.metrics.latency.observe(ticket.latency or 0.0)
+        self.metrics.completed.inc()
         return ticket
 
     def compute(
@@ -913,15 +891,6 @@ class GreensService:
                 "bytes_budget": cache.bytes_budget,
                 "evictions": cache.evictions,
                 "drops": cache.drops,
-                "shards": [
-                    {
-                        "hits": s.hits,
-                        "misses": s.misses,
-                        "entries": s.entries,
-                        "bytes_used": s.bytes_used,
-                    }
-                    for s in self.cache.shard_stats()
-                ],
             }
         )
         data["delta"]["states"] = len(self._delta_states)
@@ -929,7 +898,12 @@ class GreensService:
         return data
 
     def cache_stats(self) -> CacheStats:
-        return self.cache.stats()
+        """The cache's occupancy, with the hit/miss counts of ``submit``."""
+        return dataclasses.replace(
+            self.cache.stats(),
+            hits=int(self.metrics.cache_hits.value),
+            misses=int(self.metrics.cache_misses.value),
+        )
 
     def report(self) -> str:
         return self.metrics.report(queue_depth=len(self._queue))

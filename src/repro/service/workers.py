@@ -29,7 +29,6 @@ worker process.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import os
 import random
@@ -335,17 +334,13 @@ class WorkerPool:
         self._task_fn = task_fn
         self._fleet_ranks = fleet_ranks
         self._threads_per_rank = threads_per_rank
-        self._transport = transport
-        self._pdiv_partitions = pdiv_partitions
-        self._guards = guards
+        #: Forwarded to ``task_fn`` with every batch (plus ``trace_ctx``).
+        self._task_kwargs = {
+            "guards": guards,
+            "transport": transport,
+            "pdiv_partitions": pdiv_partitions,
+        }
         self._on_retry = on_retry
-        # Custom task_fns (tests, chaos drills) may predate telemetry or
-        # the guards; only forward the optional kwargs the signature
-        # actually takes, so they keep working unchanged.
-        try:
-            self._task_params = set(inspect.signature(task_fn).parameters)
-        except (TypeError, ValueError):  # pragma: no cover - C callables
-            self._task_params = set()
         #: Applied in every worker process this pool starts.
         self.budget = ParallelBudget.resolve(
             processes=workers, ranks=fleet_ranks, team=threads_per_rank
@@ -400,15 +395,7 @@ class WorkerPool:
     ) -> list[JobResult]:
         """Execute a batch with timeout/retry; blocks the calling thread."""
         attempts = 0
-        kwargs = {}
-        if trace_ctx is not None and "trace_ctx" in self._task_params:
-            kwargs["trace_ctx"] = trace_ctx
-        if self._guards is not None and "guards" in self._task_params:
-            kwargs["guards"] = self._guards
-        if self._transport is not None and "transport" in self._task_params:
-            kwargs["transport"] = self._transport
-        if self._pdiv_partitions >= 2 and "pdiv_partitions" in self._task_params:
-            kwargs["pdiv_partitions"] = self._pdiv_partitions
+        kwargs = {**self._task_kwargs, "trace_ctx": trace_ctx}
         args = (list(jobs), self._fleet_ranks, self._threads_per_rank)
         while True:
             executor, generation, segment = self._current()

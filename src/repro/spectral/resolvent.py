@@ -40,7 +40,9 @@ ill-conditioned regime the resilience ladder exists for: with guards
 enabled, a tripped fast path falls back to a full
 :func:`~repro.core.fsi.fsi_resilient` solve of the shifted chain for
 that shift only, and the serving rung is recorded per shift on the
-``repro_spectral_shifts_total`` counter.
+``repro_spectral_shifts_total`` counter.  The cluster-condition check
+is the exception: scaling leaves condition numbers unchanged, so it
+runs once per factor and a trip sends every shift to the ladder.
 """
 
 from __future__ import annotations
@@ -221,9 +223,10 @@ class ResolventFactor:
         service, so the same request must do the same work.
     guards:
         Optional :class:`~repro.resilience.guards.GuardConfig`.  When
-        set, every shift runs the complex-capable guard battery
-        (finiteness screens, reduced-chain condition estimates, seed
-        identity residuals); a trip retries that shift through
+        set, the factor estimates the reduced chain's condition once
+        and every shift runs the complex-capable screens and seed
+        identity residual; a trip retries that shift (a condition
+        trip: every shift) through
         :func:`~repro.core.fsi.fsi_resilient`'s fallback ladder.
     num_threads:
         Team size for the one-time CLS stage (sweeps parallelise over
@@ -261,6 +264,15 @@ class ResolventFactor:
                 reduced = cls(pc, c, q, num_threads=num_threads)
             if guards is not None and guards.screen_stages:
                 _guards.screen_finite("cls", reduced.B, report=report)
+            # s(z)^c R_i has the condition number of R_i, so one estimate
+            # on the unshifted chain gives every shift's verdict; a trip
+            # sends every shift straight to the fallback ladder.
+            self._conditioned = True
+            if guards is not None and guards.condition_samples:
+                try:
+                    _guards.check_cluster_conditions(reduced.B, guards, report)
+                except NumericalHealthError:
+                    self._conditioned = False
             self._reduced_B = np.ascontiguousarray(
                 reduced.B.astype(np.complex128)
             )
@@ -299,19 +311,21 @@ class ResolventFactor:
         """
         if self.guards is None:
             return self._solve_factored(z, num_threads), "factored"
-        try:
-            return self._solve_factored(z, num_threads), "factored"
-        except (NumericalHealthError, OverflowError):
-            # OverflowError: ``s(z)^c`` left double range (a shift
-            # pathologically close to z=1) before any screen could see
-            # an array — same illness, same ladder.
-            pc_z, d = shifted_pcyclic(self.pc, z)
-            result = fsi_resilient(
-                pc_z, self.c, self.pattern, q=self.q,
-                num_threads=num_threads, guards=self.guards,
-            )
-            result.selected.data *= 1.0 / d
-            return result.selected, result.rung
+        if self._conditioned:
+            try:
+                return self._solve_factored(z, num_threads), "factored"
+            except (NumericalHealthError, OverflowError):
+                # OverflowError: ``s(z)^c`` left double range (a shift
+                # pathologically close to z=1) before any screen could
+                # see an array — same illness, same ladder.
+                pass
+        pc_z, d = shifted_pcyclic(self.pc, z)
+        result = fsi_resilient(
+            pc_z, self.c, self.pattern, q=self.q,
+            num_threads=num_threads, guards=self.guards,
+        )
+        result.selected.data *= 1.0 / d
+        return result.selected, result.rung
 
     # -- the grid ------------------------------------------------------
     def sweep(

@@ -116,7 +116,7 @@ class TestExportReceive:
 _ORPHAN_PREFIX = ""
 
 
-def _create_segment_then_die(jobs, fleet_ranks=1, threads_per_rank=1):
+def _create_segment_then_die(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
     shm = shared_memory.SharedMemory(
         name=f"{_ORPHAN_PREFIX}0-orphan", create=True, size=4096
     )

@@ -30,7 +30,7 @@ def restore_budget():
     before.apply()
 
 
-def _report_blas(jobs, fleet_ranks=1, threads_per_rank=1):
+def _report_blas(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
     """Pool task: the worker's BLAS thread counts (module level, so the
     fork-based pool can run it)."""
     return [blas_threads()]

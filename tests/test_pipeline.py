@@ -21,7 +21,7 @@ from repro.core.pipeline import cluster_offset
 from repro.hubbard.hs_field import HSField
 from repro.resilience.guards import GuardConfig, estimate_condition
 from repro.service import GreensJob, ModelSpec, execute_job
-from repro.spectral import OmegaGrid, ResolventFactor, SpectralSpec
+from repro.spectral import OmegaGrid, ResolventFactor, SpectralSpec, shifted_pcyclic
 
 
 @pytest.fixture(autouse=True)
@@ -67,12 +67,40 @@ class TestGuardParity:
         factor = ResolventFactor(
             toy_pcyclic(), 4, Pattern.DIAGONAL, q=1, guards=GuardConfig()
         )
-        assert guard_checks() == {"finite": 2}  # one-time input + cls
+        # one-time input + cls screens and the cluster-condition check
+        assert guard_checks() == {"finite": 2, "condition": 1}
         telemetry.reset()
         _, rung = factor.solve_shift(complex(-1.0, 0.1))
         assert rung == "factored"
-        # scaled cls, bsofi and result screens; one condition, one residual
-        assert guard_checks() == {"finite": 3, "condition": 1, "residual": 1}
+        # scaled cls, bsofi and result screens; one residual
+        assert guard_checks() == {"finite": 3, "residual": 1}
+
+    def test_ill_conditioned_factor_sends_every_shift_to_the_ladder(self):
+        pc = toy_pcyclic()
+        cond = max(estimate_condition(b) for b in cls(pc, 4, 1).B)
+        guards = GuardConfig(condition_limit=cond / 2, condition_samples=64)
+        factor = ResolventFactor(pc, 4, Pattern.DIAGONAL, q=1, guards=guards)
+        assert guard_checks()["condition"] == 1
+        grid = OmegaGrid.linear(-2.0, 2.0, 4, eta=0.3)
+        telemetry.reset()
+        swept = factor.sweep(grid, num_threads=1)
+        assert "factored" not in swept.rungs
+        ladder_checks = guard_checks()["condition"]
+        dense = pc.to_dense()
+        N = pc.N
+        for j, z in enumerate(grid.z):
+            ref = np.linalg.inv(z * np.eye(dense.shape[0]) - dense)
+            for (k, l), blk in swept.blocks.items():
+                np.testing.assert_allclose(
+                    blk[j], ref[(k - 1) * N:k * N, (l - 1) * N:l * N],
+                    atol=1e-10,
+                )
+        # The sweep ran no condition check beyond the ladder's own.
+        telemetry.reset()
+        for z in grid.z:
+            fsi_resilient(shifted_pcyclic(pc, z)[0], 4, Pattern.DIAGONAL,
+                          q=1, guards=guards)
+        assert guard_checks()["condition"] == ladder_checks
 
 
 class TestClusterOffset:

@@ -7,6 +7,7 @@ Covers the acceptance scenarios of the service subsystem:
 * LRU cache eviction under a byte budget;
 * worker-crash retry and per-batch timeout (chaos tasks);
 * graceful shutdown drain and forced shutdown;
+* PDIV serving and an mp-shm fleet producing one stitched trace;
 * an end-to-end 100-job burst with >= 30% duplicates verified
   against the direct :func:`repro.core.fsi.fsi` oracle.
 """
@@ -22,6 +23,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.fsi import fsi
 from repro.core.patterns import Pattern
 from repro.hubbard.hs_field import HSField
@@ -46,6 +48,7 @@ from repro.service import (
 )
 from repro.resilience import FaultKind, FaultPlan, FaultRule
 from repro.service.workers import chaos_batch_task
+from repro.telemetry import runtime as _telemetry
 
 #: Small enough that one FSI run takes ~a millisecond.
 SPEC = ModelSpec(nx=2, ny=2, L=8, t=1.0, U=2.0, beta=1.0)
@@ -69,24 +72,25 @@ def oracle_blocks(job: GreensJob) -> dict:
 # picklable chaos tasks (module level so the fork-based pool finds them)
 # ----------------------------------------------------------------------
 
-def _sleep_task(jobs, fleet_ranks=1, threads_per_rank=1):
+def _sleep_task(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
     time.sleep(60.0)
     return []
 
 
-def _always_crash_task(jobs, fleet_ranks=1, threads_per_rank=1):
+def _always_crash_task(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
     os.kill(os.getpid(), 9)
 
 
 SLOW_TASK_SECONDS = 0.5
 
 
-def _slow_task(jobs, fleet_ranks=1, threads_per_rank=1):
+def _slow_task(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
     time.sleep(SLOW_TASK_SECONDS)
-    return execute_batch(jobs, fleet_ranks, threads_per_rank)
+    return execute_batch(jobs, fleet_ranks, threads_per_rank, **kwargs)
 
 
-def _gated_task(jobs, fleet_ranks=1, threads_per_rank=1, gate_path=None):
+def _gated_task(jobs, fleet_ranks=1, threads_per_rank=1, gate_path=None,
+                **kwargs):
     """Block until ``gate_path`` exists, then compute normally."""
     while not os.path.exists(gate_path):
         time.sleep(0.005)
@@ -446,6 +450,38 @@ class TestServiceCoalescing:
         assert svc.metrics.executions.value == 1
         assert svc.metrics.cache_hits.value == 1
 
+    def test_counts_each_lookup_once(self, monkeypatch):
+        job = make_job(seed=7)
+        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+            real_peek = svc.cache.peek
+            race = []
+
+            def peek(fingerprint):
+                if race:
+                    # The completion lands between this lookup and the
+                    # re-check under the lock.
+                    race.pop()
+                    return None
+                return real_peek(fingerprint)
+
+            monkeypatch.setattr(svc.cache, "peek", peek)
+            svc.submit(job).result(timeout=60.0)     # miss, computed
+            assert svc.submit(job).cache_hit         # hit
+            race.append(True)
+            rescued = svc.submit(job)                # miss, re-check hit
+            assert rescued.cache_hit and rescued.done() and not race
+            stats = svc.stats()
+            cache = svc.cache_stats()
+        assert svc.metrics.executions.value == 1
+        # Three submits, one rescued: its miss and its re-check hit
+        # each count once; the first submit's re-check miss does not.
+        assert (stats["cache"]["hits"], stats["cache"]["misses"]) == (2, 2)
+        assert "shards" not in stats["cache"]
+        for key in ("hits", "misses", "evictions", "drops", "entries",
+                    "bytes_used", "bytes_budget"):
+            assert stats["cache"][key] == getattr(cache, key), key
+        assert stats["cache"]["hit_rate"] == cache.hit_rate
+
 
 class TestServiceCacheEviction:
     def test_budget_forces_recompute(self):
@@ -599,6 +635,63 @@ class TestServiceBackpressure:
             open(gate, "w").close()
             blocker.result(timeout=30.0)
             winner.result(timeout=30.0)
+
+
+# ----------------------------------------------------------------------
+class TestServiceTransport:
+    @pytest.fixture(autouse=True)
+    def _fresh_telemetry(self):
+        _telemetry.reset()
+        yield
+        _telemetry.reset()
+
+    def test_pdiv_serving_matches_oracle(self):
+        spec = ModelSpec(nx=2, ny=2, L=16, t=1.0, U=2.0, beta=1.0)
+        job = make_job(seed=11, c=4, pattern=Pattern.COLUMNS, q=1, spec=spec)
+        cfg = ServiceConfig(
+            workers=1, fleet_ranks=1, pdiv_partitions=2, transport="threads"
+        )
+        with GreensService(cfg) as svc:
+            res = svc.submit(job).result(timeout=120.0)
+        assert res.rung == "pdiv(2)"
+        expect = oracle_blocks(job)
+        assert set(res.blocks) == set(expect)
+        for kl, blk in expect.items():
+            np.testing.assert_allclose(res.blocks[kl], blk, atol=1e-10)
+
+    def test_mpshm_fleet_produces_single_stitched_trace(self):
+        # One serve request through an mp-shm fleet yields ONE trace
+        # spanning scheduler -> pool worker -> transport world -> every
+        # rank.
+        telemetry.configure(sample_rate=1.0)
+        jobs = [make_job(seed=100 + i) for i in range(2)]
+        cfg = ServiceConfig(
+            workers=1, fleet_ranks=2, batch_max=2, batch_window=0.25,
+            transport="mp-shm",
+        )
+        with GreensService(cfg) as svc:
+            tickets = [svc.submit(j) for j in jobs]
+            results = [t.result(timeout=120.0) for t in tickets]
+        for job, res in zip(jobs, results):
+            expect = oracle_blocks(job)
+            for kl, blk in expect.items():
+                np.testing.assert_allclose(res.blocks[kl], blk, atol=1e-10)
+        # Find the trace holding the transport spans; it must also hold
+        # the request-side spans — i.e. everything stitched together.
+        traces = _telemetry.collector().traces()
+        fleet_traces = [
+            spans for spans in traces.values()
+            if any(s["name"] == "transport.world" for s in spans)
+        ]
+        assert len(fleet_traces) == 1
+        names = {s["name"] for s in fleet_traces[0]}
+        assert {
+            "service.request", "service.dispatch", "worker.batch",
+            "fleet.selected", "transport.world", "transport.rank",
+        } <= names
+        ranks = [s for s in fleet_traces[0] if s["name"] == "transport.rank"]
+        assert len(ranks) == 2
+        assert all(s["attributes"]["backend"] == "mp-shm" for s in ranks)
 
 
 # ----------------------------------------------------------------------
