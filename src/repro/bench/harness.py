@@ -37,7 +37,6 @@ class TimedRun:
 
     label: str
     seconds: float
-    flops: float
     stage_flops: dict[str, float]
     stage_seconds: dict[str, float]
     result: object
@@ -55,6 +54,11 @@ class TimedRun:
     def seconds_median(self) -> float:
         """Median wall seconds over the repeats."""
         return statistics.median(self.all_seconds)
+
+    @property
+    def flops(self) -> float:
+        """Total flops: the sum of ``stage_flops``."""
+        return sum(self.stage_flops.values())
 
     @property
     def gflops(self) -> float:
@@ -90,7 +94,6 @@ def _timed(label: str, fn, repeats: int = 1, warmup: int = 0) -> TimedRun:
     return TimedRun(
         label=label,
         seconds=min(timings),
-        flops=tr.total_flops,
         stage_flops={k: v["flops"] for k, v in summary.items()},
         stage_seconds={k: v["seconds"] for k, v in summary.items()},
         result=result,

@@ -3,8 +3,8 @@
 All core algorithms (CLS, BSOFI, WRP, baselines) perform their matrix
 arithmetic through these wrappers so that
 
-* flop counts flow into the active :class:`repro.telemetry.FlopTracer`
-  (the evaluation section reports per-stage flop rates), and
+* flop counts flow into the open :func:`repro.telemetry.stage` (the
+  evaluation section reports per-stage flop rates), and
 * the flop-counting conventions are defined in exactly one place.
 
 Conventions (the standard dense counts the paper uses):

@@ -208,9 +208,13 @@ class FleetJobOutput:
 
     selection: Selection
     blocks: SelectedInversion
-    flops: float = 0.0
     stage_flops: dict[str, float] = field(default_factory=dict)
     seconds: float = 0.0
+
+    @property
+    def flops(self) -> float:
+        """Total flops: the sum of ``stage_flops``."""
+        return sum(self.stage_flops.values())
 
 
 def _bounds(n: int, size: int, rank: int) -> tuple[int, int]:
@@ -261,7 +265,6 @@ def _selected_rank_work(
                 FleetJobOutput(
                     selection=res.selection,
                     blocks=res.selected,
-                    flops=tracer.total_flops,
                     stage_flops={n_: tracer.flops(n_) for n_ in tracer.stages},
                     seconds=elapsed,
                 ),

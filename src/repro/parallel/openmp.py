@@ -21,9 +21,9 @@ which runs BLAS single-threaded: the team is the parallel layer, and
 threaded OpenBLAS called from inside one oversubscribes the cores.
 
 Team threads adopt the forking thread's telemetry — its
-:class:`~repro.telemetry.FlopTracer` stack, active stage and span
-context — through :func:`repro.telemetry.capture_thread`, so flop
-accounting and traces keep working inside parallel regions.
+:class:`~repro.telemetry.FlopTracer` stack, stage frame and span
+context — through :func:`repro.telemetry.capture_thread`, and fold
+their flops into the forking stage before :func:`_run_team` returns.
 """
 
 from __future__ import annotations

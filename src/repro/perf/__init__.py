@@ -1,6 +1,7 @@
 """Performance substrate: the Edison machine model and the analytic
 performance model used to regenerate the paper's figures.  (Measured
-flops come from :class:`repro.telemetry.FlopTracer`.)
+flops come from :func:`repro.telemetry.stage`, read through
+:class:`repro.telemetry.FlopTracer`.)
 """
 
 from .machine import EDISON, MachineSpec, fsi_rank_memory_bytes

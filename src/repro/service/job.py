@@ -263,15 +263,14 @@ class JobResult:
     one buffer: a :class:`~repro.core.patterns.BlockArray` (the
     solver's :class:`~repro.core.patterns.SelectedInversion` as is; any
     other mapping passed in is stacked into one); ``stage_flops``
-    carries the per-stage :class:`~repro.telemetry.FlopTracer`
-    summary from the worker so service metrics can attribute flops to
-    CLS/BSOFI/WRP without re-tracing.
+    carries the worker's flops per :func:`repro.telemetry.stage` (as
+    its :class:`~repro.telemetry.FlopTracer` read them), so service
+    metrics can attribute flops to CLS/BSOFI/WRP without re-tracing.
     """
 
     fingerprint: str
     selection: Selection
     blocks: BlockArray
-    flops: float = 0.0
     stage_flops: dict[str, float] = field(default_factory=dict)
     exec_seconds: float = 0.0
     #: Which solve path served the blocks: ``"direct"``, a fallback
@@ -303,6 +302,11 @@ class JobResult:
     def __post_init__(self) -> None:
         if not isinstance(self.blocks, BlockArray):
             self.blocks = BlockArray.from_mapping(self.blocks)
+
+    @property
+    def flops(self) -> float:
+        """Total flops: the sum of ``stage_flops``."""
+        return sum(self.stage_flops.values())
 
     @property
     def nbytes(self) -> int:

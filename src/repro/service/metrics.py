@@ -15,9 +15,9 @@ re-exported from :mod:`repro.telemetry.metrics`; histogram snapshots
 are computed under a single lock acquisition, so concurrent observers
 can never produce a torn (mutually inconsistent) snapshot.
 
-FlopTracer interop is unchanged: workers run under a
-:class:`~repro.telemetry.FlopTracer` and ship its per-stage summary
-back with each result, which :meth:`ServiceMetrics.absorb_stage_flops`
+Stage flops arrive with each result: workers count them per
+:func:`repro.telemetry.stage` and ship them back as
+``JobResult.stage_flops``, which :meth:`ServiceMetrics.absorb_stage_flops`
 folds into the ``repro_stage_flops_total{stage=...}`` counter family.
 """
 
@@ -132,7 +132,7 @@ class ServiceMetrics:
         self.batch_size = r.histogram(
             "repro_batch_size", "Jobs per dispatched batch"
         )
-        # flop accounting (FlopTracer interop)
+        # flop accounting (per-stage flops shipped with each result)
         self._stage_flops = r.counter(
             "repro_stage_flops_total",
             "Floating-point operations per algorithm stage",
@@ -141,7 +141,7 @@ class ServiceMetrics:
 
     # ------------------------------------------------------------------
     def absorb_stage_flops(self, stage_flops: dict[str, float]) -> None:
-        """Fold a worker's ``FlopTracer`` per-stage summary into totals."""
+        """Fold a result's ``stage_flops`` into the service totals."""
         for stage, flops in stage_flops.items():
             self._stage_flops.labels(stage=stage).inc(float(flops))
 

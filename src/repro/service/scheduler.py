@@ -472,10 +472,20 @@ class GreensService:
         """Resolve ``ticket`` from a cache hit, counting the hit."""
         self.metrics.cache_hits.inc()
         ticket.cache_hit = True
+        self._resolve(ticket, result)
+        return ticket
+
+    def _resolve(self, ticket: JobTicket, result: JobResult) -> None:
+        """Resolve ``ticket`` with ``result``; count its latency and
+        completion."""
         ticket._resolve(result)
         self.metrics.latency.observe(ticket.latency or 0.0)
         self.metrics.completed.inc()
-        return ticket
+
+    def _fail(self, ticket: JobTicket, error: BaseException) -> None:
+        """Fail ``ticket`` with ``error`` and count the failure."""
+        ticket._fail(error)
+        self.metrics.failed.inc()
 
     def compute(
         self, job: GreensJob, priority: int = 0, timeout: float | None = None
@@ -535,8 +545,7 @@ class GreensService:
                 # error surfaced, and the parent ticket carries it.
                 span.set_attribute("error", type(exc).__name__)
                 span.end()
-                ticket._fail(exc)
-                self.metrics.failed.inc()
+                self._fail(ticket, exc)
                 return
             t0 = time.perf_counter()
             # Chunks share the block index; shifts are axis 1.
@@ -555,16 +564,13 @@ class GreensService:
                 fingerprint=job.fingerprint,
                 selection=job.selection,
                 blocks=blocks,
-                flops=sum(r.flops for r in results),
                 stage_flops=stage_flops,
                 exec_seconds=sum(r.exec_seconds for r in results),
                 rung=f"spectral({job.spectral.n_omega})",
             )
             self.metrics.spectral_stitch.observe(time.perf_counter() - t0)
             span.end()
-            ticket._resolve(result)
-            self.metrics.latency.observe(ticket.latency or 0.0)
-            self.metrics.completed.inc()
+            self._resolve(ticket, result)
 
         threading.Thread(
             target=stitch, name="spectral-stitch", daemon=True
@@ -673,9 +679,9 @@ class GreensService:
             t0 = time.perf_counter()
             with use_context(span.context):
                 state, cold = self._delta_state(base, job)
-            span.set_attribute("cold", cold)
-            with FlopTracer() as tracer, tracer.stage("delta"):
-                blocks, report = state.update_blocks(base.blocks, flips)
+                span.set_attribute("cold", cold)
+                with FlopTracer() as tracer, _telemetry.stage("delta"):
+                    blocks, report = state.update_blocks(base.blocks, flips)
             elapsed = time.perf_counter() - t0
         except Exception as exc:
             # A failed delta update is recoverable (the full solve runs
@@ -691,7 +697,6 @@ class GreensService:
             fingerprint=job.fingerprint,
             selection=job.selection,
             blocks=blocks,
-            flops=tracer.total_flops,
             stage_flops={"delta": tracer.total_flops},
             exec_seconds=elapsed,
             rung=f"delta({rank})",
@@ -709,9 +714,7 @@ class GreensService:
         self.metrics.exec_time.observe(elapsed)
         self.metrics.absorb_stage_flops(result.stage_flops)
         span.end()
-        ticket._resolve(result)
-        self.metrics.latency.observe(ticket.latency or 0.0)
-        self.metrics.completed.inc()
+        self._resolve(ticket, result)
         return True
 
     # ------------------------------------------------------------------
@@ -725,10 +728,9 @@ class GreensService:
                 del self._inflight[entry.job.fingerprint]
             tickets = list(entry.tickets)
         for ticket in tickets:
-            ticket._fail(error)
             if counter is not None:
                 counter.inc()
-            self.metrics.failed.inc()
+            self._fail(ticket, error)
 
     def _screen_result(self, result: JobResult) -> None:
         """Last line of defence before the cache: no poison gets stored.
@@ -781,9 +783,7 @@ class GreensService:
             self._inflight.pop(entry.job.fingerprint, None)
             tickets = list(entry.tickets)
         for ticket in tickets:
-            ticket._resolve(result)
-            self.metrics.latency.observe(ticket.latency or 0.0)
-            self.metrics.completed.inc()
+            self._resolve(ticket, result)
 
     def _breaker_admit(self) -> bool:
         """Wait until the breaker lets a batch through (or we're stopping).

@@ -18,10 +18,12 @@ behaviours a serving layer cannot live without:
   torn down unless cancellation is requested.
 
 Worker-side entry points (:func:`execute_job`, :func:`execute_batch`)
-are module-level functions of picklable arguments.  Each runs under a
-:class:`~repro.telemetry.FlopTracer` and returns the per-stage flop
-summary with the blocks, so the service can aggregate CLS/BSOFI/WRP
-rates without re-tracing; spectral jobs report the same stages.  Batches of more than one compatible job run
+are module-level functions of picklable arguments.  Each solve runs
+under a :class:`~repro.telemetry.FlopTracer`, which reads the flops its
+:func:`repro.telemetry.stage` blocks count, and returns them with the
+blocks as ``JobResult.stage_flops``, so the service can aggregate
+CLS/BSOFI/WRP rates without re-tracing; spectral jobs report the same
+stages.  Batches of more than one compatible job run
 as a SimMPI fleet (:func:`repro.parallel.hybrid.run_selected_fleet`) —
 the same Alg. 3 machinery the offline driver uses, now inside one
 worker process.
@@ -104,7 +106,6 @@ def execute_job(
         fingerprint=job.fingerprint,
         selection=selection,
         blocks=blocks,
-        flops=tracer.total_flops,
         stage_flops={name: tracer.flops(name) for name in tracer.stages},
         exec_seconds=elapsed,
         rung=rung,
@@ -221,7 +222,6 @@ def execute_batch(
             fingerprint=job.fingerprint,
             selection=out.selection,
             blocks=out.blocks,
-            flops=out.flops,
             stage_flops=out.stage_flops,
             exec_seconds=out.seconds,
             h=job.h,

@@ -8,8 +8,8 @@ The subsystem has three halves:
   to CLS/BSOFI/WRP stages;
 * **metrics** — a registry of counters/gauges/histograms with labels
   that :class:`repro.service.metrics.ServiceMetrics`,
-  :class:`repro.transport.CommStats` and the flop tracer
-  re-register into;
+  :class:`repro.transport.CommStats` and :func:`stage` re-register
+  into;
 * **exporters** — Chrome trace-event JSON, Prometheus text exposition
   (HTTP or file) and JSONL span logs.
 
@@ -25,7 +25,9 @@ this).  Turn it on with :func:`configure`::
     telemetry.collector().snapshot()   # finished span records
 
 Algorithm stages use :func:`stage` instead of :func:`span`: the same
-span, plus the stage of the innermost active :class:`FlopTracer`.
+span, plus a frame that counts the stage's flops.  At exit the stage
+hands its flops, bytes and seconds to the span, to every active
+:class:`FlopTracer` (a pure reader) and to the registry.
 
 See ``docs/telemetry.md`` for the full tour.
 """

@@ -1,21 +1,26 @@
-"""Flop/byte accounting for algorithm stages (registry-backed).
+"""Flop/byte accounting: stage frames and the tracers that read them.
 
 Every linear-algebra kernel in :mod:`repro.core._kernels` reports its
-flop count to the innermost active :class:`FlopTracer`, tagged with the
-calling thread's stage label.  Tracers nest; each sees everything run
-inside its ``with`` block.  Instrumented code opens stages through
-:func:`repro.telemetry.stage` (span + stage together), and team threads
-inherit the forking thread's tracers and stage through
-:func:`repro.telemetry.capture_thread`.  On exit a tracer flushes its
-per-stage totals into ``repro_stage_flops_total{stage}`` and
-``repro_stage_seconds_total{stage}`` when telemetry is enabled.
+flop count through :func:`record_flops`.  Inside a
+:func:`repro.telemetry.stage` block the count lands in that stage's
+:class:`Frame` on the calling thread (a lock-free add); the stage hands
+the frame's totals over once, at exit, to every :class:`FlopTracer`
+active on the thread, to its span and, with telemetry on, to the metric
+registry.  Outside any stage a count credits the active tracers'
+``default`` stage directly.
+
+A :class:`FlopTracer` only reads: it collects the stages that close on
+its thread while it is active, plus the stray counts, and keeps no
+stage state of its own.  Tracers nest, and team threads adopt the
+forking thread's tracers and frame through
+:func:`repro.telemetry.capture_thread`.
 
 Usage::
 
     with FlopTracer() as tr:
-        with tr.stage("cls"):
+        with telemetry.stage("cls"):
             ...
-        with tr.stage("bsofi"):
+        with telemetry.stage("bsofi"):
             ...
     tr.flops("cls"), tr.total_flops, tr.elapsed("cls")
 """
@@ -23,40 +28,67 @@ Usage::
 from __future__ import annotations
 
 import threading
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = ["FlopTracer", "current_tracers", "record_flops"]
 
-_local = threading.local()
-
-#: Stage label used when no ``stage()`` block is active on the thread.
+#: Stage credited by counts recorded outside any stage.
 _DEFAULT_STAGE = "default"
 
 
-def _stack() -> list["FlopTracer"]:
-    stack = getattr(_local, "stack", None)
-    if stack is None:
-        stack = []
-        _local.stack = stack
-    return stack
+class _ThreadState(threading.local):
+    """The calling thread's tracer stack and open stage frame."""
+
+    def __init__(self) -> None:
+        self.tracers: list[FlopTracer] = []
+        self.frame: Frame | None = None
+
+
+_local = _ThreadState()
+_fold_lock = threading.Lock()
+
+
+class Frame:
+    """Flops, bytes and kernel calls counted inside one open stage.
+
+    Written only by its own thread, so :func:`record_flops` adds without
+    a lock; a team thread's frame is folded into the forking stage's
+    frame (under a lock, once) when the thread leaves the team.
+    """
+
+    __slots__ = ("flops", "mem_bytes", "calls")
+
+    def __init__(self) -> None:
+        self.flops = 0.0
+        self.mem_bytes = 0.0
+        self.calls = 0
+
+    def fold_into(self, parent: "Frame") -> None:
+        with _fold_lock:
+            parent.flops += self.flops
+            parent.mem_bytes += self.mem_bytes
+            parent.calls += self.calls
 
 
 def current_tracers() -> tuple["FlopTracer", ...]:
     """The active tracer stack of the calling thread (innermost last)."""
-    return tuple(_stack())
+    return tuple(_local.tracers)
 
 
 def record_flops(flops: float, mem_bytes: float = 0.0) -> None:
-    """Report an operation to every active tracer on this thread.
+    """Count one kernel call on the calling thread.
 
-    Called by the instrumented kernels; a no-op when no tracer is
-    active, so production code pays only an attribute lookup.
+    Called by the instrumented kernels: an add to the open stage frame,
+    else a ``default``-stage credit to each active tracer, else nothing.
     """
-    for tracer in _stack():
-        tracer._record(flops, mem_bytes)
+    frame = _local.frame
+    if frame is not None:
+        frame.flops += flops
+        frame.mem_bytes += mem_bytes
+        frame.calls += 1
+        return
+    for tracer in _local.tracers:
+        tracer._add(_DEFAULT_STAGE, flops, mem_bytes, 1, 0.0)
 
 
 @dataclass
@@ -68,150 +100,42 @@ class _StageStats:
 
 
 class FlopTracer:
-    """Accumulates flops, bytes and wall time per named stage.
+    """Per-stage flops, bytes, kernel calls and wall time, as handed over
+    by the stages that close on its thread while it is active.
 
-    Thread-aware: a tracer entered on one thread can adopt worker
-    threads via :meth:`attach_thread` (used by the OpenMP-style layer so
-    that flops performed inside ``parallel_for`` bodies are credited to
-    the enclosing tracer).  The active stage label is per-thread, so
-    stages on different threads never interfere.
+    Stages do not nest semantically: a count belongs to the innermost
+    open stage, while each stage's seconds cover its whole block.  Team
+    threads adopted through :func:`repro.telemetry.capture_thread` report
+    to the forking thread's tracers; any other thread is invisible.
     """
 
     def __init__(self) -> None:
         self._stages: dict[str, _StageStats] = {}
-        self._stage_tls = threading.local()
         self._lock = threading.Lock()
-        self._entered_at: float | None = None
-        #: Per-stage ``(flops, seconds)`` already folded into the registry.
-        self._flushed: dict[str, tuple[float, float]] = {}
-        self.total_seconds: float = 0.0
 
-    # -- context management -------------------------------------------
     def __enter__(self) -> "FlopTracer":
-        _stack().append(self)
-        self._entered_at = time.perf_counter()
+        _local.tracers.append(self)
         return self
 
     def __exit__(self, *exc: object) -> None:
-        if self._entered_at is not None:
-            self.total_seconds += time.perf_counter() - self._entered_at
-            self._entered_at = None
-        self._pop()
-        self._flush_to_registry()
-
-    def _pop(self) -> None:
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
+        tracers = _local.tracers
+        if tracers and tracers[-1] is self:
+            tracers.pop()
         else:  # pragma: no cover - defensive
-            stack.remove(self)
+            tracers.remove(self)
 
-    @contextmanager
-    def _label(self, name: str | None) -> Iterator[None]:
-        """Set the calling thread's stage label for the block (``None``
-        leaves it alone)."""
-        if name is None:
-            yield
-            return
-        tls = self._stage_tls
-        had_stage, prev = hasattr(tls, "name"), getattr(tls, "name", None)
-        tls.name = name
-        try:
-            yield
-        finally:
-            if had_stage:
-                tls.name = prev
-            else:
-                del tls.name
-
-    @contextmanager
-    def attach_thread(self, stage: str | None = None) -> Iterator[None]:
-        """Make this tracer active on the *current* (worker) thread.
-
-        ``stage`` seeds the worker thread's stage label — fan-out
-        layers pass the forking thread's active stage so work done by
-        the team is attributed to the stage that spawned it.
-        """
-        _stack().append(self)
-        try:
-            with self._label(stage):
-                yield
-        finally:
-            self._pop()
-
-    @property
-    def current_stage(self) -> str:
-        """The calling thread's active stage label."""
-        return getattr(self._stage_tls, "name", _DEFAULT_STAGE)
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Attribute everything inside the block to stage ``name``.
-
-        Stage labels do not nest semantically: the innermost label wins.
-        Wall time of the block is added to the stage.  The label is
-        thread-local — it applies to the calling thread (and to worker
-        threads that inherit it via ``attach_thread(stage=...)``),
-        never to unrelated threads recording concurrently.
-        """
-        t0 = time.perf_counter()
-        try:
-            with self._label(name):
-                yield
-        finally:
-            dt = time.perf_counter() - t0
-            with self._lock:
-                self._stats(name).seconds += dt
-
-    # -- recording ------------------------------------------------------
-    def _stats(self, name: str) -> _StageStats:
-        st = self._stages.get(name)
-        if st is None:
-            st = self._stages[name] = _StageStats()
-        return st
-
-    def _record(self, flops: float, mem_bytes: float) -> None:
-        name = self.current_stage
+    def _add(
+        self, stage: str, flops: float, mem_bytes: float, calls: int,
+        seconds: float,
+    ) -> None:
         with self._lock:
-            st = self._stats(name)
+            st = self._stages.get(stage)
+            if st is None:
+                st = self._stages[stage] = _StageStats()
             st.flops += flops
             st.mem_bytes += mem_bytes
-            st.calls += 1
-
-    def _flush_to_registry(self) -> None:
-        """Fold per-stage totals into the telemetry metric registry.
-
-        Runs on tracer exit (never per kernel call) and only when
-        telemetry is enabled.  Flops and seconds are flushed as separate
-        deltas for every stage, so re-entering the same tracer never
-        double-counts and a stage without flops still exports its time.
-        """
-        from . import runtime
-
-        if not runtime.enabled():
-            return
-        registry = runtime.registry()
-        flop_family = registry.counter(
-            "repro_stage_flops_total",
-            "Floating-point operations per algorithm stage",
-            labels=("stage",),
-        )
-        seconds_family = registry.counter(
-            "repro_stage_seconds_total",
-            "Wall seconds per algorithm stage",
-            labels=("stage",),
-        )
-        with self._lock:
-            deltas = []
-            for name, st in self._stages.items():
-                done_flops, done_seconds = self._flushed.get(name, (0.0, 0.0))
-                deltas.append(
-                    (name, st.flops - done_flops, st.seconds - done_seconds)
-                )
-                self._flushed[name] = (st.flops, st.seconds)
-        for name, flops, seconds in deltas:
-            flop_family.labels(stage=name).inc(flops)
-            seconds_family.labels(stage=name).inc(seconds)
+            st.calls += calls
+            st.seconds += seconds
 
     # -- queries ----------------------------------------------------------
     @property

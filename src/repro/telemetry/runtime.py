@@ -7,6 +7,13 @@ default) every helper short-circuits on a single attribute check and
 returns the shared no-op span, so hot paths pay essentially nothing;
 :mod:`benchmarks.bench_telemetry` measures and gates exactly this.
 
+:func:`stage` is the one stage instrument.  It owns the stage's span
+and its flop frame (:mod:`repro.telemetry.flops`), and at exit hands
+the frame's totals to the span, to the active
+:class:`~repro.telemetry.flops.FlopTracer` readers and to the registry.
+Thread teams re-enter the forking thread's tracers, frame and span
+context through :func:`capture_thread`.
+
 Cross-process flow (the service's worker pool):
 
 1. the scheduler calls :func:`inject` on its dispatch span and ships
@@ -20,11 +27,13 @@ Cross-process flow (the service's worker pool):
 
 from __future__ import annotations
 
-from contextlib import ExitStack, contextmanager
+import time
+from contextlib import contextmanager
 from typing import Any, Callable, ContextManager, Iterator
 
+from . import flops as _flops
 from .context import SpanContext, current_context, use_context
-from .flops import FlopTracer, _stack as _tracer_stack
+from .flops import Frame
 from .metrics import MetricRegistry
 from .spans import NULL_SPAN, Span, TraceCollector, Tracer, _AMBIENT
 
@@ -120,46 +129,87 @@ def span(name: str, **attributes: Any):
 
 
 def stage(name: str, **attributes: Any):
-    """Context manager for one algorithm stage.
+    """Context manager for one algorithm stage; the only stage instrument.
 
-    Opens the ambient span ``name`` and, when a
-    :class:`~repro.telemetry.flops.FlopTracer` is active on the calling
-    thread, the innermost tracer's stage ``name`` — so one call gives a
-    stage both its trace span and its flop/second accounting.  With no
-    tracer active this *is* :func:`span` (one list check more).
+    Opens the ambient span ``name`` and a :class:`~.flops.Frame` that
+    counts the flops, bytes and kernel calls recorded inside the block.
+    At exit the frame's totals and the block's wall time go, once, to
+    every :class:`~repro.telemetry.flops.FlopTracer` active on the
+    thread, to the span (``flops`` and ``bytes`` attributes) and, with
+    telemetry on, to ``repro_stage_flops_total{stage}`` and
+    ``repro_stage_seconds_total{stage}``.  With telemetry off and no
+    tracer on the thread it returns the shared null span.
     """
-    tracers = _tracer_stack()
-    if not tracers:
-        return span(name, **attributes)
-    return _traced_stage(tracers[-1], name, attributes)
+    if not _state.enabled and not _flops._local.tracers:
+        return NULL_SPAN
+    return _Stage(name, span(name, **attributes))
 
 
-@contextmanager
-def _traced_stage(
-    tracer: FlopTracer, name: str, attributes: dict[str, Any]
-) -> Iterator[None]:
-    with span(name, **attributes), tracer.stage(name):
-        yield
+class _Stage(Frame):
+    """One open :func:`stage`: its frame, its span and its wall clock."""
+
+    __slots__ = ("name", "_span_cm", "_span", "_outer", "_t0")
+
+    def __init__(self, name: str, span_cm: ContextManager[Any]) -> None:
+        super().__init__()
+        self.name = name
+        self._span_cm = span_cm
+
+    def __enter__(self) -> Any:
+        self._span = self._span_cm.__enter__()
+        local = _flops._local
+        self._outer, local.frame = local.frame, self
+        self._t0 = time.perf_counter()
+        return self._span
+
+    def __exit__(self, *exc: Any) -> Any:
+        seconds = time.perf_counter() - self._t0
+        local = _flops._local
+        local.frame = self._outer
+        name, flops = self.name, self.flops
+        for tracer in local.tracers:
+            tracer._add(name, flops, self.mem_bytes, self.calls, seconds)
+        self._span.set_attribute("flops", flops)
+        self._span.set_attribute("bytes", self.mem_bytes)
+        if _state.enabled:
+            for family, help_, value in (
+                ("repro_stage_flops_total", "Floating-point operations", flops),
+                ("repro_stage_seconds_total", "Wall seconds", seconds),
+            ):
+                _state.registry.counter(
+                    family, f"{help_} per algorithm stage", labels=("stage",)
+                ).labels(stage=name).inc(value)
+        return self._span_cm.__exit__(*exc)
 
 
 def capture_thread() -> Callable[[], ContextManager[None]]:
     """Snapshot the calling thread's telemetry for a team of threads.
 
-    Captures the tracer stack, each tracer's active stage and the
-    ambient span context; the returned callable re-enters all three on
-    another thread, so the team's flops land in the stage that forked
-    it and its spans parent into the caller's trace.
+    Captures the tracer stack, the open stage frame and the ambient
+    span context.  The returned callable re-enters them on a team
+    thread with a fresh frame of its own, which it folds into the
+    captured frame on exit: the team's flops land in the stage that
+    forked it, and its spans parent into the caller's trace.  The
+    forking thread must wait for the team before it closes the stage.
     """
-    tracers = [(tr, tr.current_stage) for tr in _tracer_stack()]
+    local = _flops._local
+    tracers = tuple(local.tracers)
+    parent = local.frame
     ctx = current_context()
 
     @contextmanager
     def adopt() -> Iterator[None]:
-        with ExitStack() as stack:
-            for tr, name in tracers:
-                stack.enter_context(tr.attach_thread(stage=name))
-            stack.enter_context(use_context(ctx))
-            yield
+        local = _flops._local
+        outer = local.tracers, local.frame
+        local.tracers = [*outer[0], *tracers]
+        frame = local.frame = Frame() if parent is not None else None
+        try:
+            with use_context(ctx):
+                yield
+        finally:
+            local.tracers, local.frame = outer
+            if frame is not None:
+                frame.fold_into(parent)
 
     return adopt
 

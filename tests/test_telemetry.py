@@ -30,7 +30,7 @@ from repro.core.patterns import Pattern
 from repro.hubbard.hs_field import HSField
 from repro.parallel.openmp import parallel_for
 from repro.transport import SimMPI
-from repro.telemetry import FlopTracer
+from repro.telemetry import FlopTracer, record_flops
 from repro.telemetry import (
     Counter,
     Gauge,
@@ -385,24 +385,22 @@ class TestFlopTracerRegistry:
     def test_stage_flops_flushed_when_enabled(self):
         telemetry.configure()
         with FlopTracer() as tr:
-            with tr.stage("cls"):
-                from repro.telemetry import record_flops
+            with telemetry.stage("cls"):
                 record_flops(123.0)
         fam = telemetry.registry().get("repro_stage_flops_total")
         assert fam is not None
         assert fam.labels(stage="cls").value == 123.0
+        assert tr.flops("cls") == 123.0
 
     def test_reentered_tracer_exports_each_second_once(self):
-        """Seconds flush as deltas: a tracer entered three times exports
-        the stage time it measured, not a running sum of running sums."""
+        """Each stage exports once, at its exit: a tracer entered three
+        times reads exactly the stage time the registry exports."""
         import time
-
-        from repro.telemetry import record_flops
 
         telemetry.configure()
         tr = FlopTracer()
         for _ in range(3):
-            with tr, tr.stage("cls"):
+            with tr, telemetry.stage("cls"):
                 record_flops(10.0)
                 time.sleep(0.01)
         fam = telemetry.registry().get("repro_stage_seconds_total")
@@ -425,11 +423,10 @@ class TestFlopTracerRegistry:
 
     def test_no_registry_writes_when_disabled(self):
         with FlopTracer() as tr:
-            with tr.stage("cls"):
-                from repro.telemetry import record_flops
+            with telemetry.stage("cls"):
                 record_flops(123.0)
         assert telemetry.registry().get("repro_stage_flops_total") is None
-        assert tr.flops("cls") == 123.0  # legacy accounting unaffected
+        assert tr.flops("cls") == 123.0  # tracer accounting unaffected
 
 
 class TestStage:
@@ -437,26 +434,30 @@ class TestStage:
         assert telemetry.stage("cls") is NULL_SPAN
         telemetry.configure()
         with telemetry.stage("cls", n=3):
-            pass
+            record_flops(4.0, 8.0)
         (record,) = telemetry.collector().snapshot()
-        assert record["name"] == "cls" and record["attributes"] == {"n": 3}
+        assert record["name"] == "cls"
+        assert record["attributes"] == {"n": 3, "flops": 4.0, "bytes": 8.0}
 
-    def test_stage_opens_span_and_innermost_tracer_stage(self):
-        from repro.telemetry import record_flops
-
+    def test_stage_opens_span_and_credits_every_tracer(self):
+        """One stage record: nested tracers agree on the stage, and the
+        registry exports its flops once."""
         telemetry.configure()
         with FlopTracer() as outer, FlopTracer() as inner:
             with telemetry.stage("bsofi"):
                 record_flops(5.0)
-        assert inner.flops("bsofi") == 5.0 and inner.elapsed("bsofi") > 0
-        assert outer.flops("default") == 5.0  # only the innermost is staged
+        for tr in (outer, inner):
+            assert tr.flops("bsofi") == 5.0 and tr.elapsed("bsofi") > 0
+            assert tr.stages == ("bsofi",)
         assert [r["name"] for r in telemetry.collector().snapshot()] == [
             "bsofi"
         ]
+        fam = telemetry.registry().get("repro_stage_flops_total")
+        assert {key: child.value for key, child in fam.samples()} == {
+            ("bsofi",): 5.0
+        }
 
     def test_capture_thread_carries_tracers_stage_and_context(self):
-        from repro.telemetry import record_flops
-
         telemetry.configure()
         seen = {}
         with FlopTracer() as tr, telemetry.stage("wrp"):
@@ -473,6 +474,46 @@ class TestStage:
             here = current_context()
         assert tr.flops("wrp") == 7.0
         assert seen["ctx"] == here
+
+    @pytest.mark.parametrize("pattern", [Pattern.DIAGONAL, Pattern.COLUMNS])
+    def test_stage_spans_carry_the_tracer_flops(self, pattern):
+        telemetry.configure()
+        with FlopTracer() as tr:
+            fsi(make_hubbard_pc(), 4, pattern, q=1)
+        spans = {
+            r["name"]: r["attributes"]
+            for r in telemetry.collector().snapshot()
+            if "flops" in r["attributes"]
+        }
+        assert set(spans) == set(tr.stages) >= {"cls", "bsofi", "wrp"}
+        for name, attributes in spans.items():
+            assert attributes["flops"] == tr.flops(name)
+            assert attributes["bytes"] == tr.mem_bytes(name)
+
+    def test_threaded_cls_credits_exactly_the_cls_count(self):
+        from repro.core.cls import cls, cls_flops
+
+        pc = make_hubbard_pc()
+        with FlopTracer() as tr, telemetry.stage("cls"):
+            cls(pc, 4, 1, num_threads=4)
+        assert tr.stages == ("cls",)
+        assert tr.flops("cls") == cls_flops(pc.L, pc.N, 4)
+
+    def test_sweep_shift_stages_reach_the_forking_tracer(self):
+        """Shift solves open their stages on team threads."""
+        from repro.spectral.grid import OmegaGrid
+        from repro.spectral.resolvent import ResolventFactor
+
+        pc = make_hubbard_pc()
+        grid = OmegaGrid.linear(-2.0, 2.0, 4, eta=0.3)
+        with FlopTracer() as serial:
+            ResolventFactor(pc, 4).sweep(grid, num_threads=1)
+        with FlopTracer() as team:
+            ResolventFactor(pc, 4).sweep(grid, num_threads=2)
+        assert team.flops("bsofi") > 0
+        assert team.summary().keys() == serial.summary().keys()
+        for name in serial.stages:
+            assert team.flops(name) == serial.flops(name)
 
 
 # ----------------------------------------------------------------------

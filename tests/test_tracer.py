@@ -1,11 +1,14 @@
-"""Flop tracer: stages, nesting, thread attachment."""
+"""Flop tracer: a reader of stage frames, nesting, thread teams."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core import _kernels as kr
+from repro.parallel.openmp import parallel_for
 from repro.telemetry import FlopTracer, current_tracers, record_flops
 
 
@@ -19,9 +22,9 @@ class TestBasicAccounting:
 
     def test_stage_attribution(self):
         with FlopTracer() as tr:
-            with tr.stage("a"):
+            with telemetry.stage("a"):
                 record_flops(10.0)
-            with tr.stage("b"):
+            with telemetry.stage("b"):
                 record_flops(20.0)
         assert tr.flops("a") == 10.0
         assert tr.flops("b") == 20.0
@@ -29,11 +32,12 @@ class TestBasicAccounting:
 
     def test_innermost_stage_wins(self):
         with FlopTracer() as tr:
-            with tr.stage("outer"):
-                with tr.stage("inner"):
+            with telemetry.stage("outer"):
+                with telemetry.stage("inner"):
                     record_flops(5.0)
         assert tr.flops("inner") == 5.0
         assert tr.flops("outer") == 0.0
+        assert tr.elapsed("outer") >= tr.elapsed("inner") > 0
 
     def test_unknown_stage_is_zero(self):
         tr = FlopTracer()
@@ -42,13 +46,13 @@ class TestBasicAccounting:
 
     def test_elapsed_positive(self):
         with FlopTracer() as tr:
-            with tr.stage("work"):
+            with telemetry.stage("work"):
                 np.ones(10000).sum()
         assert tr.elapsed("work") > 0
 
     def test_summary_structure(self):
         with FlopTracer() as tr:
-            with tr.stage("x"):
+            with telemetry.stage("x"):
                 record_flops(1.0, 2.0)
         s = tr.summary()
         assert s["x"]["flops"] == 1.0
@@ -74,108 +78,135 @@ class TestNesting:
         assert current_tracers() == ()
 
 
+def _run_threads(*targets):
+    threads = [threading.Thread(target=t) for t in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+
+
 class TestThreadAttachment:
+    """Team threads see the forking thread's tracers only through
+    ``telemetry.capture_thread``."""
+
     def test_worker_thread_invisible_without_attach(self):
         with FlopTracer() as tr:
-            t = threading.Thread(target=lambda: record_flops(50.0))
-            t.start()
-            t.join()
+            _run_threads(lambda: record_flops(50.0))
         assert tr.total_flops == 0.0
 
     def test_attach_thread_records(self):
         with FlopTracer() as tr:
+            adopt = telemetry.capture_thread()
 
             def work():
-                with tr.attach_thread():
+                with adopt():
                     record_flops(50.0)
 
-            t = threading.Thread(target=work)
-            t.start()
-            t.join()
-        assert tr.total_flops == 50.0
+            _run_threads(work)
+        assert tr.flops("default") == 50.0
 
     def test_concurrent_attach_is_safe(self):
         with FlopTracer() as tr:
+            adopt = telemetry.capture_thread()
 
             def work():
-                with tr.attach_thread():
+                with adopt():
                     for _ in range(100):
                         record_flops(1.0)
 
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            _run_threads(*[work] * 4)
         assert tr.total_flops == 400.0
+
+    def test_team_threads_fold_every_count_into_the_stage(self):
+        """Each team thread counts into its own frame and folds it into
+        the forking stage once: no update is lost."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with FlopTracer() as tr, telemetry.stage("team"):
+                parallel_for(
+                    lambda i: [record_flops(1.0) for _ in range(10_000)],
+                    8, num_threads=8,
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        assert tr.flops("team") == 80_000.0
+        assert tr.calls("team") == 80_000
 
 
 class TestThreadLocalStages:
-    """Stage labels are per-thread: concurrent stage() contexts on the
-    same tracer must not clobber each other's attribution."""
+    """Stage frames are per-thread: concurrent stages on adopted team
+    threads must not clobber each other's attribution."""
 
     def test_concurrent_stages_attribute_correctly(self):
         barrier = threading.Barrier(4)
         with FlopTracer() as tr:
+            adopt = telemetry.capture_thread()
 
             def work(name, amount):
-                with tr.attach_thread():
-                    with tr.stage(name):
-                        barrier.wait()  # all threads inside their stage
-                        for _ in range(100):
-                            record_flops(amount)
+                with adopt(), telemetry.stage(name):
+                    barrier.wait()  # all threads inside their stage
+                    for _ in range(100):
+                        record_flops(amount)
 
-            threads = [
-                threading.Thread(target=work, args=(f"s{i}", float(i + 1)))
-                for i in range(4)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+            _run_threads(
+                *[lambda i=i: work(f"s{i}", float(i + 1)) for i in range(4)]
+            )
         for i in range(4):
             assert tr.flops(f"s{i}") == 100.0 * (i + 1)
         assert tr.total_flops == 100.0 * (1 + 2 + 3 + 4)
 
     def test_attach_thread_inherits_stage_label(self):
-        """parallel_for-style fan-out: workers inherit the caller's
-        stage via attach_thread(stage=...)."""
+        """parallel_for-style fan-out: team threads count into the
+        stage that forked them."""
         with FlopTracer() as tr:
-            with tr.stage("wrp"):
-                caller_stage = tr.current_stage
+            with telemetry.stage("wrp"):
+                adopt = telemetry.capture_thread()
 
                 def work():
-                    with tr.attach_thread(stage=caller_stage):
+                    with adopt():
                         record_flops(30.0)
 
-                t = threading.Thread(target=work)
-                t.start()
-                t.join()
+                _run_threads(work)
         assert tr.flops("wrp") == 30.0
 
     def test_stage_restored_per_thread(self):
         with FlopTracer() as tr:
-            with tr.stage("outer"):
-                with tr.stage("inner"):
+            with telemetry.stage("outer"):
+                with telemetry.stage("inner"):
                     pass
-                assert tr.current_stage == "outer"
-            assert tr.current_stage == "default"
+                record_flops(1.0)
+            record_flops(2.0)
+        assert tr.flops("inner") == 0.0
+        assert tr.flops("outer") == 1.0
+        assert tr.flops("default") == 2.0
 
     def test_main_thread_stage_unaffected_by_worker(self):
         with FlopTracer() as tr:
-            with tr.stage("main"):
+            with telemetry.stage("main"):
+                adopt = telemetry.capture_thread()
 
                 def work():
-                    with tr.attach_thread():
-                        with tr.stage("worker"):
-                            record_flops(1.0)
+                    with adopt(), telemetry.stage("worker"):
+                        record_flops(1.0)
 
-                t = threading.Thread(target=work)
-                t.start()
-                t.join()
+                _run_threads(work)
                 record_flops(2.0)
         assert tr.flops("worker") == 1.0
         assert tr.flops("main") == 2.0
+
+    def test_stage_in_a_team_thread_reaches_the_forking_tracer(self):
+        """A spectral sweep opens its per-shift stages on team threads;
+        they land in the tracer of the thread that forked the team."""
+        with FlopTracer() as tr:
+            def shift(i):
+                with telemetry.stage("shift"):
+                    record_flops(float(i + 1))
+
+            parallel_for(shift, 6, num_threads=3)
+        assert tr.flops("shift") == 21.0 and tr.calls("shift") == 6
+        assert tr.elapsed("shift") > 0
 
 
 class TestKernelIntegration:

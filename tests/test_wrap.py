@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.core.adjacency import AdjacencyOps
 from repro.core.bsofi import bsofi
 from repro.core.cls import cls
@@ -257,7 +258,7 @@ def test_panel_wrap_call_count_at_paper_geometry(pattern):
     pc = random_pcyclic(Lp, 2, np.random.default_rng(5), scale=0.5)
     seeds = bsofi(cls(pc, c, q, num_threads=1))
     sel = Selection(pattern, L=Lp, c=c, q=q)
-    with FlopTracer() as tracer, tracer.stage("wrp"):
+    with FlopTracer() as tracer, telemetry.stage("wrp"):
         wrap(pc, seeds, sel)
     assert tracer.calls("wrp") <= b * (c - 1) + 2 * b * math.ceil((c - 1) / 2)
 
