@@ -19,12 +19,17 @@ Conventions (the standard dense counts the paper uses):
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
 from ..telemetry.flops import record_flops
+
+#: A gemm operand: one matrix, a stacked batch, or a sequence of matrices.
+Operand = np.ndarray | Sequence[np.ndarray]
 
 __all__ = [
     "gemm",
@@ -52,22 +57,33 @@ def gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A @ B
 
 
-def gemm_into(out: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+def gemm_into(out: np.ndarray, A: Operand, B: Operand) -> np.ndarray:
     """``out[:] = A @ B`` without allocating a result array.
 
-    With a leading batch axis on ``out`` (and on ``A`` or ``B``; the
-    other operand is shared) this is one counted call for the whole
-    batch.  It runs one gemm per entry: ``np.matmul`` would stage a
-    batch whose views share a buffer with ``out`` through a temporary.
+    With a leading batch axis on ``out`` this is one counted call for
+    the whole batch: ``A`` and ``B`` are each one matrix shared by
+    every entry, or a batch with one matrix per entry (an array with a
+    leading axis, or a sequence of matrices, which is never stacked).
+    It runs one gemm per entry: ``np.matmul`` would stage a batch whose
+    views share a buffer with ``out`` through a temporary.
     """
-    record_flops(2.0 * out.size * A.shape[-1], A.nbytes + B.nbytes + out.nbytes)
+    inner = (A if isinstance(A, np.ndarray) else A[0]).shape[-1]
+    record_flops(2.0 * out.size * inner, _nbytes(A) + _nbytes(B) + out.nbytes)
     if out.ndim == 2:
         np.matmul(A, B, out=out)
         return out
     for i in range(out.shape[0]):
-        np.matmul(A if A.ndim == 2 else A[i], B if B.ndim == 2 else B[i],
-                  out=out[i])
+        np.matmul(_entry(A, i), _entry(B, i), out=out[i])
     return out
+
+
+def _entry(X: Operand, i: int) -> np.ndarray:
+    """Entry ``i`` of a batch operand (a shared matrix is every entry)."""
+    return X if isinstance(X, np.ndarray) and X.ndim == 2 else X[i]
+
+
+def _nbytes(X: Operand) -> int:
+    return X.nbytes if isinstance(X, np.ndarray) else sum(x.nbytes for x in X)
 
 
 def gemm_acc(
@@ -120,7 +136,7 @@ class LUFactors:
     (``trsm``) directly instead of calling LAPACK ``getrs``, which does
     the same arithmetic: the ``getrs`` of the OpenBLAS that scipy
     bundles corrupts the heap when several threads call it at once, as
-    the WRP and spectral thread teams do.
+    the spectral thread teams do.
     """
 
     __slots__ = ("lu", "piv", "perm", "n")
@@ -144,8 +160,12 @@ class LUFactors:
         b = B.reshape(self.n, -1)
         trsm = get_blas_funcs("trsm", (self.lu, b))
         if trans == 0:
-            x = trsm(1.0, self.lu, b[self.perm], lower=1, diag=1)
-            x = trsm(1.0, self.lu, x, overwrite_b=1)
+            # X^T = (P^T B)^T L^{-T} U^{-T}: right-side trsm on the
+            # Fortran-ordered view of the permuted copy (see
+            # triangular_solve), about 1.4x the left-side pair at N = 100.
+            xt = trsm(1.0, self.lu, b[self.perm].T, side=1, lower=1,
+                      trans_a=1, diag=1, overwrite_b=1)
+            x = trsm(1.0, self.lu, xt, side=1, trans_a=1, overwrite_b=1).T
         else:
             y = trsm(1.0, self.lu, b, trans_a=trans)
             y = trsm(1.0, self.lu, y, lower=1, trans_a=trans, diag=1,
@@ -235,16 +255,17 @@ def triangular_inverse(R: np.ndarray, lower: bool = False) -> np.ndarray:
     return sla.solve_triangular(R, eye, lower=lower, check_finite=False)
 
 
-def triangular_solve(R: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """``R^{-1} B`` for upper-triangular ``R`` (``m n^2`` flops for
-    ``m`` right-hand sides).
+def triangular_solve(R: np.ndarray, B: np.ndarray, trans: bool = False) -> np.ndarray:
+    """``R^{-1} B`` (``R^{-T} B`` with ``trans``) for upper-triangular
+    ``R`` (``m n^2`` flops for ``m`` right-hand sides).
 
-    Solved as ``X^T = B^T R^{-T}``, a right-side ``trsm`` on the
-    Fortran-ordered view ``B.T`` of a C-ordered ``B``: no copies, and
-    OpenBLAS's right-side kernel is about twice as fast as its left-side
-    one for ``N = 100`` and ``2N`` right-hand sides.
+    Solved as ``X^T = B^T R^{-T}`` (``B^T R^{-1}``), a right-side
+    ``trsm`` on the Fortran-ordered views ``R.T`` and ``B.T`` of
+    C-ordered operands: no copies, and OpenBLAS's right-side kernel is
+    about twice as fast as its left-side one for ``N = 100`` and ``2N``
+    right-hand sides.
     """
     n = R.shape[0]
     record_flops(float(B.shape[1]) * n * n, R.nbytes + B.nbytes)
     trsm = get_blas_funcs("trsm", (R, B))
-    return trsm(1.0, R, B.T, side=1, trans_a=1).T
+    return trsm(1.0, R.T, B.T, side=1, lower=1, trans_a=1 if trans else 0).T

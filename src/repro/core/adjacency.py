@@ -16,8 +16,12 @@ between rows/columns ``L`` and ``1``.  All four relations derive from
 boundary case so the wrapping stage and the DQMC engine can move blocks
 around without re-deriving them.
 
-:class:`AdjacencyOps` caches one LU factorisation per ``B`` block so a
-column sweep pays the factorisation once, and, for the panel moves of
+:class:`AdjacencyOps` applies ``B_i^{-1}`` one of two ways.  When the
+matrix carries its exact block inverses (``pc.inverses``, a Hubbard
+matrix), every ``B_i^{-1}`` is formed in ``O(N^2)`` on demand and
+applied by one gemm; nothing is factorised or cached.  Otherwise it
+caches one LU factorisation per ``B`` block so a column sweep pays the
+factorisation once, and, for the panel and diagonal walks of
 :mod:`repro.core.wrap`, one explicit inverse per block.
 """
 
@@ -41,14 +45,17 @@ class AdjacencyOps:
 
     Notes
     -----
-    ``up``/``right`` require solves with a ``B`` block; LU factors are
-    cached per block index (and shared across threads — the cache is
-    filled under a plain dict set, which is atomic in CPython; a
-    redundant factorisation in a race is harmless).
+    ``up``/``right`` apply a ``B`` block's inverse.  With exact inverses
+    (:attr:`exact`) that is one gemm with :meth:`inverse`; otherwise a
+    solve with LU factors cached per block index (and shared across
+    threads — the cache is filled under a plain dict set, which is
+    atomic in CPython; a redundant factorisation in a race is harmless).
     """
 
     def __init__(self, pc: BlockPCyclic):
         self.pc = pc
+        #: ``pc`` supplies exact ``B_i^{-1}``: apply them, never factor.
+        self.exact = pc.inverses is not None
         self._lu: dict[int, kr.LUFactors] = {}
         self._lu_t: dict[int, kr.LUFactors] = {}
         self._inv: dict[int, np.ndarray] = {}
@@ -72,8 +79,14 @@ class AdjacencyOps:
         return f
 
     def inverse(self, i: int) -> np.ndarray:
-        """``B_i^{-1}`` (cached).  A panel of moves that share ``B_i``
-        then costs one gemm instead of one LU solve per block."""
+        """``B_i^{-1}``.  A panel of moves that share ``B_i`` then costs
+        one gemm instead of one LU solve per block.
+
+        An exact inverse is formed anew on every call (``O(N^2)``, and
+        each walk applies it once); a factorised one is cached.
+        """
+        if self.exact:
+            return self.pc.inverse(i)
         i = torus_index(i, self.pc.L)
         inv = self._inv.get(i)
         if inv is None:
@@ -95,7 +108,10 @@ class AdjacencyOps:
         if k == l:
             S = S.copy()
             kr.add_identity(S, -1.0)
-        out = self._factor(k).solve(S)
+        if self.exact:
+            out = kr.gemm(self.inverse(k), S)
+        else:
+            out = self._factor(k).solve(S)
         return -out if k == 1 else out
 
     def down(self, G_kl: np.ndarray, k: int, l: int) -> np.ndarray:
@@ -148,8 +164,11 @@ class AdjacencyOps:
         if k == l:
             S = S.copy()
             kr.add_identity(S, -1.0)
-        # X B^{-1}  ==  solve(B^T, X^T)^T
-        out = self._factor_t(lp).solve(np.ascontiguousarray(S.T)).T
+        if self.exact:
+            out = kr.gemm(S, self.inverse(lp))
+        else:
+            # X B^{-1}  ==  solve(B^T, X^T)^T
+            out = self._factor_t(lp).solve(np.ascontiguousarray(S.T)).T
         return -out if lp == 1 else out
 
     # -- composed diagonal moves -------------------------------------------

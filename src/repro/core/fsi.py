@@ -115,8 +115,8 @@ def fsi(
     rng:
         Source of randomness for ``q``.
     num_threads:
-        OpenMP-style team size for the CLS loop and the diagonal
-        patterns' WRP seed loop (COLUMNS/ROWS wrap as panel gemms).
+        OpenMP-style team size for the CLS loop (WRP runs on the
+        calling thread).
     guards:
         When given, run the :mod:`repro.resilience.guards` battery on
         inputs and stage outputs; a trip raises

@@ -25,7 +25,11 @@ This module provides :class:`BlockPCyclic`, the container used by every
 algorithm in :mod:`repro.core` (CLS, BSOFI, WRP, FSI, baselines).
 Blocks are stored as one contiguous ``(L, N, N)`` array so that each
 ``B_i`` is a contiguous view — all downstream kernels are gemm-rich and
-benefit from contiguous operands.
+benefit from contiguous operands.  A matrix whose block inverses are
+known in closed form (the Hubbard matrix:
+:meth:`~repro.hubbard.matrix.HubbardModel.build_matrix`) also carries a
+provider of the exact ``B_i^{-1}``, which the wrapping moves apply by
+gemm instead of factorising ``B_i``.
 
 Block indices in the public API are **1-based** (``1 <= i <= L``) to
 match the paper; a *torus* convention maps ``0 -> L`` and ``L+1 -> 1``
@@ -34,8 +38,8 @@ match the paper; a *torus* convention maps ``0 -> L`` and ``L+1 -> 1``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -73,8 +77,15 @@ class BlockPCyclic:
     ----------
     B:
         Array of shape ``(L, N, N)``; ``B[i - 1]`` holds the block
-        ``B_i`` of the normalized matrix ``M`` above.  The array is the
-        *only* state; the identity diagonal is implicit.
+        ``B_i`` of the normalized matrix ``M`` above.  The identity
+        diagonal is implicit.
+    inverses:
+        Optional provider of the exact ``B_i^{-1}`` for a 1-based
+        ``i`` in ``1..L``, in ``O(N^2)`` (see :meth:`inverse`).  It is
+        derived from ``B`` by whoever built it, so it takes no part in
+        ``==`` or ``repr``; it must pickle.  Every matrix derived from
+        this one (reduced, shifted, sliced, corrupted) is built without
+        it.
 
     Notes
     -----
@@ -83,6 +94,9 @@ class BlockPCyclic:
     """
 
     B: np.ndarray
+    inverses: Callable[[int], np.ndarray] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         B = np.asarray(self.B)
@@ -128,6 +142,17 @@ class BlockPCyclic:
     def blocks(self, indices: Iterable[int]) -> list[np.ndarray]:
         """Return ``[B_i for i in indices]`` with torus wrapping."""
         return [self.block(i) for i in indices]
+
+    def inverse(self, i: int) -> np.ndarray:
+        """The exact ``B_i^{-1}`` (1-based, torus-wrapped), a new array.
+
+        Only for a matrix built with an ``inverses`` provider; any other
+        ``B_i`` is inverted by factorisation
+        (:meth:`~repro.core.adjacency.AdjacencyOps.inverse`).
+        """
+        if self.inverses is None:
+            raise ValueError("this matrix carries no exact block inverses")
+        return self.inverses(torus_index(i, self.L))
 
     # ------------------------------------------------------------------
     # conversions

@@ -289,12 +289,22 @@ class PCyclicWoodbury:
             V[torus_index(l - 1, L) - 1, flip.site, j] = 1.0
         return U, V
 
-    def _step(self, s: int, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """``B^ x`` (or ``B^T x``) at step ``s`` of every cluster."""
+    def _step(self, s: int, x: np.ndarray, transpose: bool = False,
+              live: np.ndarray | None = None) -> np.ndarray:
+        """``B^ x`` (or ``B^T x``) at step ``s`` of every cluster, or of
+        the ``live`` clusters only."""
         assert self._steps is not None
-        B = self._steps[s]
+        B = self._steps[s] if live is None else self._steps[s, live]
         record_flops(2.0 * x.size * self.N)
         return np.matmul(B.transpose(0, 2, 1) if transpose else B, x)
+
+    def _live(self, rhs: np.ndarray) -> np.ndarray | None:
+        """The clusters with a nonzero right-hand side before their end
+        slice (``None``: all of them).  Only these accumulate anything
+        onto the cluster ends, so a flip batch that touches a few
+        clusters skips the products of the rest."""
+        live = np.flatnonzero(rhs[self._idx[:-1]].any(axis=(0, 2, 3)))
+        return None if live.size == self._idx.shape[1] else live
 
     def _reduced_solve(self, rhs: np.ndarray, transpose: bool) -> np.ndarray:
         flat = rhs.reshape(-1, rhs.shape[-1])
@@ -305,9 +315,16 @@ class PCyclicWoodbury:
     def solve(self, rhs_blocks: np.ndarray) -> np.ndarray:
         """``M X = rhs`` for ``rhs`` of shape ``(L, N, r)``."""
         c, idx, u = self.c, self._idx, rhs_blocks
-        acc = u[idx[0]]
-        for s in range(1, c):
-            acc = self._step(s, acc) + u[idx[s]]
+        acc = u[idx[c - 1]]
+        live = self._live(u)
+        at = slice(None) if live is None else live
+        if c > 1 and (live is None or live.size):
+            part = u[idx[0, at]]
+            for s in range(1, c - 1):
+                part = self._step(s, part, live=live) + u[idx[s, at]]
+            part = self._step(c - 1, part, live=live)
+            acc = acc.astype(np.result_type(acc, part), copy=False)
+            acc[at] += part
         ends = self._reduced_solve(acc, transpose=False)
         x = np.empty(u.shape, dtype=ends.dtype)
         x[idx[c - 1]] = ends
@@ -322,13 +339,21 @@ class PCyclicWoodbury:
         """``M^T Y = rhs`` from the same reduced factorisation."""
         c, idx, v = self.c, self._idx, rhs_blocks
         acc = v[idx[c - 1]]
-        if c > 1:
+        live = self._live(v)
+        at = slice(None) if live is None else live
+        if c > 1 and (live is None or live.size):
             # y_k = B^_{k+1}^T y_{k+1} + v_k runs backwards, so a
             # cluster's interior feeds the end of the cluster before it.
-            tail = v[idx[c - 2]]
+            tail = v[idx[c - 2, at]]
             for s in range(c - 2, 0, -1):
-                tail = self._step(s, tail, transpose=True) + v[idx[s - 1]]
-            acc = acc + np.roll(self._step(0, tail, transpose=True), -1, axis=0)
+                tail = (self._step(s, tail, transpose=True, live=live)
+                        + v[idx[s - 1, at]])
+            head = self._step(0, tail, transpose=True, live=live)
+            acc = acc.astype(np.result_type(acc, head), copy=False)
+            if live is None:
+                acc += np.roll(head, -1, axis=0)
+            else:
+                acc[(live - 1) % idx.shape[1]] += head
         ends = self._reduced_solve(acc, transpose=True)
         y = np.empty(v.shape, dtype=ends.dtype)
         y[idx[c - 1]] = ends

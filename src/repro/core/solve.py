@@ -79,22 +79,16 @@ class PCyclicSolver:
 
     def _back_substitute(self, y: np.ndarray) -> np.ndarray:
         """Solve ``R x = y`` blockwise in place (y shape ``(L, N, k)``)."""
-        import scipy.linalg as sla
-
         f = self._qr
         assert f is not None
-        n, N = f.b, f.N
+        n = f.b
         x = y
-        x[n - 1] = sla.solve_triangular(
-            f.Rd[n - 1], y[n - 1], lower=False, check_finite=False
-        )
+        x[n - 1] = kr.triangular_solve(f.Rd[n - 1], y[n - 1])
         for i in range(n - 2, -1, -1):
             acc = y[i] - kr.gemm(f.Ru[i], x[i + 1])
             if i < n - 2:
                 acc -= kr.gemm(f.Rc[i], x[n - 1])
-            x[i] = sla.solve_triangular(
-                f.Rd[i], acc, lower=False, check_finite=False
-            )
+            x[i] = kr.triangular_solve(f.Rd[i], acc)
         return x
 
     def _forward_substitute_t(self, y: np.ndarray) -> np.ndarray:
@@ -103,8 +97,6 @@ class PCyclicSolver:
         ``R^T`` is block lower triangular: ``Rd^T`` on the diagonal,
         ``Ru^T`` below it and the ``Rc^T`` fill along the last block row.
         """
-        import scipy.linalg as sla
-
         f = self._qr
         assert f is not None
         n = f.b
@@ -116,9 +108,7 @@ class PCyclicSolver:
             if i == n - 1:
                 for j in range(n - 2):
                     acc -= kr.gemm(f.Rc[j].T, z[j])
-            z[i] = sla.solve_triangular(
-                f.Rd[i], acc, trans=1, lower=False, check_finite=False
-            )
+            z[i] = kr.triangular_solve(f.Rd[i], acc, trans=True)
         return z
 
     def _apply_qbar(self, z: np.ndarray) -> np.ndarray:

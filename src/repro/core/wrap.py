@@ -37,17 +37,31 @@ right).  The boundary cases of :class:`~repro.core.adjacency.
 AdjacencyOps` become slice updates: a seam crossing negates the shared
 matrix, and the one block of a panel that starts or lands on the
 diagonal gets ``-/+ B^{-1}`` or ``+I`` (``B^{-1}(G - I) = B^{-1}G -
-B^{-1}``).  The up-moves use an explicit inverse, formed once per row
-(:meth:`AdjacencyOps.inverse`), rather than an LU solve: at ``N = 100``
-one LU solve costs about 356 us against 45 us for a gemm, and half the
-moves would otherwise be solves.  A COLUMNS solve at ``L = 64, c = 8``
+B^{-1}``).  The up-moves use an explicit inverse, one per row
+(:meth:`AdjacencyOps.inverse`: exact for a Hubbard matrix, else formed
+by LU), rather than an LU solve: at ``N = 100`` one LU solve costs
+about 356 us against 45 us for a gemm, and half the moves would
+otherwise be solves.  A COLUMNS solve at ``L = 64, c = 8``
 makes ``b (c-1)`` gemm calls plus ``b ceil((c-1)/2)`` inverses, where
 the per-block walk made ``b^2 (c-1)``.
 
-FULL_DIAGONAL and SUBDIAGONAL keep the per-seed moves on a thread team:
-no two of their moves share a ``B``, so an inverse would not be reused.
+**Lock-step diagonal walks (FULL_DIAGONAL / SUBDIAGONAL).**  A
+diagonal move is a similarity: ``G_{k-1,k-1} = B_k^{-1} G_kk B_k`` up
+(Eq. (4) then (6)) and ``G_{k+1,k+1} = B_{k+1} G_kk B_{k+1}^{-1}`` down
+(Eq. (5) then (7)); the identity shifts of the two boundary moves
+cancel, and so do their seam signs.  The ``b`` seed walks are
+independent and all take step ``s`` together, so each step is one
+batched pair of gemms over the ``b`` walks (no two of them share a
+``B``).  SUBDIAGONAL is one batched rightward move,
+``G_{k,k+1} = (G_kk - I) B_{k+1}^{-1}``.  Every ``B_k^{-1}`` comes from
+:meth:`AdjacencyOps.inverse`: in ``O(N^2)`` for a matrix with exact
+block inverses (a Hubbard matrix), else by one LU per block.
+
 Every pattern writes into one :class:`~repro.core.patterns.
-SelectedInversion` buffer in ``block_indices()`` order.
+SelectedInversion` buffer in ``block_indices()`` order.  WRP runs on
+the calling thread: the thread team the diagonal walks once ran on was
+no faster at 2 threads than at 1 (20-26 ms either way at paper scale on
+a 2-core host, 1 BLAS thread).
 
 The diagonal patterns read only the diagonal seeds ``G~_{k0,k0}``, so
 they accept the band of a :class:`~repro.core.bsofi.SeedSet`; COLUMNS
@@ -58,7 +72,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..parallel.openmp import parallel_for
 from ..telemetry import runtime as _telemetry
 from . import _kernels as kr
 from .adjacency import AdjacencyOps
@@ -97,7 +110,8 @@ def wrap(
         Pattern + ``(L, c, q)`` geometry.  Must be consistent with the
         seed grid shape (``b = L / c``).
     num_threads:
-        Team size for the SUBDIAGONAL / FULL_DIAGONAL seed loops.
+        Unused by WRP, which runs on the calling thread; accepted so
+        that every stage takes the same arguments.
     ops:
         Optional pre-built :class:`AdjacencyOps` (shares LU and inverse
         caches across calls for the same matrix).
@@ -144,34 +158,17 @@ def wrap(
     if pattern is Pattern.SUBDIAGONAL:
         # One rightward move from each diagonal seed (skip k = L, whose
         # "sub-diagonal" would be the corner); slot t is the t-th kept.
-        todo = [(k0, k) for k0, k in enumerate(seeds) if k != L]
-
-        def sub_body(t: int) -> None:
-            k0, k = todo[t]
-            out.data[t] = ops.right(diag[k0], k, k)
-
-        with _telemetry.span("wrp.subdiagonal", seeds=len(todo)):
-            parallel_for(sub_body, len(todo), num_threads=num_threads)
+        # k + 1 <= L, so no move crosses the seam.
+        keep = [k0 for k0, k in enumerate(seeds) if k != L]
+        S = diag[keep]
+        S[:, np.arange(N), np.arange(N)] -= 1.0
+        with _telemetry.span("wrp.subdiagonal", seeds=len(keep)):
+            kr.gemm_into(out.data, S, [ops.inverse(seeds[k0] + 1) for k0 in keep])
         return out
 
     if pattern is Pattern.FULL_DIAGONAL:
-        # Slot k-1 holds G_kk.
-        def diag_body(k0: int) -> None:
-            k = seeds[k0]
-            g = out.data[k - 1] = diag[k0]
-            kk = k
-            for _ in range(up_steps):
-                g = ops.up_left(g, kk, kk)
-                kk = torus_index(kk - 1, L)
-                out.data[kk - 1] = g
-            g, kk = diag[k0], k
-            for _ in range(down_steps):
-                g = ops.down_right(g, kk, kk)
-                kk = torus_index(kk + 1, L)
-                out.data[kk - 1] = g
-
         with _telemetry.span("wrp.full_diagonal", seeds=b):
-            parallel_for(diag_body, b, num_threads=num_threads)
+            _diagonal_walks(ops, diag, selection, out, up_steps, down_steps)
         return out
 
     raise AssertionError(f"unhandled pattern {pattern}")  # pragma: no cover
@@ -238,6 +235,48 @@ def _panel_walks(
                 if rr in slot:  # started on the diagonal: (G - I) B^{-1}
                     into[slot[rr]] -= M
             rr = dst
+
+
+def _diagonal_walks(
+    ops: AdjacencyOps,
+    diag: np.ndarray,
+    selection: Selection,
+    out: SelectedInversion,
+    up_steps: int,
+    down_steps: int,
+) -> None:
+    """FULL_DIAGONAL: the ``b`` seed walks in lock step.
+
+    Slot ``k - 1`` of the buffer holds ``G_kk``, so the blocks the
+    walks reach after each step are the strided view ``data[r::c]``.
+    A step is two batched gemms from one such view into the next; when
+    it crosses between slots ``L - 1`` and ``0`` (the torus seam) the
+    walk at one end of the view lands at the other, so its source is
+    rolled by one.
+    """
+    L, c = selection.L, selection.c
+    data = out.data
+    r0 = c - 1 - selection.q  # slot of the first seed, G_{c-q, c-q}
+    data[r0::c] = diag
+    tmp = np.empty(diag.shape, dtype=data.dtype)
+    for steps, d in ((up_steps, -1), (down_steps, 1)):
+        r = r0
+        for _ in range(steps):
+            src = data[r::c]
+            r += d
+            if not 0 <= r < c:
+                r %= c
+                src = np.roll(src, d, axis=0)
+            ks = range(r + 1, L + 1, c)  # the G_kk this step produces
+            if d < 0:  # G_kk = B_{k+1}^{-1} G_{k+1,k+1} B_{k+1}
+                js = [torus_index(k + 1, L) for k in ks]
+                left = [ops.inverse(j) for j in js]
+                right = [ops.pc.block(j) for j in js]
+            else:  # G_kk = B_k G_{k-1,k-1} B_k^{-1}
+                left = [ops.pc.block(k) for k in ks]
+                right = [ops.inverse(k) for k in ks]
+            kr.gemm_into(tmp, left, src)
+            kr.gemm_into(data[r::c], tmp, right)
 
 
 def wrap_flops(L: int, N: int, c: int, pattern: Pattern) -> float:

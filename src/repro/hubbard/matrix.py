@@ -25,7 +25,7 @@ from .hs_field import HSField
 from .kinetic import KineticPropagator
 from .lattice import RectangularLattice
 
-__all__ = ["HubbardModel", "hs_coupling", "build_hubbard_matrix"]
+__all__ = ["HubbardModel", "SliceInverses", "hs_coupling", "build_hubbard_matrix"]
 
 
 def hs_coupling(U: float, dtau: float) -> float:
@@ -135,6 +135,12 @@ class HubbardModel:
         return self._kin  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------------
+    def _potential(self, h: np.ndarray, sigma: int) -> np.ndarray:
+        """Exponent ``s nu h + dtau mu`` of the diagonal potential factor
+        of ``B_l``, for a field slice ``(N,)`` or a whole field ``(L, N)``."""
+        s = self.spin_factor(sigma)
+        return s * self.nu * np.asarray(h).astype(np.float64) + self.dtau * self.mu
+
     def slice_matrix(self, h_slice: np.ndarray, sigma: int) -> np.ndarray:
         """One block ``B_l = e^{t dtau K} e^{sigma nu V_l} e^{dtau mu}``.
 
@@ -142,35 +148,55 @@ class HubbardModel:
         The potential factor is diagonal, so it is applied as a column
         scaling of the kinetic factor (no gemm needed).
         """
-        s = self.spin_factor(sigma)
         h_slice = np.asarray(h_slice)
         if h_slice.shape != (self.N,):
             raise ValueError(
                 f"h_slice must have shape ({self.N},), got {h_slice.shape!r}"
             )
-        diag = np.exp(
-            s * self.nu * h_slice.astype(np.float64) + self.dtau * self.mu
-        )
-        return self.kinetic.forward * diag[None, :]
+        return self.kinetic.forward * np.exp(self._potential(h_slice, sigma))[None, :]
 
     def slice_matrix_inv(self, h_slice: np.ndarray, sigma: int) -> np.ndarray:
-        """Exact inverse ``B_l^{-1} = e^{-sigma nu V_l} e^{-dtau mu} e^{-t dtau K}``."""
-        s = self.spin_factor(sigma)
-        diag = np.exp(-s * self.nu * np.asarray(h_slice, dtype=np.float64)
-                      - self.dtau * self.mu)
-        return diag[:, None] * self.kinetic.backward
+        """Exact inverse of :meth:`slice_matrix` (:class:`SliceInverses`)."""
+        exponent = self._potential(h_slice, sigma)
+        return SliceInverses(self.kinetic, np.exp(-exponent)[None, :])(1)
 
     def build_matrix(self, field: HSField, sigma: int = +1) -> BlockPCyclic:
-        """Assemble the block p-cyclic Hubbard matrix ``M_sigma(h)``."""
+        """Assemble the block p-cyclic Hubbard matrix ``M_sigma(h)``.
+
+        All ``L`` blocks come from one broadcast column scaling of the
+        kinetic factor (bitwise equal to :meth:`slice_matrix` per
+        slice); the matrix carries its exact block inverses.
+        """
         if field.L != self.L or field.N != self.N:
             raise ValueError(
                 f"field shape ({field.L}, {field.N}) does not match model"
                 f" ({self.L}, {self.N})"
             )
-        B = np.empty((self.L, self.N, self.N))
-        for l in range(self.L):
-            B[l] = self.slice_matrix(field.slice(l), sigma)
-        return BlockPCyclic(B)
+        exponent = self._potential(field.h, sigma)
+        B = self.kinetic.forward * np.exp(exponent)[:, None, :]
+        return BlockPCyclic(
+            B, inverses=SliceInverses(self.kinetic, np.exp(-exponent))
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class SliceInverses:
+    """The exact block inverses of a Hubbard matrix, one at a time.
+
+    ``B_l^{-1} = e^{-sigma nu V_l} e^{-dtau mu} e^{-t dtau K}``: a row
+    scaling of the cached ``e^{-t dtau K}``, ``O(N^2)`` and free of any
+    factorisation.  ``scale[l - 1]`` holds the diagonal
+    ``e^{-(sigma nu h(l) + dtau mu)}``.  Instances are the ``inverses``
+    provider of the :class:`~repro.core.pcyclic.BlockPCyclic` that
+    :meth:`HubbardModel.build_matrix` returns, so they pickle with it.
+    """
+
+    kinetic: KineticPropagator
+    scale: np.ndarray
+
+    def __call__(self, l: int) -> np.ndarray:
+        """``B_l^{-1}`` for a 1-based ``l``, as a new array."""
+        return self.scale[l - 1][:, None] * self.kinetic.backward
 
 
 def build_hubbard_matrix(

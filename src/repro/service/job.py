@@ -19,6 +19,7 @@ pickle cheaply across the process-pool boundary (the field buffer is
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import struct
 import time
@@ -96,15 +97,13 @@ class ModelSpec:
         )
 
     def build_model(self) -> HubbardModel:
-        """Materialise the :class:`HubbardModel` (e.g. inside a worker)."""
-        return HubbardModel(
-            RectangularLattice(self.nx, self.ny),
-            L=self.L,
-            t=self.t,
-            U=self.U,
-            beta=self.beta,
-            mu=self.mu,
-        )
+        """The :class:`HubbardModel` of this spec (e.g. inside a worker).
+
+        Memoised per process (:data:`_MODEL_CACHE_SIZE` specs, LRU): the
+        model caches ``eigh(K)`` and the kinetic exponentials, which
+        every job with the same spec would otherwise recompute.
+        """
+        return _build_model(self)
 
     def encode(self) -> bytes:
         """Canonical little-endian encoding (fingerprint input)."""
@@ -120,6 +119,22 @@ class ModelSpec:
             self.beta,
             self.mu,
         )
+
+
+#: Models kept by :meth:`ModelSpec.build_model`, per process.
+_MODEL_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=_MODEL_CACHE_SIZE)
+def _build_model(spec: ModelSpec) -> HubbardModel:
+    return HubbardModel(
+        RectangularLattice(spec.nx, spec.ny),
+        L=spec.L,
+        t=spec.t,
+        U=spec.U,
+        beta=spec.beta,
+        mu=spec.mu,
+    )
 
 
 @dataclass(frozen=True)

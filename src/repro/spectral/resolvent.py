@@ -156,6 +156,7 @@ class _ShiftedOps(AdjacencyOps):
         self.pc = _ScaledChain(base.pc, s)  # gemm moves: scaled blocks
         self._base = base
         self._s = s
+        self.exact = base.exact
         # Parent LU caches stay empty: factors delegate to the base ops.
         self._lu: dict[int, kr.LUFactors] = {}
         self._lu_t: dict[int, kr.LUFactors] = {}

@@ -68,6 +68,24 @@ def test_triangular_solve(is_complex):
         B = B + 1j * rng.standard_normal((6, 9))
     np.testing.assert_allclose(kr.triangular_solve(R, B),
                                sla.solve_triangular(R, B), atol=1e-13)
+    np.testing.assert_allclose(kr.triangular_solve(R, B, trans=True),
+                               sla.solve_triangular(R, B, trans=1), atol=1e-13)
+    # One right-hand side, as the delta path's reduced solves pass it.
+    np.testing.assert_allclose(kr.triangular_solve(R, B[:, :1], trans=True),
+                               sla.solve_triangular(R, B[:, :1], trans=1),
+                               atol=1e-13)
+
+
+@pytest.mark.parametrize("batch", ["shared", "stacked", "sequence"])
+def test_gemm_into_batch_operands(batch):
+    rng = np.random.default_rng(6)
+    A = rng.standard_normal((4, 5, 3))
+    B = rng.standard_normal((4, 3, 5))
+    shared = B[0]
+    right = {"shared": shared, "stacked": B, "sequence": list(B)}[batch]
+    out = kr.gemm_into(np.empty((4, 5, 5)), list(A), right)
+    expect = np.matmul(A, shared if batch == "shared" else B)
+    np.testing.assert_allclose(out, expect, atol=1e-13)
 
 
 @pytest.mark.parametrize("is_complex", [False, True])

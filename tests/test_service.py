@@ -123,6 +123,16 @@ class TestFingerprint:
         other_spec = ModelSpec(nx=2, ny=2, L=8, t=1.0, U=3.0, beta=1.0)
         assert base.fingerprint != make_job(seed=1, spec=other_spec).fingerprint
 
+    def test_build_model_is_memoised_per_spec(self):
+        """Workers rebuild a job's model per job: equal specs share one
+        model (its eigh(K) and exponentials), unequal specs do not."""
+        twin = ModelSpec(nx=2, ny=2, L=8, t=1.0, U=2.0, beta=1.0)
+        model = SPEC.build_model()
+        assert twin.build_model() is model
+        other = ModelSpec(nx=2, ny=2, L=8, t=1.0, U=3.0, beta=1.0)
+        assert other.build_model() is not model
+        assert other.build_model().U == 3.0
+
     def test_stable_across_processes(self):
         """SHA-256 over the canonical encoding, never Python hash():
         a fresh interpreter (fresh PYTHONHASHSEED) must agree."""
