@@ -35,6 +35,7 @@ from repro.core.bsofi import bsofi_seeds
 from repro.core.cls import cls
 from repro.core.fsi import fsi, fsi_resilient
 from repro.core.patterns import Pattern
+from repro.parallel.budget import process_budget
 from repro.resilience.guards import (
     GuardConfig,
     check_cluster_conditions,
@@ -166,6 +167,7 @@ def measure_overhead(pattern: Pattern = Pattern.COLUMNS) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    process_budget()  # measure at the BLAS thread count the service runs
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--check",

@@ -3,7 +3,7 @@
 The resolvent path (``repro.spectral``, see ``docs/spectral.md``)
 computes selected blocks of ``G(z) = (zI - M)^{-1}`` over an
 omega-grid.  Its whole point is that the omega-independent work — the
-``2b(c-1)N^3`` CLS clustering and the per-block wrapping LUs — is
+``2b(c-1)N^3`` CLS clustering and the block inverses of the wrapping — is
 factored **once** and shared by every shift, leaving only the
 ``~7b^2N^3`` reduced inversion plus wrapping per frequency.  The
 naive alternative rebuilds the shifted p-cyclic matrix and runs the
@@ -47,6 +47,7 @@ from repro.bench.workloads import (
 )
 from repro.core.fsi import fsi
 from repro.core.patterns import Pattern
+from repro.parallel.budget import process_budget
 from repro.resilience.guards import GuardConfig
 from repro.spectral import OmegaGrid, ResolventFactor, shifted_pcyclic
 
@@ -107,7 +108,9 @@ def bench_naive_sweep(benchmark, small_problem):
 
 @pytest.mark.benchmark(group="spectral")
 def bench_factor_only(benchmark, small_problem):
-    """The shared setup the sweep amortises: CLS + wrapping LUs."""
+    """The shared setup the sweep amortises: CLS of the unshifted chain
+    (block inverses are formed on a shift's first use; DIAGONAL uses
+    none)."""
     pc, _, _ = small_problem
     benchmark(
         lambda: ResolventFactor(
@@ -272,6 +275,7 @@ def measure_guard_overhead(seed: int = 1) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    process_budget()  # measure at the BLAS thread count the service runs
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--check",

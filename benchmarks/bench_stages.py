@@ -11,12 +11,12 @@ patterns time the band (against ``bsofi_band_flops``).  CLS is rated
 against ``cls_flops``, the QR against ``bsofi_qr_flops`` and WRP
 against ``wrap_flops``.  Every stage time is the median of
 ``--repeats`` rounds, each of which times every point once (so drift
-on a shared host does not favour the points timed first); WRP runs
-with a fresh adjacency operator each time, so its LU and inverse caches
-are part of its cost, as in ``fsi``.  The Hubbard matrix carries its
-exact block inverses; the reported-only ``wrp.lu`` point runs
-FULL_DIAGONAL WRP on the same blocks without them (``BlockPCyclic(pc.B)``),
-the LU path every other matrix takes.
+on a shared host does not favour the points timed first); WRP forms
+the block inverses it applies on every call, as in ``fsi``.  The
+Hubbard matrix carries its exact block inverses; the reported-only
+``wrp.lu`` point runs FULL_DIAGONAL WRP on the same blocks without them
+(``BlockPCyclic(pc.B)``), which forms each inverse by LU, as every
+other matrix does.
 
 The ``--check`` gates compare against figures measured in the same run,
 never an absolute time:
@@ -47,7 +47,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.bench.workloads import VALIDATION, make_hubbard
-from repro.core.adjacency import AdjacencyOps
 from repro.core.bsofi import (
     GRID_PATTERNS,
     bsofi_band_flops,
@@ -133,18 +132,17 @@ def measure_stages(repeats: int = 7, seed: int = 1, q: int = 3) -> list[dict]:
              lambda p=pattern: bsofi_seeds(reduced, p)),
             (pattern, "wrp", wrap_flops(L, N, C, pattern),
              lambda sel=sel, seeds=seeds: wrap(
-                 pc, seeds, sel, num_threads=1, ops=AdjacencyOps(pc))),
+                 pc, seeds, sel, num_threads=1)),
         ]
     # Reported only, and timed last in each round: the LU walk allocates
-    # and frees L - b cached inverses, which slowed the BSOFI timed just
+    # and frees L - b formed inverses, which slowed the BSOFI timed just
     # after it by 2-3 ms on a 2-core host.
     full = Selection(Pattern.FULL_DIAGONAL, L=L, c=C, q=q)
     full_seeds = bsofi_seeds(reduced, Pattern.FULL_DIAGONAL)
     cases.append(
         (Pattern.FULL_DIAGONAL, "wrp.lu",
          wrap_flops(L, N, C, Pattern.FULL_DIAGONAL),
-         lambda: wrap(generic, full_seeds, full, num_threads=1,
-                      ops=AdjacencyOps(generic))))
+         lambda: wrap(generic, full_seeds, full, num_threads=1)))
     ms = _interleaved_median_ms([fn for *_, fn in cases], repeats)
     return [
         {"pattern": pattern.value, "stage": stage, "ms": t, "flops": flops,

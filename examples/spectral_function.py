@@ -8,7 +8,7 @@ energies".  This example
    Hubbard-Stratonovich field configuration;
 2. factors it **once** (:class:`repro.spectral.ResolventFactor`) and
    sweeps a 97-point frequency grid — the omega-independent CLS stage
-   and the per-block LU factors are shared by every shift, which is
+   and the block inverses are shared by every shift, which is
    what makes dense grids affordable (see ``benchmarks/
    bench_spectral.py`` for the measured speedup gate);
 3. prints the density of states ``rho(omega) = tr A(omega) / (N L)``

@@ -36,7 +36,6 @@ def spxx_for_beta(beta: float, seed: int = 3):
             res.seeds,
             Selection(Pattern.COLUMNS, L=L, c=C, q=Q),
             num_threads=1,
-            ops=res.ops,
         )
         bundles[sigma] = (res.selected, cols)
     return (

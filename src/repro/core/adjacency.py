@@ -2,27 +2,27 @@
 
 The central observation of the paper (Fig. 1): once one block ``G_kl``
 of the Green's function is known, its four neighbours follow from a
-single gemm or triangular solve with one ``B`` block:
+single gemm with one ``B`` block or its inverse:
 
-* **up** (Eq. (4)):    ``G_{k-1,l} = B_k^{-1} G_kl``            (solve)
-* **down** (Eq. (5)):  ``G_{k+1,l} = B_{k+1} G_kl``             (gemm)
-* **left** (Eq. (6)):  ``G_{k,l-1} = G_kl B_l``                 (gemm)
-* **right** (Eq. (7)): ``G_{k,l+1} = G_kl B_{l+1}^{-1}``        (solve)
+* **up** (Eq. (4)):    ``G_{k-1,l} = B_k^{-1} G_kl``
+* **down** (Eq. (5)):  ``G_{k+1,l} = B_{k+1} G_kl``
+* **left** (Eq. (6)):  ``G_{k,l-1} = G_kl B_l``
+* **right** (Eq. (7)): ``G_{k,l+1} = G_kl B_{l+1}^{-1}``
 
 with boundary corrections (identity shifts and sign flips) whenever the
 move starts or lands on the block diagonal or crosses the torus seam
 between rows/columns ``L`` and ``1``.  All four relations derive from
 ``M G = I`` (rows) and ``G M = I`` (columns); this module owns every
-boundary case so the wrapping stage and the DQMC engine can move blocks
-around without re-deriving them.
+boundary case so that block-by-block walks (:mod:`repro.core.
+custom_wrap`, the tests' reference chains) need not re-derive them.
+The pattern walks of :mod:`repro.core.wrap` apply the same relations
+as batched gemms.
 
-:class:`AdjacencyOps` applies ``B_i^{-1}`` one of two ways.  When the
-matrix carries its exact block inverses (``pc.inverses``, a Hubbard
-matrix), every ``B_i^{-1}`` is formed in ``O(N^2)`` on demand and
-applied by one gemm; nothing is factorised or cached.  Otherwise it
-caches one LU factorisation per ``B`` block so a column sweep pays the
-factorisation once, and, for the panel and diagonal walks of
-:mod:`repro.core.wrap`, one explicit inverse per block.
+Every ``B_i^{-1}`` comes from :meth:`BlockPCyclic.inverse
+<repro.core.pcyclic.BlockPCyclic.inverse>`.  :class:`AdjacencyOps`
+caches the inverses it forms by LU, one per block, because a custom
+walk applies the same ``B_i^{-1}`` many times; an exact inverse (a
+Hubbard matrix) costs ``O(N^2)`` and is formed anew on every call.
 """
 
 from __future__ import annotations
@@ -45,52 +45,23 @@ class AdjacencyOps:
 
     Notes
     -----
-    ``up``/``right`` apply a ``B`` block's inverse.  With exact inverses
-    (:attr:`exact`) that is one gemm with :meth:`inverse`; otherwise a
-    solve with LU factors cached per block index (and shared across
-    threads — the cache is filled under a plain dict set, which is
-    atomic in CPython; a redundant factorisation in a race is harmless).
+    Formed inverses are cached per block index and shared across
+    threads (the cache is filled under a plain dict set, which is
+    atomic in CPython; a redundant inversion in a race is harmless).
     """
 
     def __init__(self, pc: BlockPCyclic):
         self.pc = pc
-        #: ``pc`` supplies exact ``B_i^{-1}``: apply them, never factor.
-        self.exact = pc.inverses is not None
-        self._lu: dict[int, kr.LUFactors] = {}
-        self._lu_t: dict[int, kr.LUFactors] = {}
         self._inv: dict[int, np.ndarray] = {}
 
-    # -- factor caches ---------------------------------------------------
-    def _factor(self, i: int) -> kr.LUFactors:
-        i = torus_index(i, self.pc.L)
-        f = self._lu.get(i)
-        if f is None:
-            f = self._lu[i] = kr.lu_factor(self.pc.block(i))
-        return f
-
-    def _factor_t(self, i: int) -> kr.LUFactors:
-        """LU of ``B_i^T`` for right-solves ``X B_i^{-1}``."""
-        i = torus_index(i, self.pc.L)
-        f = self._lu_t.get(i)
-        if f is None:
-            f = self._lu_t[i] = kr.lu_factor(
-                np.ascontiguousarray(self.pc.block(i).T)
-            )
-        return f
-
     def inverse(self, i: int) -> np.ndarray:
-        """``B_i^{-1}``.  A panel of moves that share ``B_i`` then costs
-        one gemm instead of one LU solve per block.
-
-        An exact inverse is formed anew on every call (``O(N^2)``, and
-        each walk applies it once); a factorised one is cached.
-        """
-        if self.exact:
+        """``B_i^{-1}``: exact ones anew, formed ones from the cache."""
+        if self.pc.inverses is not None:
             return self.pc.inverse(i)
         i = torus_index(i, self.pc.L)
         inv = self._inv.get(i)
         if inv is None:
-            inv = self._inv[i] = kr.inverse(self.pc.block(i))
+            inv = self._inv[i] = self.pc.inverse(i)
         return inv
 
     # -- the four moves ---------------------------------------------------
@@ -108,10 +79,7 @@ class AdjacencyOps:
         if k == l:
             S = S.copy()
             kr.add_identity(S, -1.0)
-        if self.exact:
-            out = kr.gemm(self.inverse(k), S)
-        else:
-            out = self._factor(k).solve(S)
+        out = kr.gemm(self.inverse(k), S)
         return -out if k == 1 else out
 
     def down(self, G_kl: np.ndarray, k: int, l: int) -> np.ndarray:
@@ -164,11 +132,7 @@ class AdjacencyOps:
         if k == l:
             S = S.copy()
             kr.add_identity(S, -1.0)
-        if self.exact:
-            out = kr.gemm(S, self.inverse(lp))
-        else:
-            # X B^{-1}  ==  solve(B^T, X^T)^T
-            out = self._factor_t(lp).solve(np.ascontiguousarray(S.T)).T
+        out = kr.gemm(S, self.inverse(lp))
         return -out if lp == 1 else out
 
     # -- composed diagonal moves -------------------------------------------

@@ -266,11 +266,7 @@ def bsofi(pc: BlockPCyclic) -> np.ndarray:
     Returns the blocks of ``G~ = M~^{-1}`` as a ``(b, b, N, N)`` array
     (``G[k0-1, l0-1]`` is the 1-based block ``G~_{k0, l0}``).
     """
-    if pc.L == 1:
-        return _single_block_inverse(pc)
-    with _telemetry.span("bsofi.qr", b=pc.L, N=pc.N):
-        f = bsofi_qr(pc)
-    return _grid(f)
+    return bsofi_seeds(pc, Pattern.COLUMNS).grid
 
 
 @dataclass

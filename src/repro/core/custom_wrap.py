@@ -6,7 +6,7 @@ query set) rather than whole rows/columns.  The FSI machinery supports
 this directly: every requested block is grown from the **nearest seed**
 of the ``b x b`` grid by a shortest walk of adjacency moves —
 vertical moves first (Eq. (4)/(5)), then horizontal (Eq. (6)/(7)) —
-at one gemm-or-solve per step, at most ``~c`` steps total.
+at one gemm per step, at most ``~c`` steps total.
 
 :func:`wrap_blocks` returns a plain dict (the requested set need not
 match a :class:`~repro.core.patterns.Selection` shape).  Walks from the
@@ -76,7 +76,8 @@ def wrap_blocks(
     blocks:
         Requested 1-based ``(k, l)`` positions (torus-wrapped).
     ops:
-        Optional shared :class:`AdjacencyOps` (reuses LU caches).
+        Optional shared :class:`AdjacencyOps` (reuses the block
+        inverses it formed).
 
     Returns
     -------

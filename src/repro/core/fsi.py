@@ -33,7 +33,6 @@ import numpy as np
 from ..resilience import guards as _guards
 from ..resilience.guards import GuardConfig, GuardReport, NumericalHealthError
 from ..telemetry import runtime as _telemetry
-from .adjacency import AdjacencyOps
 from .bsofi import SeedSet, bsofi_flops
 from .cls import cls_flops
 from .patterns import Pattern, SelectedInversion, Selection
@@ -57,9 +56,6 @@ class FSIResult:
         the solve used, and the grid behind :attr:`seeds`.
     selection:
         Pattern + geometry actually used (includes the drawn ``q``).
-    ops:
-        The adjacency operator with its LU caches, reusable for further
-        wrapping on the same matrix.
     rung:
         Which solve path produced the result: ``"direct"`` for the
         requested cluster factor, ``"c=<n>"`` for a fallback rung of
@@ -73,7 +69,6 @@ class FSIResult:
     selected: SelectedInversion
     seed_set: SeedSet = field(repr=False, compare=False)
     selection: Selection
-    ops: AdjacencyOps
     rung: str = "direct"
     health: GuardReport | None = field(default=None, compare=False)
 
@@ -130,16 +125,14 @@ def fsi(
     """
     q = cluster_offset(pc.L, c, q, rng)
     selection = Selection(pattern, L=pc.L, c=c, q=q)
-    ops = AdjacencyOps(pc)
     with _telemetry.span(
         "fsi", L=pc.L, N=pc.N, c=c, q=q, pattern=pattern.name
     ):
         selected, seeds, report = run_stages(
-            pc, selection, ops, guards=guards, num_threads=num_threads
+            pc, selection, guards=guards, num_threads=num_threads
         )
     return FSIResult(
-        selected=selected, seed_set=seeds, selection=selection, ops=ops,
-        health=report,
+        selected=selected, seed_set=seeds, selection=selection, health=report
     )
 
 
@@ -222,7 +215,6 @@ def fsi_resilient(
                 selected=SelectedInversion(requested, blocks),
                 seed_set=result.seed_set.take(pos),
                 selection=requested,
-                ops=result.ops,
                 health=result.health,
             )
         result.rung = rung
@@ -246,7 +238,6 @@ def fsi_resilient(
         selected=selected,
         seed_set=SeedSet(grid=np.empty((0, 0, pc.N, pc.N), dtype=pc.B.dtype)),
         selection=requested,
-        ops=AdjacencyOps(pc),
         rung="udt",
         health=report,
     )

@@ -25,11 +25,11 @@ This module provides :class:`BlockPCyclic`, the container used by every
 algorithm in :mod:`repro.core` (CLS, BSOFI, WRP, FSI, baselines).
 Blocks are stored as one contiguous ``(L, N, N)`` array so that each
 ``B_i`` is a contiguous view — all downstream kernels are gemm-rich and
-benefit from contiguous operands.  A matrix whose block inverses are
-known in closed form (the Hubbard matrix:
-:meth:`~repro.hubbard.matrix.HubbardModel.build_matrix`) also carries a
-provider of the exact ``B_i^{-1}``, which the wrapping moves apply by
-gemm instead of factorising ``B_i``.
+benefit from contiguous operands.  :meth:`BlockPCyclic.inverse` is the
+one source of ``B_i^{-1}`` for the wrapping moves, which apply it by
+gemm: a matrix whose block inverses are known in closed form (the
+Hubbard matrix: :meth:`~repro.hubbard.matrix.HubbardModel.build_matrix`)
+carries a provider of the exact ``B_i^{-1}``; any other forms it by LU.
 
 Block indices in the public API are **1-based** (``1 <= i <= L``) to
 match the paper; a *torus* convention maps ``0 -> L`` and ``L+1 -> 1``
@@ -42,6 +42,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+
+from . import _kernels as kr
 
 __all__ = [
     "BlockPCyclic",
@@ -144,15 +146,16 @@ class BlockPCyclic:
         return [self.block(i) for i in indices]
 
     def inverse(self, i: int) -> np.ndarray:
-        """The exact ``B_i^{-1}`` (1-based, torus-wrapped), a new array.
+        """``B_i^{-1}`` (1-based, torus-wrapped), a new array.
 
-        Only for a matrix built with an ``inverses`` provider; any other
-        ``B_i`` is inverted by factorisation
-        (:meth:`~repro.core.adjacency.AdjacencyOps.inverse`).
+        From the ``inverses`` provider in ``O(N^2)`` when the matrix has
+        one, else formed by LU (:func:`~repro.core._kernels.inverse`,
+        counted flops).  Nothing is cached here.
         """
+        i = torus_index(i, self.L)
         if self.inverses is None:
-            raise ValueError("this matrix carries no exact block inverses")
-        return self.inverses(torus_index(i, self.L))
+            return kr.inverse(self.B[i - 1])
+        return self.inverses(i)
 
     # ------------------------------------------------------------------
     # conversions

@@ -3,7 +3,7 @@
 :func:`run_stages` is the one place the stages and the guards between
 them are sequenced, for :func:`~repro.core.fsi.fsi` and for each
 :class:`~repro.spectral.resolvent.ResolventFactor` shift (which enters
-with its reduced chain, shifted operator and ``1/(z-1)`` scale)::
+with its scaled chain, its reduced chain and the ``1/(z-1)`` scale)::
 
     screen input -> CLS -> screen, cluster conditions
                  -> BSOFI -> screen band, seed residual
@@ -23,7 +23,6 @@ from ..resilience import chaos as _chaos
 from ..resilience import guards as _guards
 from ..resilience.guards import GuardConfig, GuardReport
 from ..telemetry import runtime as _telemetry
-from .adjacency import AdjacencyOps
 from .bsofi import SeedSet, bsofi_seeds
 from .cls import cls
 from .patterns import SelectedInversion, Selection
@@ -49,7 +48,6 @@ def cluster_offset(
 def run_stages(
     pc: BlockPCyclic,
     selection: Selection,
-    ops: AdjacencyOps,
     guards: GuardConfig | None = None,
     num_threads: int | None = None,
     reduced: BlockPCyclic | None = None,
@@ -57,10 +55,12 @@ def run_stages(
 ) -> tuple[SelectedInversion, SeedSet, GuardReport | None]:
     """Run the guarded stages; return ``(selected, seeds, report)``.
 
-    ``reduced`` (the caller's reduced chain) skips the input screen, CLS
-    and the cluster-condition check, which the caller runs once where it
-    clustered; ``scale`` multiplies the wrapped blocks before the result
-    screen.  A guard trip raises ``NumericalHealthError``.
+    WRP reads ``pc``'s blocks and inverses.  ``reduced`` (the caller's
+    reduced chain) skips the input screen, CLS and the cluster-condition
+    check, which the caller runs once where it clustered; then ``pc``
+    only needs what WRP reads.  ``scale`` multiplies the wrapped blocks
+    before the result screen.  A guard trip raises
+    ``NumericalHealthError``.
     """
     report = GuardReport() if guards is not None else None
     ran_cls = reduced is None
@@ -86,7 +86,7 @@ def run_stages(
         if guards.residual_samples:
             _guards.check_seed_residual(reduced.B, seeds.band, guards, report)
     with _telemetry.stage("wrp", pattern=selection.pattern.name):
-        selected = wrap(pc, seeds, selection, num_threads=num_threads, ops=ops)
+        selected = wrap(pc, seeds, selection, num_threads=num_threads)
     if scale is not None:
         # The wrap output is a fresh buffer, so the scale is safe in place.
         selected.data *= scale

@@ -38,7 +38,7 @@ AdjacencyOps` become slice updates: a seam crossing negates the shared
 matrix, and the one block of a panel that starts or lands on the
 diagonal gets ``-/+ B^{-1}`` or ``+I`` (``B^{-1}(G - I) = B^{-1}G -
 B^{-1}``).  The up-moves use an explicit inverse, one per row
-(:meth:`AdjacencyOps.inverse`: exact for a Hubbard matrix, else formed
+(:meth:`BlockPCyclic.inverse`: exact for a Hubbard matrix, else formed
 by LU), rather than an LU solve: at ``N = 100`` one LU solve costs
 about 356 us against 45 us for a gemm, and half the moves would
 otherwise be solves.  A COLUMNS solve at ``L = 64, c = 8``
@@ -53,9 +53,13 @@ cancel, and so do their seam signs.  The ``b`` seed walks are
 independent and all take step ``s`` together, so each step is one
 batched pair of gemms over the ``b`` walks (no two of them share a
 ``B``).  SUBDIAGONAL is one batched rightward move,
-``G_{k,k+1} = (G_kk - I) B_{k+1}^{-1}``.  Every ``B_k^{-1}`` comes from
-:meth:`AdjacencyOps.inverse`: in ``O(N^2)`` for a matrix with exact
-block inverses (a Hubbard matrix), else by one LU per block.
+``G_{k,k+1} = (G_kk - I) B_{k+1}^{-1}``.
+
+Every pattern reads the blocks and their inverses from the chain it
+wraps (``pc.block``, ``pc.inverse``), and no walk applies one
+``B_k^{-1}`` twice, so nothing is cached: an exact inverse costs
+``O(N^2)``, a formed one one LU.  A spectral shift passes a chain that
+scales both by its scalar (:mod:`repro.spectral.resolvent`).
 
 Every pattern writes into one :class:`~repro.core.patterns.
 SelectedInversion` buffer in ``block_indices()`` order.  WRP runs on
@@ -74,7 +78,6 @@ import numpy as np
 
 from ..telemetry import runtime as _telemetry
 from . import _kernels as kr
-from .adjacency import AdjacencyOps
 from .bsofi import GRID_PATTERNS, SeedSet
 from .patterns import Pattern, SelectedInversion, Selection
 from .pcyclic import BlockPCyclic, torus_index
@@ -93,7 +96,6 @@ def wrap(
     G_seeds: np.ndarray | SeedSet,
     selection: Selection,
     num_threads: int | None = None,
-    ops: AdjacencyOps | None = None,
 ) -> SelectedInversion:
     """Grow the seed grid into the requested selected inversion.
 
@@ -101,7 +103,9 @@ def wrap(
     ----------
     pc:
         The *original* (un-reduced) block p-cyclic matrix; wrapping
-        moves use its ``B`` blocks.
+        moves use its blocks and their inverses (:meth:`~repro.core.
+        pcyclic.BlockPCyclic.block`, :meth:`~repro.core.pcyclic.
+        BlockPCyclic.inverse`).
     G_seeds:
         The ``(b, b, N, N)`` output of :func:`repro.core.bsofi.bsofi`
         on the CLS-reduced matrix, or the
@@ -112,9 +116,6 @@ def wrap(
     num_threads:
         Unused by WRP, which runs on the calling thread; accepted so
         that every stage takes the same arguments.
-    ops:
-        Optional pre-built :class:`AdjacencyOps` (shares LU and inverse
-        caches across calls for the same matrix).
 
     Returns
     -------
@@ -137,16 +138,14 @@ def wrap(
     seed_blocks = G_seeds.grid if grid else G_seeds.band.diag
     if seed_blocks.shape[0] != b:
         raise ValueError(f"{seed_blocks.shape[0]} seeds != expected b = {b}")
-    if ops is None:
-        ops = AdjacencyOps(pc)
-    dtype = np.result_type(seed_blocks.dtype, pc.B.dtype)
+    dtype = np.result_type(seed_blocks.dtype, pc.dtype)
     out = SelectedInversion.empty(selection, (N, N), dtype)
     seeds = selection.seeds  # [c-q, 2c-q, ..., bc-q]
     up_steps, down_steps = _up_down_steps(c)
 
     if grid:
         with _telemetry.span("wrp.panels", panels=b, pattern=pattern.name):
-            _panel_walks(ops, seed_blocks, selection, out, up_steps,
+            _panel_walks(pc, seed_blocks, selection, out, up_steps,
                          down_steps)
         return out
 
@@ -163,19 +162,19 @@ def wrap(
         S = diag[keep]
         S[:, np.arange(N), np.arange(N)] -= 1.0
         with _telemetry.span("wrp.subdiagonal", seeds=len(keep)):
-            kr.gemm_into(out.data, S, [ops.inverse(seeds[k0] + 1) for k0 in keep])
+            kr.gemm_into(out.data, S, [pc.inverse(seeds[k0] + 1) for k0 in keep])
         return out
 
     if pattern is Pattern.FULL_DIAGONAL:
         with _telemetry.span("wrp.full_diagonal", seeds=b):
-            _diagonal_walks(ops, diag, selection, out, up_steps, down_steps)
+            _diagonal_walks(pc, diag, selection, out, up_steps, down_steps)
         return out
 
     raise AssertionError(f"unhandled pattern {pattern}")  # pragma: no cover
 
 
 def _panel_walks(
-    ops: AdjacencyOps,
+    pc: BlockPCyclic,
     G_seeds: np.ndarray,
     selection: Selection,
     out: SelectedInversion,
@@ -208,12 +207,12 @@ def _panel_walks(
             dst = torus_index(rr - 1, L)
             src, into = panels[:, rr - 1], panels[:, dst - 1]
             if columns:
-                M = signed(ops.inverse(rr), rr == 1)
+                M = signed(pc.inverse(rr), rr == 1)
                 kr.gemm_into(into, M, src)
                 if rr in slot:  # started on the diagonal: B^{-1}(G - I)
                     into[slot[rr]] -= M
             else:
-                M = signed(ops.pc.block(rr), rr == 1)
+                M = signed(pc.block(rr), rr == 1)
                 kr.gemm_into(into, src, M)
                 if dst in slot:  # landed on the diagonal
                     kr.add_identity(into[slot[dst]])
@@ -225,12 +224,12 @@ def _panel_walks(
             dst = torus_index(rr + 1, L)
             src, into = panels[:, rr - 1], panels[:, dst - 1]
             if columns:
-                M = signed(ops.pc.block(dst), dst == 1)
+                M = signed(pc.block(dst), dst == 1)
                 kr.gemm_into(into, M, src)
                 if dst in slot:
                     kr.add_identity(into[slot[dst]])
             else:
-                M = signed(ops.inverse(dst), dst == 1)
+                M = signed(pc.inverse(dst), dst == 1)
                 kr.gemm_into(into, src, M)
                 if rr in slot:  # started on the diagonal: (G - I) B^{-1}
                     into[slot[rr]] -= M
@@ -238,7 +237,7 @@ def _panel_walks(
 
 
 def _diagonal_walks(
-    ops: AdjacencyOps,
+    pc: BlockPCyclic,
     diag: np.ndarray,
     selection: Selection,
     out: SelectedInversion,
@@ -270,11 +269,11 @@ def _diagonal_walks(
             ks = range(r + 1, L + 1, c)  # the G_kk this step produces
             if d < 0:  # G_kk = B_{k+1}^{-1} G_{k+1,k+1} B_{k+1}
                 js = [torus_index(k + 1, L) for k in ks]
-                left = [ops.inverse(j) for j in js]
-                right = [ops.pc.block(j) for j in js]
+                left = [pc.inverse(j) for j in js]
+                right = [pc.block(j) for j in js]
             else:  # G_kk = B_k G_{k-1,k-1} B_k^{-1}
-                left = [ops.pc.block(k) for k in ks]
-                right = [ops.inverse(k) for k in ks]
+                left = [pc.block(k) for k in ks]
+                right = [pc.inverse(k) for k in ks]
             kr.gemm_into(tmp, left, src)
             kr.gemm_into(data[r::c], tmp, right)
 
@@ -283,7 +282,7 @@ def wrap_flops(L: int, N: int, c: int, pattern: Pattern) -> float:
     """Closed-form wrapping cost (Sec. II-C).
 
     ``b`` block columns/rows need ``bL - b^2`` new blocks at ~``3 N^3``
-    each (one gemm or one LU solve per block); the diagonal patterns
+    each (one move per block); the diagonal patterns
     need at most one move per seed.
     """
     if c < 1 or L % c != 0:

@@ -352,14 +352,12 @@ class DQMC:
                     res.seeds,
                     Selection(Pattern.ROWS, L=L, c=self.c, q=q),
                     num_threads=cfg.num_threads,
-                    ops=res.ops,
                 )
                 cols = wrap(
                     pc,
                     res.seeds,
                     Selection(Pattern.COLUMNS, L=L, c=self.c, q=q),
                     num_threads=cfg.num_threads,
-                    ops=res.ops,
                 )
             out[sigma] = GreensBundle(
                 full_diagonal=res.selected, rows=rows, cols=cols

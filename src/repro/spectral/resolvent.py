@@ -24,9 +24,10 @@ Everything omega-independent is then computed **once** per matrix
 * the CLS clustered products ``R_i`` of the *unshifted* chain — the
   shifted reduced chain is exactly ``s(z)^c * R_i`` (scalars commute
   through the product), so the ``2b(c-1)N^3`` CLS stage never re-runs;
-* the per-block LU factors used by the wrapping moves — a solve with
-  ``s * B_i`` is ``1/s`` times a solve with ``B_i``, so the cached
-  factors of the base chain serve every shift (:class:`_ScaledLU`).
+* the block inverses used by the wrapping moves — ``(s B_i)^{-1} =
+  B_i^{-1} / s``, so one ``B_i^{-1}`` per block serves every shift
+  (:class:`_ScaledChain`; exact ones, a Hubbard matrix's, cost
+  ``O(N^2)`` and are formed on use).
 
 Per shift only the ``~7 b^2 N^3`` BSOFI inversion of the tiny reduced
 chain (plus pattern wrapping) remains — run by the same guarded
@@ -51,7 +52,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import _kernels as kr
 from ..core.adjacency import AdjacencyOps
 from ..core.bsofi import bsofi_flops
 from ..core.cls import cls, cls_flops
@@ -102,74 +102,29 @@ def shifted_pcyclic(pc: BlockPCyclic, z: complex) -> tuple[BlockPCyclic, complex
     return BlockPCyclic(np.ascontiguousarray(pc.B * s)), d
 
 
-class _ScaledLU:
-    """Solves with ``s * B`` through the cached factorisation of ``B``.
-
-    ``(sB)^{-1} X = (1/s) B^{-1} X`` and ``(sB)^T = s B^T``, so both
-    plain and transposed solves reuse the base LU with one scalar
-    correction — no per-shift factorisations anywhere in the sweep.
-    """
-
-    __slots__ = ("_base", "_inv_s")
-
-    def __init__(self, base: kr.LUFactors, s: complex):
-        self._base = base
-        self._inv_s = 1.0 / s
-
-    def solve(self, B: np.ndarray, trans: int = 0) -> np.ndarray:
-        out = self._base.solve(B, trans=trans)
-        out *= self._inv_s
-        return out
-
-
 class _ScaledChain:
-    """Lazy view of a p-cyclic chain with every block scaled by ``s``.
+    """``M~(z) = BlockPCyclic(s * B)`` as WRP reads it, without a copy.
 
-    The wrapping gemm moves read blocks through ``ops.pc.block``; a lazy
-    scale (one ``N^2`` scalar multiply per accessed block) avoids
-    materialising the full ``L``-block shifted chain per shift when the
-    pattern only ever touches a few blocks.
+    ``block(i) = s B_i`` and ``inverse(i) = B_i^{-1} / s``: one ``N^2``
+    scalar multiply per block the pattern touches, never the full
+    ``L``-block shifted chain.  The unshifted inverses come from
+    ``ops``, which forms each one once for every shift.
     """
 
-    __slots__ = ("_base", "_s", "L", "N")
+    __slots__ = ("_ops", "_s", "L", "N", "dtype")
 
-    def __init__(self, base: BlockPCyclic, s: complex):
-        self._base = base
+    def __init__(self, ops: AdjacencyOps, s: complex):
+        self._ops = ops
         self._s = s
-        self.L = base.L
-        self.N = base.N
+        self.L = ops.pc.L
+        self.N = ops.pc.N
+        self.dtype = np.result_type(ops.pc.dtype, np.complex128)
 
     def block(self, i: int) -> np.ndarray:
-        return self._base.block(i) * self._s
-
-
-class _ShiftedOps(AdjacencyOps):
-    """Adjacency moves on ``M~(z) = BlockPCyclic(s * B)`` without new LUs.
-
-    The parent class implements every boundary correction (identity
-    shifts, seam signs) purely from block *indices*, which the shift
-    does not change; only the block values and factorisations differ,
-    and both reduce to the base chain by the scalar ``s``.
-    """
-
-    def __init__(self, base: AdjacencyOps, s: complex):
-        self.pc = _ScaledChain(base.pc, s)  # gemm moves: scaled blocks
-        self._base = base
-        self._s = s
-        self.exact = base.exact
-        # Parent LU caches stay empty: factors delegate to the base ops.
-        self._lu: dict[int, kr.LUFactors] = {}
-        self._lu_t: dict[int, kr.LUFactors] = {}
-        self._inv: dict[int, np.ndarray] = {}
-
-    def _factor(self, i: int):
-        return _ScaledLU(self._base._factor(i), self._s)
+        return self._ops.pc.block(i) * self._s
 
     def inverse(self, i: int) -> np.ndarray:
-        return self._base.inverse(i) * (1.0 / self._s)
-
-    def _factor_t(self, i: int):
-        return _ScaledLU(self._base._factor_t(i), self._s)
+        return self._ops.inverse(i) * (1.0 / self._s)
 
 
 @dataclass
@@ -277,13 +232,9 @@ class ResolventFactor:
             self._reduced_B = np.ascontiguousarray(
                 reduced.B.astype(np.complex128)
             )
-            # Base adjacency operator over a complexified copy of the
-            # chain: its LU caches are filled on first use and serve
-            # every shift through _ScaledLU (complex RHS needs complex
-            # factors, hence the one-time astype).
-            self._base_ops = AdjacencyOps(
-                BlockPCyclic(np.ascontiguousarray(pc.B.astype(np.complex128)))
-            )
+            # Block inverses for every shift: a formed B_i^{-1} is kept
+            # from its first use, an exact one is O(N^2) on each use.
+            self._ops = AdjacencyOps(pc)
 
     # -- one shift -----------------------------------------------------
     def _solve_factored(
@@ -293,7 +244,7 @@ class ResolventFactor:
         # G(z) = M~(z)^{-1} / (z-1): the pipeline scales the wrapped
         # blocks by 1/d before its result screen.
         selected, _, _ = run_stages(
-            self._base_ops.pc, self.selection, _ShiftedOps(self._base_ops, s),
+            _ScaledChain(self._ops, s), self.selection,
             guards=self.guards, num_threads=num_threads,
             reduced=BlockPCyclic(self._reduced_B * s**self.c), scale=1.0 / d,
         )

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.adjacency import AdjacencyOps
 from repro.core.pcyclic import random_pcyclic, torus_index
+from repro.telemetry import FlopTracer
 
 L, N = 6, 4
 
@@ -89,20 +90,27 @@ class TestInverseMoves:
         np.testing.assert_allclose(back, g, atol=1e-9)
 
 
-class TestFactorCache:
-    def test_lu_cache_reused(self, setup):
+class TestInverseCache:
+    """Custom walks apply one ``B_i^{-1}`` many times: a formed inverse
+    is kept, an exact one (O(N^2)) is formed anew."""
+
+    def test_formed_inverse_cached(self, setup):
         pc, _, blk = setup
         ops = AdjacencyOps(pc)
         ops.up(blk(3, 1), 3, 1)
-        f1 = ops._lu[3]
-        ops.up(blk(3, 2), 3, 2)
-        assert ops._lu[3] is f1
+        inv = ops.inverse(3)
+        with FlopTracer() as tr:
+            ops.up(blk(3, 2), 3, 2)
+            again = ops.inverse(3 + L)  # torus-wrapped
+        assert again is inv
+        assert tr.total_flops == 2.0 * N**3  # the move's gemm only
+        np.testing.assert_array_equal(inv, pc.inverse(3))
 
-    def test_transpose_cache_separate(self, setup):
-        pc, _, blk = setup
-        ops = AdjacencyOps(pc)
-        ops.right(blk(2, 3), 2, 3)
-        assert 4 in ops._lu_t and 4 not in ops._lu
+    def test_exact_inverse_not_cached(self, hubbard_pc):
+        ops = AdjacencyOps(hubbard_pc)
+        first = ops.inverse(2)
+        assert ops.inverse(2) is not first
+        np.testing.assert_array_equal(first, hubbard_pc.inverse(2))
 
 
 class TestColumnWalk:

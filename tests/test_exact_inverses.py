@@ -9,6 +9,7 @@ the per-block adjacency chain and with the Eq. (3) oracle.
 
 import importlib
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,10 +26,16 @@ from repro.core.wrap import _up_down_steps, wrap
 from repro.hubbard.hs_field import HSField
 from repro.hubbard.lattice import RectangularLattice
 from repro.hubbard.matrix import HubbardModel
-from repro.spectral.resolvent import ResolventFactor, shifted_pcyclic
+from repro.spectral.resolvent import (
+    ResolventFactor,
+    shift_scale,
+    shifted_pcyclic,
+)
+from repro.telemetry import FlopTracer
 
 pipeline = importlib.import_module("repro.core.pipeline")
 pdiv = importlib.import_module("repro.core.pdiv")
+resolvent = importlib.import_module("repro.spectral.resolvent")
 
 
 def _hubbard(L=12, U=4.0, mu=0.0, sigma=+1, seed=0, beta=2.0):
@@ -81,8 +88,18 @@ class TestSliceInverses:
         bare = BlockPCyclic(pc.B)
         assert bare == pc
         assert repr(bare) == repr(pc)
-        with pytest.raises(ValueError, match="no exact block inverses"):
-            bare.inverse(1)
+
+    def test_provider_less_inverse_formed_by_lu(self):
+        pc, _, _ = _hubbard()
+        bare = BlockPCyclic(pc.B)
+        N = pc.N
+        for i in (0, 1, 5, pc.L):
+            with FlopTracer() as tr:
+                formed = bare.inverse(i)
+            np.testing.assert_allclose(formed, pc.inverse(i), rtol=0,
+                                       atol=1e-12)
+            # kr.inverse: the LU (2/3 N^3) and the solve against I (2 N^3).
+            assert tr.total_flops == pytest.approx(8.0 / 3.0 * N**3)
 
 
 class TestDerivedMatricesCarryNoInverse:
@@ -92,11 +109,27 @@ class TestDerivedMatricesCarryNoInverse:
         assert cls(pc, 4, 1, num_threads=1).inverses is None
         assert shifted_pcyclic(pc, 0.3 + 0.1j)[0].inverses is None
 
-    def test_resolvent_complex_copy(self):
-        pc, _, _ = _hubbard()
-        rf = ResolventFactor(pc, 4, Pattern.DIAGONAL)
-        assert rf._base_ops.pc.inverses is None
-        assert not rf._base_ops.exact
+    def test_resolvent_shift_reads_scaled_inverses(self):
+        """A shift wraps through ``s B_i`` and ``B_i^{-1} / s`` read off
+        the unshifted matrix: no complex copy of the chain is built."""
+        L = 16  # N = 36: the copy (330 KB) dwarfs interpreter noise
+        model = HubbardModel(RectangularLattice(6, 6), L=L, U=4.0, beta=2.0)
+        field = HSField.random(L, model.N, np.random.default_rng(0))
+        pc = model.build_matrix(field, +1)
+        ResolventFactor(pc, 4, Pattern.FULL_DIAGONAL)  # warm caches, imports
+        tracemalloc.start()
+        try:
+            rf = ResolventFactor(pc, 4, Pattern.FULL_DIAGONAL)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pc.L * pc.N**2 * np.dtype(np.complex128).itemsize
+        chain = resolvent._ScaledChain(rf._ops, shift_scale(0.4 + 0.2j)[1])
+        eye = np.eye(pc.N)
+        for i in range(1, pc.L + 1):
+            prod = chain.inverse(i) @ chain.block(i)
+            assert prod.dtype == np.complex128
+            np.testing.assert_allclose(prod, eye, rtol=0, atol=1e-12)
 
     def test_pdiv_slices(self, monkeypatch):
         pc, _, _ = _hubbard()
@@ -126,7 +159,7 @@ class TestDerivedMatricesCarryNoInverse:
                             lambda site, arr: arr.copy())
         monkeypatch.setattr(pipeline, "bsofi_seeds", spy)
         sel = Selection(Pattern.DIAGONAL, L=pc.L, c=4, q=0)
-        pipeline.run_stages(pc, sel, AdjacencyOps(pc))
+        pipeline.run_stages(pc, sel)
         assert seen == [None]
 
 

@@ -52,7 +52,6 @@ def greens_setup():
             res.seeds,
             Selection(Pattern.COLUMNS, L=L, c=C, q=Q),
             num_threads=1,
-            ops=res.ops,
         )
         bundles[sigma] = (res.selected, cols, pc)
     return model, bundles
