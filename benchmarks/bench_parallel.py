@@ -6,8 +6,11 @@ Two halves:
   loop layer, and a small fleet on both the ``threads`` and ``mp-shm``
   transport backends;
 * a standalone ``--check`` mode (run by CI) that times the 4-rank
-  fleet solve on ``threads`` vs ``mp-shm`` at ``L in {32, 64}`` and
-  writes ``BENCH_parallel.json``.  The ``threads`` backend shares one
+  library fleet (:func:`~repro.parallel.hybrid.run_selected_fleet`)
+  on ``threads`` vs ``mp-shm`` at ``L in {32, 64}`` and writes
+  ``BENCH_parallel.json``.  It times the library fleet, not the
+  service: ``GreensService`` workers solve each job inline and start
+  no fleet.  The ``threads`` backend shares one
   GIL across all ranks, so the Python-level block bookkeeping of the
   FSI stages serialises; ``mp-shm`` runs one OS process per rank and
   must show **real multi-core speedup (> 1.5x)** on the larger
@@ -144,7 +147,7 @@ def measure_fleet(L: int, n_ranks: int = 4, n_jobs: int = 8,
                   seed: int = 0, repeats: int = 3) -> dict:
     """Best-of fleet wall clock on ``threads`` vs ``mp-shm``.
 
-    The workload is the service's execution engine
+    The workload is the library's selected-inversion fleet
     (:func:`run_selected_fleet`): ``n_jobs`` independent FSI solves of
     a 4x4 Hubbard chain (N = 16, c = 8, COLUMNS) distributed blockwise
     over ``n_ranks`` ranks, selected blocks gathered back to the root.

@@ -30,9 +30,7 @@ DUPLICATE_FRACTION = 0.5
 
 
 def _fresh_service(workers: int = 2) -> GreensService:
-    return GreensService(
-        ServiceConfig(workers=workers, batch_max=4, fleet_ranks=1)
-    )
+    return GreensService(ServiceConfig(workers=workers))
 
 
 @pytest.mark.benchmark(group="service")

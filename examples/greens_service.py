@@ -32,9 +32,7 @@ print(f"{len(jobs)} unique jobs, e.g. {jobs[0]!r}")
 # 2. A stream with duplicates: every job requested twice.
 stream = jobs + jobs
 
-with GreensService(
-    ServiceConfig(workers=2, batch_max=4, fleet_ranks=1)
-) as svc:
+with GreensService(ServiceConfig(workers=2)) as svc:
     # 3. Submit is non-blocking; tickets resolve as work completes.
     tickets = [svc.submit(job) for job in stream]
     results = [t.result(timeout=300.0) for t in tickets]

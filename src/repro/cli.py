@@ -282,7 +282,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_capacity=args.queue_capacity,
         backpressure=BackpressurePolicy(args.backpressure),
         cache_bytes=args.cache_mb * 1024 * 1024,
-        batch_max=args.batch_max,
         job_timeout=args.job_timeout,
         transport=args.transport,
         pdiv_partitions=args.pdiv_partitions,
@@ -372,7 +371,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     print(f"job {job!r}")
     config = ServiceConfig(
         workers=1,
-        fleet_ranks=1,
         guards=_resolve_guards(args),
         chaos_plan=_resolve_chaos_plan(args),
     )
@@ -618,11 +616,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--cache-mb", type=int,
                    default=ServiceConfig.cache_bytes // (1024 * 1024),
                    help="result-cache byte budget in MiB (default: %(default)s)")
-    s.add_argument("--batch-max", type=int, default=4)
     s.add_argument("--job-timeout", type=float, default=None)
     s.add_argument("--transport", default=None,
                    choices=("threads", "mp-shm", "sockets"),
-                   help="worker-fleet transport backend (default:"
+                   help="transport backend of PDIV solves (default:"
                         " $REPRO_TRANSPORT, else threads)")
     s.add_argument("--pdiv-partitions", type=int, default=0,
                    help=">=2 routes solves through distributed selected"

@@ -67,7 +67,7 @@ this is why the paper pairs CLS with BSOFI instead of an LU inversion
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -131,7 +131,7 @@ class StructuredQR:
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in astuple(self))
+        return sum(a.nbytes for a in (self.Rd, self.Ru, self.Rc, self.Q, self.Qf))
 
     def to_dense_r(self) -> np.ndarray:
         """Materialise ``R`` densely (tests/diagnostics)."""

@@ -2,14 +2,14 @@
 
 Four parallel layers can nest in this codebase: the service's worker
 processes (:class:`~repro.service.workers.WorkerPool`), transport fleet
-ranks inside a worker, :func:`~repro.parallel.openmp.parallel_for`
-thread teams, and the threads of the BLAS library under every ``gemm``
-and LAPACK call.  Their product is what the host has to run, so they
-are resolved together, once, into one :class:`ParallelBudget`:
+ranks, :func:`~repro.parallel.openmp.parallel_for` thread teams, and
+the threads of the BLAS library under every ``gemm`` and LAPACK call.
+Their product is what the host has to run, so they are resolved
+together, once, into one :class:`ParallelBudget`:
 
 * ``cores`` — the CPUs this process may run on (its affinity mask);
 * ``processes`` / ``ranks`` — service worker processes and fleet ranks
-  per worker (1 outside the service);
+  per process (the service's workers solve inline: 1 rank each);
 * ``team`` — the default ``parallel_for`` team size: ``REPRO_NUM_THREADS``
   when set, else the cores left per rank, ``cores // (processes * ranks)``;
 * ``blas`` — BLAS threads per caller: **1**.  The repo's parallelism

@@ -293,9 +293,9 @@ def run_selected_fleet(
 
     Unlike :func:`run_fsi_fleet` (Alg. 3 proper, which reduces scalar
     measurements and never moves Green's functions), this fleet gathers
-    each job's selected blocks back to the root — it is the execution
-    engine behind the service layer's micro-batching, where callers
-    need the blocks themselves.  Jobs are distributed blockwise over
+    each job's selected blocks back to the root, for callers that need
+    the blocks themselves.  It is a library fleet: the service's
+    workers solve their jobs inline and never start one.  Jobs are distributed blockwise over
     ``n_ranks`` ranks of the named transport backend (default: the
     ``REPRO_TRANSPORT`` environment variable, else ``threads``);
     results come back in submission order.

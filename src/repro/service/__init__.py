@@ -1,9 +1,9 @@
-"""repro.service — a batched, cached Green's-function computation service.
+"""repro.service — a cached, coalescing Green's-function computation service.
 
 A production-shaped serving layer over the FSI core: content-addressed
 jobs (:mod:`job`), a bounded priority queue with configurable
-backpressure (:mod:`queue`), request coalescing + micro-batching into
-SimMPI fleets (:mod:`scheduler`), a recycling process worker pool with
+backpressure (:mod:`queue`), request coalescing and one-job-per-worker
+dispatch (:mod:`scheduler`), a recycling process worker pool with
 timeouts and crash retry (:mod:`workers`), a byte-budgeted LRU result
 cache (:mod:`cache`) and serving metrics (:mod:`metrics`).  Robustness
 — admission validation, a worker-pool circuit breaker with

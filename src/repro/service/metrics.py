@@ -110,13 +110,13 @@ class ServiceMetrics:
             "repro_executions_total", "FSI computations actually run"
         )
         self.batches = r.counter(
-            "repro_batches_total", "Worker batches dispatched"
+            "repro_batches_total", "Jobs dispatched to the worker pool"
         )
         self.retries = r.counter(
-            "repro_retries_total", "Batch retries after worker failure"
+            "repro_retries_total", "Dispatch retries after worker failure"
         )
         self.timeouts = r.counter(
-            "repro_timeouts_total", "Batches abandoned on timeout"
+            "repro_timeouts_total", "Dispatches abandoned on timeout"
         )
         # latencies (seconds)
         self.latency = r.histogram(
@@ -127,10 +127,7 @@ class ServiceMetrics:
             "repro_queue_wait_seconds", "Submit-to-dispatch queue wait"
         )
         self.exec_time = r.histogram(
-            "repro_exec_seconds", "Worker-side batch execution time"
-        )
-        self.batch_size = r.histogram(
-            "repro_batch_size", "Jobs per dispatched batch"
+            "repro_exec_seconds", "Worker-side job execution time"
         )
         # flop accounting (per-stage flops shipped with each result)
         self._stage_flops = r.counter(
@@ -196,7 +193,6 @@ class ServiceMetrics:
             "latency_seconds": self.latency.snapshot(),
             "queue_wait_seconds": self.queue_wait.snapshot(),
             "exec_seconds": self.exec_time.snapshot(),
-            "batch_size": self.batch_size.snapshot(),
             "flops": {"total": self.total_flops, "stages": self.stage_flops()},
         }
 
@@ -209,8 +205,7 @@ class ServiceMetrics:
             f" submitted={s['submitted']} completed={s['completed']}"
             f" failed={s['failed']} coalesced={s['coalesced']}"
             f" shed={s['shed']} rejected={s['rejected']}",
-            f"  exec: {s['executions']} runs in {s['batches']} batches"
-            f" (mean batch {s['batch_size']['mean']:.2f}),"
+            f"  exec: {s['executions']} runs in {s['batches']} dispatches,"
             f" retries={s['retries']} timeouts={s['timeouts']}",
             f"  cache: hit rate {cache['hit_rate'] * 100:5.1f}%"
             f" ({cache['hits']} hits / {cache['misses']} misses)",

@@ -26,7 +26,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .errors import QueueFullError, ServiceClosedError
 
@@ -80,8 +80,6 @@ class BoundedPriorityQueue:
         self._cv = threading.Condition()
         self._closed = False
         self._seq = 0
-        #: Consumers blocked in :meth:`get_batch` waiting for work.
-        self._idle = 0
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -149,51 +147,21 @@ class BoundedPriorityQueue:
             )
 
     # ------------------------------------------------------------------
-    def get_batch(
-        self,
-        max_batch: int = 1,
-        compat_key: Callable[["GreensJob"], object] | None = None,
-        batch_window: float = 0.0,
-    ) -> list[QueueEntry] | None:
-        """Pop the highest-priority entry plus up to ``max_batch - 1``
-        queued entries compatible with it (same ``compat_key``) — the
-        extras only while no other consumer is waiting for work.
+    def get(self) -> QueueEntry | None:
+        """Pop the highest-priority entry.
 
         Blocks until work arrives; returns ``None`` once the queue is
-        closed *and* drained (the dispatcher's exit signal).  With a
-        positive ``batch_window`` and space left in the batch, waits
-        that long once for more compatible work to coalesce a fuller
-        fleet.
+        closed *and* drained (the dispatcher's exit signal).
         """
         with self._cv:
             while not self._heap:
                 if self._closed:
                     return None
-                self._idle += 1
-                try:
-                    self._cv.wait()
-                finally:
-                    self._idle -= 1
-            first = heapq.heappop(self._heap)
-            batch = [first]
-            # While another consumer idles, leave the rest of the queue
-            # to it: it runs them on its own worker, in parallel with
-            # ``first``, where a batch would run them after it.
-            if max_batch > 1 and compat_key is not None and not self._idle:
-                if batch_window > 0 and len(self._heap) < max_batch - 1:
-                    self._cv.wait(timeout=batch_window)
-                key = compat_key(first.job)
-                rest: list[QueueEntry] = []
-                for entry in sorted(self._heap):
-                    if len(batch) < max_batch and compat_key(entry.job) == key:
-                        batch.append(entry)
-                    else:
-                        rest.append(entry)
-                if len(batch) > 1:
-                    heapq.heapify(rest)
-                    self._heap = rest
+                self._cv.wait()
+            entry = heapq.heappop(self._heap)
+            # Wake producers blocked on a full queue.
             self._cv.notify_all()
-            return batch
+            return entry
 
     def drain(self) -> list[QueueEntry]:
         """Remove and return every queued entry (shutdown without drain)."""

@@ -1,4 +1,4 @@
-"""The Green's-function service: queue, coalescing, batching, cache.
+"""The Green's-function service: queue, coalescing, dispatch, cache.
 
 :class:`GreensService` turns :func:`repro.core.fsi.fsi` calls into
 schedulable, cacheable, retryable *jobs*:
@@ -9,13 +9,12 @@ schedulable, cacheable, retryable *jobs*:
    fingerprint already queued or executing: the ticket *coalesces* onto
    that computation), and only then admitted to the bounded priority
    queue under the configured backpressure policy.
-2. Dispatcher threads (one per worker process) pop the highest-priority
-   entry plus, while no other dispatcher is idle, up to
-   ``batch_max - 1`` *compatible* queued entries (same
-   model/c/pattern — differing only in HS field and ``q``) and execute
-   them as one micro-batch on the process pool; batches of more than
-   one job run as a SimMPI fleet inside the worker
-   (:func:`repro.parallel.hybrid.run_selected_fleet`).
+2. Dispatcher threads (one per worker process) each pop the
+   highest-priority entry and run its job on the process pool; the
+   worker solves it inline (:func:`repro.service.workers.execute_job`).
+   The worker processes are the service's one parallel layer, the ranks
+   of the paper's Alg. 3: a second rank level inside each worker only
+   shares the same cores.
 3. Completion inserts results into the LRU byte-budget cache and
    resolves every coalesced ticket; failures resolve tickets with the
    typed errors of :mod:`repro.service.errors`.
@@ -34,7 +33,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -79,20 +78,20 @@ class ServiceConfig:
     #: chunks an overlapping omega-grid re-reads — not to hold every
     #: result: unique results never read again only grow the process.
     cache_bytes: int = 32 * 1024 * 1024
-    batch_max: int = 4
-    batch_window: float = 0.0
     job_timeout: float | None = None
     max_retries: int = 2
     retry_backoff: float = 0.05
     retry_backoff_max: float = 2.0
-    fleet_ranks: int = 2
+    #: Ranks per worker process: always 1, each worker solves its job
+    #: inline.  A constant, not a knob.
+    fleet_ranks: ClassVar[int] = 1
     threads_per_rank: int = 1
-    #: Transport backend for worker-side fleets (``threads`` /
-    #: ``mp-shm`` / ``sockets``); ``None`` defers to ``REPRO_TRANSPORT``.
+    #: Transport backend of PDIV solves (``threads`` / ``mp-shm`` /
+    #: ``sockets``); ``None`` defers to ``REPRO_TRANSPORT``.
     transport: str | None = None
     #: When >= 2, workers solve through :func:`~repro.core.pdiv.
     #: fsi_distributed` with this many chain partitions instead of the
-    #: serial FSI pipeline (PDIV batches run inline, one world per job).
+    #: serial FSI pipeline (one transport world per job).
     pdiv_partitions: int = 0
     task_fn: Callable = dataclass_field(default=execute_batch)
     #: When set, workers solve through ``fsi_resilient`` with these
@@ -103,9 +102,9 @@ class ServiceConfig:
     breaker_threshold: int = 3
     #: Seconds the breaker holds OPEN before half-open probes.
     breaker_reset: float = 5.0
-    #: Concurrent half-open probe batches.
+    #: Concurrent half-open probe dispatches.
     breaker_probes: int = 1
-    #: Deterministic fault-injection plan (chaos drills); routes batches
+    #: Deterministic fault-injection plan (chaos drills); routes jobs
     #: through :func:`~repro.service.workers.chaos_batch_task`.
     chaos_plan: FaultPlan | None = None
     #: Serve requests carrying a ``base_fingerprint`` hint by a
@@ -138,8 +137,6 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
         if self.pdiv_partitions < 0:
@@ -221,7 +218,7 @@ class JobTicket:
 
 
 class GreensService:
-    """A batched, cached, process-parallel Green's-function server.
+    """A cached, coalescing, process-parallel Green's-function server.
 
     Usable as a context manager (drains on exit)::
 
@@ -248,7 +245,6 @@ class GreensService:
             retry_backoff=cfg.retry_backoff,
             retry_backoff_max=cfg.retry_backoff_max,
             task_fn=task_fn,
-            fleet_ranks=cfg.fleet_ranks,
             threads_per_rank=cfg.threads_per_rank,
             transport=cfg.transport,
             pdiv_partitions=cfg.pdiv_partitions,
@@ -500,7 +496,7 @@ class GreensService:
         """Fan a wide omega-grid out into chunk jobs; stitch in order.
 
         Each contiguous grid chunk becomes an ordinary job with its own
-        fingerprint — coalescing, caching, batching and resilience all
+        fingerprint — coalescing, caching, dispatch and resilience all
         apply per chunk, and one chunk runs one factorisation shared by
         its shifts.  A background thread waits for every chunk ticket
         and concatenates the shift axes back in grid order; the parent
@@ -786,7 +782,7 @@ class GreensService:
             self._resolve(ticket, result)
 
     def _breaker_admit(self) -> bool:
-        """Wait until the breaker lets a batch through (or we're stopping).
+        """Wait until the breaker lets a job through (or we're stopping).
 
         OPEN means *every* dispatch would burn a retry ladder against a
         dead pool; HALF_OPEN rations probes.  Returns ``False`` only
@@ -802,45 +798,35 @@ class GreensService:
             self._stopping.wait(min(0.05, wait) if wait > 0 else 0.01)
 
     def _dispatch_loop(self) -> None:
-        cfg = self.config
         while True:
-            batch = self._queue.get_batch(
-                max_batch=cfg.batch_max,
-                compat_key=lambda job: job.compat_key,
-                batch_window=cfg.batch_window,
-            )
-            if batch is None:
+            entry = self._queue.get()
+            if entry is None:
                 return  # closed and drained
-            now = time.monotonic()
-            for entry in batch:
-                self.metrics.queue_wait.observe(max(0.0, now - entry.enqueued_at))
+            self.metrics.queue_wait.observe(
+                max(0.0, time.monotonic() - entry.enqueued_at)
+            )
             if not self._breaker_admit():
-                error = ServiceDegradedError(
+                self._fail_entry(entry, ServiceDegradedError(
                     "service stopping while worker pool circuit breaker"
                     " is open",
                     retry_after=self._breaker.retry_after(),
-                )
-                for entry in batch:
-                    self._fail_entry(entry, error)
+                ))
                 continue
-            jobs = [entry.job for entry in batch]
             self.metrics.batches.inc()
-            self.metrics.batch_size.observe(len(jobs))
-            # The dispatch span parents into the first request's trace
-            # (a batch may merge several traces; the others still carry
-            # their own request spans).  Its context travels to the
-            # worker process so worker-side spans stitch into the trace.
-            parent_ctx = batch[0].tickets[0]._span.context if batch[0].tickets else None
+            # The dispatch span parents into the request's trace.  Its
+            # context travels to the worker process so worker-side
+            # spans stitch into the same trace.
+            parent_ctx = entry.tickets[0]._span.context if entry.tickets else None
             if parent_ctx is not None:
                 dispatch_span = _telemetry.start_span(
-                    "service.dispatch", parent=parent_ctx, jobs=len(jobs)
+                    "service.dispatch", parent=parent_ctx
                 )
                 trace_ctx = _telemetry.inject(dispatch_span.context)
             else:
                 dispatch_span = _telemetry.null_span()
                 trace_ctx = None
             try:
-                results = self._pool.run_batch(jobs, trace_ctx=trace_ctx)
+                [result] = self._pool.run_batch([entry.job], trace_ctx=trace_ctx)
             except ServiceError as exc:
                 if isinstance(exc, JobTimeoutError):
                     self.metrics.timeouts.inc()
@@ -850,32 +836,29 @@ class GreensService:
                     self._breaker.record_failure()
                 dispatch_span.set_attribute("error", type(exc).__name__)
                 dispatch_span.end()
-                for entry in batch:
-                    self._fail_entry(entry, exc)
+                self._fail_entry(entry, exc)
                 continue
             except Exception as exc:  # worker-side computation error
                 # The worker ran and raised: the *pool* is healthy.
                 self._breaker.record_success()
-                wrapped = JobFailedError(f"batch execution failed: {exc!r}")
+                wrapped = JobFailedError(f"job execution failed: {exc!r}")
                 wrapped.__cause__ = exc
                 dispatch_span.set_attribute("error", type(exc).__name__)
                 dispatch_span.end()
-                for entry in batch:
-                    self._fail_entry(entry, wrapped)
+                self._fail_entry(entry, wrapped)
                 continue
             self._breaker.record_success()
             dispatch_span.end()
-            self.metrics.executions.inc(len(jobs))
-            for entry, result in zip(batch, results):
-                self.metrics.exec_time.observe(result.exec_seconds)
-                self.metrics.absorb_stage_flops(result.stage_flops)
-                if result.spans:
-                    # Re-absorb the worker process's spans into the
-                    # global collector, then strip them so cached
-                    # results don't replay stale spans on later hits.
-                    _telemetry.collector().add_many(result.spans)
-                    result.spans = []
-                self._complete_entry(entry, result)
+            self.metrics.executions.inc()
+            self.metrics.exec_time.observe(result.exec_seconds)
+            self.metrics.absorb_stage_flops(result.stage_flops)
+            if result.spans:
+                # Re-absorb the worker process's spans into the global
+                # collector, then strip them so cached results don't
+                # replay stale spans on later hits.
+                _telemetry.collector().add_many(result.spans)
+                result.spans = []
+            self._complete_entry(entry, result)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

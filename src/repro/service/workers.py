@@ -23,10 +23,9 @@ under a :class:`~repro.telemetry.FlopTracer`, which reads the flops its
 :func:`repro.telemetry.stage` blocks count, and returns them with the
 blocks as ``JobResult.stage_flops``, so the service can aggregate
 CLS/BSOFI/WRP rates without re-tracing; spectral jobs report the same
-stages.  Batches of more than one compatible job run
-as a SimMPI fleet (:func:`repro.parallel.hybrid.run_selected_fleet`) —
-the same Alg. 3 machinery the offline driver uses, now inside one
-worker process.
+stages.  The worker processes are the service's one parallel layer
+(the ranks of the paper's Alg. 3): every job runs inline through
+:func:`execute_job` in the worker that received it.
 """
 
 from __future__ import annotations
@@ -162,75 +161,40 @@ def execute_batch(
     pdiv_partitions: int = 0,
     transport: str | None = None,
 ) -> list[JobResult]:
-    """Run a batch of *compatible* jobs (same ``compat_key``) in one worker.
+    """Run *compatible* jobs (same ``compat_key``) one after another
+    through :func:`execute_job` in this worker.
 
-    A single job (or ``fleet_ranks <= 1``) runs inline; larger batches
-    are distributed over a transport fleet (``transport`` names the
-    backend; default the ``REPRO_TRANSPORT`` environment variable) so
-    compatible requests share the rank/thread machinery of Alg. 3.
-    When ``trace_ctx`` carries a sampled span context, all spans
-    recorded in this process are attached to the *first* result's
-    ``spans`` (one drain per batch).  Guarded and PDIV batches always
-    run inline: the fallback ladder is a per-solve control flow the
-    fleet path does not thread through, and PDIV brings its own ranks.
+    The service sends one job per call.  ``fleet_ranks`` must be 1: the
+    worker processes are the only rank level.  ``transport`` names the
+    backend of PDIV solves.  When ``trace_ctx`` carries a sampled span
+    context, all spans recorded in this process are attached to the
+    *first* result's ``spans`` (one drain per call).
     """
+    _check_fleet_ranks(fleet_ranks)
     jobs = list(jobs)
     if not jobs:
         return []
     if len({j.compat_key for j in jobs}) != 1:
         raise ValueError("execute_batch requires jobs sharing one compat_key")
-    n_ranks = min(fleet_ranks, len(jobs))
-    # Spectral batches run inline too: each sweep already parallelises
-    # over its omega-grid, and the fleet path's (h, c, pattern, q)
-    # tuples cannot carry a grid.
-    if (
-        n_ranks <= 1
-        or guards is not None
-        or pdiv_partitions >= 2
-        or jobs[0].spectral is not None
-    ):
-        with _telemetry.activate_remote(trace_ctx) as local_collector:
-            with _telemetry.span("worker.batch", jobs=len(jobs)):
-                results = [
-                    execute_job(
-                        job, num_threads=threads_per_rank, guards=guards,
-                        pdiv_partitions=pdiv_partitions, transport=transport,
-                    )
-                    for job in jobs
-                ]
-        if local_collector is not None and results:
-            results[0].spans = local_collector.drain()
-        return results
-
-    from ..parallel.hybrid import run_selected_fleet
-
-    model = jobs[0].spec.build_model()
     with _telemetry.activate_remote(trace_ctx) as local_collector:
-        with _telemetry.span(
-            "worker.batch", jobs=len(jobs), fleet_ranks=n_ranks
-        ):
-            outputs = run_selected_fleet(
-                model,
-                [(job.field().h, job.c, job.pattern, job.q) for job in jobs],
-                n_ranks=n_ranks,
-                threads_per_rank=threads_per_rank,
-                sigma=jobs[0].spec.sigma,
-                transport=transport,
-            )
-    results = [
-        JobResult(
-            fingerprint=job.fingerprint,
-            selection=out.selection,
-            blocks=out.blocks,
-            stage_flops=out.stage_flops,
-            exec_seconds=out.seconds,
-            h=job.h,
-        )
-        for job, out in zip(jobs, outputs)
-    ]
-    if local_collector is not None and results:
+        with _telemetry.span("worker.batch", jobs=len(jobs)):
+            results = [
+                execute_job(
+                    job, num_threads=threads_per_rank, guards=guards,
+                    pdiv_partitions=pdiv_partitions, transport=transport,
+                )
+                for job in jobs
+            ]
+    if local_collector is not None:
         results[0].spans = local_collector.drain()
     return results
+
+
+def _check_fleet_ranks(fleet_ranks: int) -> None:
+    if fleet_ranks != 1:
+        raise ValueError(
+            f"fleet_ranks must be 1 (jobs run inline), got {fleet_ranks}"
+        )
 
 
 def chaos_batch_task(
@@ -256,6 +220,7 @@ def chaos_batch_task(
     survive pool recycling.  Used by the chaos suite and operational
     fire drills (``--chaos-plan``).
     """
+    _check_fleet_ranks(fleet_ranks)
     key = jobs[0].fingerprint if jobs else ""
     with _chaos.activate(plan), _chaos.job_key(key):
         if plan is not None:
@@ -290,8 +255,8 @@ class WorkerPool:
 
     Every worker process, including those of a recycled executor, first
     applies :attr:`budget` (a :class:`~repro.parallel.budget.ParallelBudget`
-    resolved from ``workers``, ``fleet_ranks`` and
-    ``threads_per_rank``), so worker-side BLAS runs single-threaded
+    resolved from ``workers`` and ``threads_per_rank``, one rank per
+    worker), so worker-side BLAS runs single-threaded
     under the pool's own process parallelism.
 
     Retry sleeps use *full jitter*: ``uniform(0, min(cap, backoff *
@@ -315,7 +280,6 @@ class WorkerPool:
         retry_backoff: float = 0.05,
         retry_backoff_max: float = 2.0,
         task_fn: Callable[..., list[JobResult]] = execute_batch,
-        fleet_ranks: int = 1,
         threads_per_rank: int = 1,
         transport: str | None = None,
         pdiv_partitions: int = 0,
@@ -332,7 +296,6 @@ class WorkerPool:
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
         self._task_fn = task_fn
-        self._fleet_ranks = fleet_ranks
         self._threads_per_rank = threads_per_rank
         #: Forwarded to ``task_fn`` with every batch (plus ``trace_ctx``).
         self._task_kwargs = {
@@ -343,7 +306,7 @@ class WorkerPool:
         self._on_retry = on_retry
         #: Applied in every worker process this pool starts.
         self.budget = ParallelBudget.resolve(
-            processes=workers, ranks=fleet_ranks, team=threads_per_rank
+            processes=workers, team=threads_per_rank
         )
         #: Names of this pool's result segments start with this.
         self.segment_prefix = handoff.pool_prefix()
@@ -396,7 +359,7 @@ class WorkerPool:
         """Execute a batch with timeout/retry; blocks the calling thread."""
         attempts = 0
         kwargs = {**self._task_kwargs, "trace_ctx": trace_ctx}
-        args = (list(jobs), self._fleet_ranks, self._threads_per_rank)
+        args = (list(jobs), 1, self._threads_per_rank)
         while True:
             executor, generation, segment = self._current()
             try:

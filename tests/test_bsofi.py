@@ -76,6 +76,22 @@ class TestFactorisation:
         assert f.Qf.shape == (N, N)
         assert f.b == b and f.N == N
 
+    def test_nbytes_copies_nothing(self):
+        """``nbytes`` sums the factors' sizes without copying them."""
+        import tracemalloc
+
+        f = bsofi_qr(random_pcyclic(8, 20, np.random.default_rng(0), scale=0.8))
+        arrays = (f.Rd, f.Ru, f.Rc, f.Q, f.Qf)
+        assert sum(a.nbytes for a in arrays) > 100_000
+        tracemalloc.start()
+        try:
+            total = f.nbytes
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert total == sum(a.nbytes for a in arrays)
+        assert peak < 1024
+
 
 class TestInverse:
     @pytest.mark.parametrize("b,N", [(1, 4), (2, 3), (3, 5), (5, 4), (8, 3)])

@@ -105,7 +105,7 @@ class TestChaosDrill:
         assert not cache_corrupt & (crash | cls_corrupt)
 
         config = ServiceConfig(
-            workers=1, fleet_ranks=1, batch_max=1,
+            workers=1,
             job_timeout=3.0, max_retries=2, retry_backoff=0.02,
             guards=GuardConfig(), chaos_plan=plan,
         )
@@ -184,7 +184,7 @@ class TestChaosDrill:
         assert len(hang_seeds) == 3 and clean_seed is not None
 
         config = ServiceConfig(
-            workers=1, fleet_ranks=1, batch_max=1,
+            workers=1,
             job_timeout=1.0, max_retries=0, retry_backoff=0.01,
             breaker_threshold=3, breaker_reset=0.4,
             guards=GuardConfig(), chaos_plan=plan,

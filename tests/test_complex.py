@@ -187,8 +187,7 @@ class TestComplexGuards:
             guards.screen_finite("test", bad)
 
     def test_estimate_condition_complex_large_block(self):
-        """The Hager/Higham path (N > 128) must probe the *conjugate*
-        transpose for complex blocks; the estimate then lands within a
+        """A large complex block's estimate (``zgecon``) lands within a
         modest factor of the exact 1-norm condition number."""
         n = 160
         rng = np.random.default_rng(17)

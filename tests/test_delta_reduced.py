@@ -175,7 +175,7 @@ def test_scheduler_state_uses_the_base_clustering_and_is_traced():
     collector = TraceCollector()
     _telemetry.configure(sample_rate=1.0, collector=collector)
     try:
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             svc.compute(base, timeout=60)
             first = svc.compute(hinted, timeout=60)
             state = svc._delta_states[base.fingerprint]
@@ -204,7 +204,7 @@ def test_scheduler_warm_state_is_reused_not_rebuilt():
     collector = TraceCollector()
     _telemetry.configure(sample_rate=1.0, collector=collector)
     try:
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             svc.compute(base, timeout=60)
             results = [svc.compute(j, timeout=60) for j in (first, second)]
     finally:
@@ -219,7 +219,7 @@ def test_service_falls_back_where_refinement_cannot_recover():
     request is answered by a fresh solve, counted as ``residual``."""
     spec = ModelSpec(nx=3, ny=3, L=L, U=6.0, beta=16.0)
     base, hinted = _hinted(spec, c=16, q=2, seed=0, flips=7)
-    with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+    with GreensService(ServiceConfig(workers=1)) as svc:
         svc.compute(base, timeout=120)
         result = svc.compute(hinted, timeout=120)
         reasons = svc.stats()["delta"]["fallbacks"]

@@ -62,7 +62,7 @@ def oracle_blocks(job: GreensJob) -> dict:
 
 
 def service(**overrides) -> GreensService:
-    kwargs = dict(workers=1, fleet_ranks=1)
+    kwargs = dict(workers=1)
     kwargs.update(overrides)
     return GreensService(ServiceConfig(**kwargs))
 

@@ -158,7 +158,7 @@ class TestSweep:
     def test_service_leaves_no_segments(self, no_floor):
         field = HSField.random(SPEC.L, SPEC.N, np.random.default_rng(3))
         job = GreensJob.from_field(SPEC, field, c=4, pattern=Pattern.COLUMNS, q=1)
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             prefix = svc._pool.segment_prefix
             result = svc.compute(job, timeout=60)
             assert isinstance(result.blocks.data.base, mmap.mmap)

@@ -253,7 +253,7 @@ class TestDeltaErrorRecorded:
                 RuntimeError("woodbury exploded")
             ),
         )
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             svc.compute(base, timeout=60)
             result = svc.compute(delta, timeout=60)
             reasons = svc.stats()["delta"]["fallbacks"]

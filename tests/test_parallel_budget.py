@@ -112,7 +112,7 @@ class TestWorkers:
         assert pool.budget.blas == 1
 
     def test_service_exports_its_budget(self):
-        cfg = ServiceConfig(workers=1, fleet_ranks=1)
+        cfg = ServiceConfig(workers=1)
         with GreensService(cfg) as svc:
             expected = svc.budget.as_dict()
             assert svc.stats()["parallel"] == expected

@@ -98,15 +98,14 @@ class TestGuards:
             A = rng.standard_normal((n, n)) + 3 * np.eye(n)
             est = estimate_condition(A)
             exact = np.linalg.cond(A, 1)
-            # Hager/Higham estimates are exact for these sizes in
-            # practice; allow slack for the estimator's lower-bound bias.
+            # gecon's estimate is a lower bound, exact for these sizes
+            # in practice; allow slack for that bias.
             assert exact * 0.3 <= est <= exact * 1.01
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_estimate_condition_large_blocks_under_a_team(self, dtype):
-        """Above the exact-inverse size the estimate solves with LU
-        factors; 4 threads estimating at once (as spectral sweep teams
-        do) must agree with the serial value."""
+        """4 threads estimating a large block at once (as spectral
+        sweep teams do) must agree with the serial value."""
         from repro.parallel.openmp import parallel_for
 
         rng = np.random.default_rng(7)
@@ -497,7 +496,7 @@ class TestServiceHealth:
     def test_admission_rejects_nonfinite_params(self):
         spec = ModelSpec(nx=2, ny=2, L=8, U=float("nan"))
         job = make_job(seed=0, spec=spec)
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             with pytest.raises(InvalidJobError, match="U"):
                 svc.submit(job)
             # Rejected before any accounting or fingerprint registration.
@@ -511,13 +510,13 @@ class TestServiceHealth:
             h=bytes(len(good.h)),  # all zeros: not a +-1 spin field
             c=good.c, pattern=good.pattern, q=good.q,
         )
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             with pytest.raises(InvalidJobError, match="HS field"):
                 svc.submit(bad)
             svc.submit(good).result(timeout=60.0)  # sanity: good job runs
 
     def test_degraded_sheds_new_compute_serves_cache(self):
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             job = make_job(seed=2)
             result = svc.submit(job).result(timeout=60.0)
             assert svc.state is ServiceState.HEALTHY
@@ -538,7 +537,7 @@ class TestServiceHealth:
         assert svc.state is ServiceState.FAILED
 
     def test_health_payload_shape(self):
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             payload = svc.health()
             assert payload["state"] == "healthy"
             assert payload["breaker"] == "closed"

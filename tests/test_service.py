@@ -7,7 +7,9 @@ Covers the acceptance scenarios of the service subsystem:
 * LRU cache eviction under a byte budget;
 * worker-crash retry and per-batch timeout (chaos tasks);
 * graceful shutdown drain and forced shutdown;
-* PDIV serving and an mp-shm fleet producing one stitched trace;
+* PDIV serving, and a PDIV solve on an mp-shm world producing one
+  stitched trace;
+* one job per dispatch, each traced in its own request's trace;
 * an end-to-end 100-job burst with >= 30% duplicates verified
   against the direct :func:`repro.core.fsi.fsi` oracle.
 """
@@ -94,7 +96,7 @@ def _gated_task(jobs, fleet_ranks=1, threads_per_rank=1, gate_path=None,
     """Block until ``gate_path`` exists, then compute normally."""
     while not os.path.exists(gate_path):
         time.sleep(0.005)
-    return execute_batch(jobs, fleet_ranks, threads_per_rank)
+    return execute_batch(jobs, fleet_ranks, threads_per_rank, **kwargs)
 
 
 def _wait_until(predicate, timeout=10.0, interval=0.005):
@@ -241,7 +243,7 @@ class TestQueue:
         second_low = self.entry(q, priority=0)
         for e in (first_low, high, second_low):
             q.put(e)
-        popped = [q.get_batch()[0] for _ in range(3)]
+        popped = [q.get() for _ in range(3)]
         assert popped == [high, first_low, second_low]
 
     def test_reject_policy(self):
@@ -268,45 +270,42 @@ class TestQueue:
         with pytest.raises(QueueFullError, match="does not beat"):
             q.put(self.entry(q, priority=0))
 
-    def test_get_batch_groups_compatible(self):
+    def test_get_pops_one_entry(self):
+        """Compatible entries stay queued: each ``get`` pops one."""
         q = BoundedPriorityQueue(8)
-        a = self.entry(q, job=make_job(seed=1, c=4))
-        b = self.entry(q, job=make_job(seed=2, c=2))   # different compat
-        c = self.entry(q, job=make_job(seed=3, c=4))
-        for e in (a, b, c):
-            q.put(e)
-        batch = q.get_batch(max_batch=4, compat_key=lambda j: j.compat_key)
-        assert batch == [a, c]
-        assert q.get_batch()[0] is b
+        a = self.entry(q, job=make_job(seed=1))
+        b = self.entry(q, job=make_job(seed=2))
+        q.put(a)
+        q.put(b)
+        assert a.job.compat_key == b.job.compat_key
+        assert q.get() is a
+        assert len(q) == 1
+        assert q.get() is b
 
-    def test_no_batching_while_a_consumer_idles(self):
-        """Two compatible jobs reaching two idle dispatchers run side by
-        side, not as one batch behind a single worker."""
+    def test_get_wakes_each_waiting_consumer(self):
+        """Two entries reaching two waiting consumers go one to each."""
         import threading
 
         q = BoundedPriorityQueue(8)
-        batches = []
-
-        def consume():
-            batches.append(q.get_batch(max_batch=4,
-                                       compat_key=lambda j: j.compat_key))
-
-        consumers = [threading.Thread(target=consume) for _ in range(2)]
+        popped = []
+        consumers = [
+            threading.Thread(target=lambda: popped.append(q.get()))
+            for _ in range(2)
+        ]
         for t in consumers:
             t.start()
-        assert _wait_until(lambda: q._idle == 2)
-        with q._cv:  # both arrive before either consumer wakes
-            q.put(self.entry(q, job=make_job(seed=1)))
-            q.put(self.entry(q, job=make_job(seed=2)))
+        entries = [self.entry(q, job=make_job(seed=s)) for s in (1, 2)]
+        for e in entries:
+            q.put(e)
         for t in consumers:
             t.join(timeout=10.0)
             assert not t.is_alive()
-        assert sorted(len(b) for b in batches) == [1, 1]
+        assert sorted(e.seq for e in popped) == sorted(e.seq for e in entries)
 
     def test_closed_and_drained_returns_none(self):
         q = BoundedPriorityQueue(4)
         q.close()
-        assert q.get_batch() is None
+        assert q.get() is None
         with pytest.raises(ServiceClosedError):
             q.put(QueueEntry(priority=0, seq=1, job=make_job(seed=0)))
 
@@ -353,15 +352,16 @@ class TestWorkerPool:
             assert res.flops > 0
             assert set(res.stage_flops) >= {"cls", "bsofi", "wrp"}
 
-    def test_fleet_batch_matches_inline(self):
-        jobs = [make_job(seed=s, q=s % 4) for s in range(4)]
-        inline = execute_batch(jobs, fleet_ranks=1)
-        fleet = execute_batch(jobs, fleet_ranks=2)
-        for a, b in zip(inline, fleet):
-            assert a.fingerprint == b.fingerprint
-            for kl, blk in a.blocks.items():
-                np.testing.assert_allclose(b.blocks[kl], blk,
-                                           rtol=1e-12, atol=1e-12)
+    def test_fleet_ranks_other_than_one_rejected(self):
+        jobs = [make_job(seed=s, q=s % 4) for s in range(2)]
+        for ranks in (0, 2):
+            with pytest.raises(ValueError, match="fleet_ranks must be 1"):
+                execute_batch(jobs, fleet_ranks=ranks)
+            with pytest.raises(ValueError, match="fleet_ranks must be 1"):
+                chaos_batch_task(jobs, fleet_ranks=ranks)
+        assert ServiceConfig().fleet_ranks == 1
+        with pytest.raises(TypeError):
+            ServiceConfig(fleet_ranks=2)
 
     def test_batch_requires_compatible_jobs(self):
         with pytest.raises(ValueError, match="compat_key"):
@@ -428,7 +428,7 @@ class TestServiceCoalescing:
     def test_n_identical_submissions_one_computation(self, tmp_path):
         gate = str(tmp_path / "gate")
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, batch_max=1,
+            workers=1,
             task_fn=functools.partial(_gated_task, gate_path=gate),
         )
         job = make_job(seed=11)
@@ -451,7 +451,7 @@ class TestServiceCoalescing:
 
     def test_post_completion_duplicate_is_cache_hit(self):
         job = make_job(seed=12)
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             first = svc.submit(job)
             first.result(timeout=60.0)
             again = svc.submit(job)
@@ -462,7 +462,7 @@ class TestServiceCoalescing:
 
     def test_counts_each_lookup_once(self, monkeypatch):
         job = make_job(seed=7)
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             real_peek = svc.cache.peek
             race = []
 
@@ -496,10 +496,10 @@ class TestServiceCoalescing:
 class TestServiceCacheEviction:
     def test_budget_forces_recompute(self):
         a, b = make_job(seed=1), make_job(seed=2)
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as probe:
+        with GreensService(ServiceConfig(workers=1)) as probe:
             nbytes = probe.submit(a).result(timeout=60.0).nbytes
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, cache_bytes=int(1.5 * nbytes)
+            workers=1, cache_bytes=int(1.5 * nbytes)
         )
         with GreensService(cfg) as svc:
             svc.submit(a).result(timeout=60.0)
@@ -521,7 +521,7 @@ class TestQueueWait:
     def test_lone_job_waits_far_less_than_it_runs(self):
         """``repro_queue_wait_seconds`` stops when a dispatcher takes the
         job off the queue, not when the job completes."""
-        cfg = ServiceConfig(workers=1, fleet_ranks=1, task_fn=_slow_task)
+        cfg = ServiceConfig(workers=1, task_fn=_slow_task)
         with GreensService(cfg) as svc:
             svc.submit(make_job(seed=31)).result(timeout=60.0)
             wait = svc.stats()["queue_wait_seconds"]
@@ -539,7 +539,7 @@ class TestServiceChaos:
             state_dir=str(tmp_path / "chaos"),
         )
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, max_retries=2, retry_backoff=0.01,
+            workers=1, max_retries=2, retry_backoff=0.01,
             chaos_plan=plan,
         )
         job = make_job(seed=21)
@@ -555,7 +555,7 @@ class TestServiceChaos:
 
     def test_timeout_surfaces_as_typed_error(self):
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, job_timeout=0.3, task_fn=_sleep_task
+            workers=1, job_timeout=0.3, task_fn=_sleep_task
         )
         t0 = time.monotonic()
         svc = GreensService(cfg)
@@ -573,7 +573,7 @@ class TestServiceChaos:
 class TestServiceShutdown:
     def test_graceful_drain_completes_queued_work(self):
         jobs = [make_job(seed=s, q=s % 4) for s in range(6)]
-        svc = GreensService(ServiceConfig(workers=2, fleet_ranks=1))
+        svc = GreensService(ServiceConfig(workers=2))
         tickets = [svc.submit(j) for j in jobs]
         svc.shutdown(drain=True)
         assert all(t.done() for t in tickets)
@@ -586,7 +586,7 @@ class TestServiceShutdown:
     def test_forced_shutdown_fails_queued_tickets(self, tmp_path):
         gate = str(tmp_path / "gate-never-opened")
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, batch_max=1, max_retries=0,
+            workers=1, max_retries=0,
             retry_backoff=0.01,
             task_fn=functools.partial(_gated_task, gate_path=gate),
         )
@@ -602,7 +602,7 @@ class TestServiceShutdown:
             )
 
     def test_context_manager_drains(self):
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             ticket = svc.submit(make_job(seed=31))
         assert ticket.done() and ticket.result().flops > 0
 
@@ -611,7 +611,7 @@ class TestServiceBackpressure:
     def test_reject_policy_raises_and_counts(self, tmp_path):
         gate = str(tmp_path / "gate")
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, batch_max=1, queue_capacity=1,
+            workers=1, queue_capacity=1,
             backpressure=BackpressurePolicy.REJECT,
             task_fn=functools.partial(_gated_task, gate_path=gate),
         )
@@ -630,7 +630,7 @@ class TestServiceBackpressure:
     def test_shed_lowest_fails_victim_ticket(self, tmp_path):
         gate = str(tmp_path / "gate")
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, batch_max=1, queue_capacity=1,
+            workers=1, queue_capacity=1,
             backpressure=BackpressurePolicy.SHED_LOWEST,
             task_fn=functools.partial(_gated_task, gate_path=gate),
         )
@@ -659,7 +659,7 @@ class TestServiceTransport:
         spec = ModelSpec(nx=2, ny=2, L=16, t=1.0, U=2.0, beta=1.0)
         job = make_job(seed=11, c=4, pattern=Pattern.COLUMNS, q=1, spec=spec)
         cfg = ServiceConfig(
-            workers=1, fleet_ranks=1, pdiv_partitions=2, transport="threads"
+            workers=1, pdiv_partitions=2, transport="threads"
         )
         with GreensService(cfg) as svc:
             res = svc.submit(job).result(timeout=120.0)
@@ -670,38 +670,78 @@ class TestServiceTransport:
             np.testing.assert_allclose(res.blocks[kl], blk, atol=1e-10)
 
     def test_mpshm_fleet_produces_single_stitched_trace(self):
-        # One serve request through an mp-shm fleet yields ONE trace
+        # One PDIV serve request on an mp-shm world yields ONE trace
         # spanning scheduler -> pool worker -> transport world -> every
         # rank.
         telemetry.configure(sample_rate=1.0)
-        jobs = [make_job(seed=100 + i) for i in range(2)]
-        cfg = ServiceConfig(
-            workers=1, fleet_ranks=2, batch_max=2, batch_window=0.25,
-            transport="mp-shm",
-        )
+        spec = ModelSpec(nx=2, ny=2, L=16, t=1.0, U=2.0, beta=1.0)
+        job = make_job(seed=100, c=4, pattern=Pattern.COLUMNS, spec=spec)
+        cfg = ServiceConfig(workers=1, pdiv_partitions=2, transport="mp-shm")
         with GreensService(cfg) as svc:
-            tickets = [svc.submit(j) for j in jobs]
-            results = [t.result(timeout=120.0) for t in tickets]
-        for job, res in zip(jobs, results):
-            expect = oracle_blocks(job)
-            for kl, blk in expect.items():
-                np.testing.assert_allclose(res.blocks[kl], blk, atol=1e-10)
+            res = svc.submit(job).result(timeout=120.0)
+        assert res.rung == "pdiv(2)"
+        for kl, blk in oracle_blocks(job).items():
+            np.testing.assert_allclose(res.blocks[kl], blk, atol=1e-10)
         # Find the trace holding the transport spans; it must also hold
         # the request-side spans — i.e. everything stitched together.
         traces = _telemetry.collector().traces()
-        fleet_traces = [
+        world_traces = [
             spans for spans in traces.values()
             if any(s["name"] == "transport.world" for s in spans)
         ]
-        assert len(fleet_traces) == 1
-        names = {s["name"] for s in fleet_traces[0]}
+        assert len(world_traces) == 1
+        names = {s["name"] for s in world_traces[0]}
         assert {
             "service.request", "service.dispatch", "worker.batch",
-            "fleet.selected", "transport.world", "transport.rank",
+            "worker.job", "pdiv", "transport.world", "transport.rank",
         } <= names
-        ranks = [s for s in fleet_traces[0] if s["name"] == "transport.rank"]
+        ranks = [s for s in world_traces[0] if s["name"] == "transport.rank"]
         assert len(ranks) == 2
         assert all(s["attributes"]["backend"] == "mp-shm" for s in ranks)
+
+
+class TestDispatch:
+    """One queued job per dispatch, each solved inline by a worker."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_telemetry(self):
+        _telemetry.reset()
+        yield
+        _telemetry.reset()
+
+    def test_each_request_traces_its_own_dispatch_and_job(self, tmp_path):
+        telemetry.configure(sample_rate=1.0)
+        gate = str(tmp_path / "gate")
+        jobs = [make_job(seed=200 + s, q=s % 4) for s in range(4)]
+        assert len({j.compat_key for j in jobs}) == 1
+        cfg = ServiceConfig(
+            workers=2, task_fn=functools.partial(_gated_task, gate_path=gate),
+        )
+        with GreensService(cfg) as svc:
+            tickets = [svc.submit(j) for j in jobs]
+            try:
+                # Two jobs wait behind the two busy workers.
+                assert _wait_until(lambda: svc.queue_depth == 2)
+            finally:
+                open(gate, "w").close()
+            results = [t.result(timeout=60.0) for t in tickets]
+        assert svc.stats()["batches"] == svc.stats()["executions"] == 4
+        by_request = {
+            s["attributes"]["fingerprint"]: spans
+            for spans in _telemetry.collector().traces().values()
+            for s in spans if s["name"] == "service.request"
+        }
+        for job, res in zip(jobs, results):
+            assert res.rung == "direct"
+            spans = by_request[job.fingerprint[:12]]
+            assert sum(s["name"] == "service.dispatch" for s in spans) == 1
+            worker_jobs = [s for s in spans if s["name"] == "worker.job"]
+            assert [s["attributes"]["fingerprint"] for s in worker_jobs] == [
+                job.fingerprint[:12]
+            ]
+            for kl, blk in oracle_blocks(job).items():
+                np.testing.assert_allclose(res.blocks[kl], blk,
+                                           rtol=1e-12, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -720,7 +760,7 @@ class TestEndToEndBurst:
                       rng.integers(0, n_unique, size=n_dup)]
         assert len({j.fingerprint for j in uniques}) == n_unique
 
-        cfg = ServiceConfig(workers=2, fleet_ranks=2, batch_max=4)
+        cfg = ServiceConfig(workers=2)
         with GreensService(cfg) as svc:
             # Phase 1: the unique jobs, submitted as one burst.
             tickets = [svc.submit(j) for j in uniques]
@@ -750,5 +790,5 @@ class TestEndToEndBurst:
         # Flop accounting flowed back from the workers.
         assert stats["flops"]["total"] > 0
         assert set(stats["flops"]["stages"]) >= {"cls", "bsofi", "wrp"}
-        # Batching actually batched.
-        assert stats["batches"] <= stats["executions"]
+        # One job per dispatch.
+        assert stats["batches"] == stats["executions"]

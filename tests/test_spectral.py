@@ -532,7 +532,7 @@ class TestSpectralService:
     @pytest.fixture(scope="class")
     def svc(self):
         with GreensService(ServiceConfig(
-            workers=2, fleet_ranks=1, spectral_chunk=4
+            workers=2, spectral_chunk=4
         )) as service:
             yield service
 
@@ -605,7 +605,7 @@ class TestSpectralTracing:
             telemetry.configure(sample_rate=1.0)
             job = make_spectral_job(3, SpectralSpec.linear(-2.0, 2.0, 9, 0.2))
             with GreensService(ServiceConfig(
-                workers=2, fleet_ranks=1, spectral_chunk=4
+                workers=2, spectral_chunk=4
             )) as svc:
                 svc.submit(job).result(timeout=120)
             spans = telemetry.collector().drain()

@@ -620,7 +620,7 @@ class TestServiceRoundTrip:
         spec = ModelSpec(nx=2, ny=2, L=8)
         field = HSField.random(spec.L, spec.N, np.random.default_rng(3))
         job = GreensJob.from_field(spec, field, c=4, q=0)
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             ticket = svc.submit(job)
             ticket.result(timeout=120.0)
             prom = prometheus_text(
@@ -657,7 +657,7 @@ class TestServiceRoundTrip:
         spec = ModelSpec(nx=2, ny=2, L=8)
         field = HSField.random(spec.L, spec.N, np.random.default_rng(4))
         job = GreensJob.from_field(spec, field, c=4, q=0)
-        with GreensService(ServiceConfig(workers=1, fleet_ranks=1)) as svc:
+        with GreensService(ServiceConfig(workers=1)) as svc:
             svc.submit(job).result(timeout=120.0)
             first_traces = len(telemetry.collector().traces())
             hit = svc.submit(job)
