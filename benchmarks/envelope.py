@@ -1,7 +1,7 @@
 """The one record format of the gated ``BENCH_*.json`` files.
 
 Every ``--check`` benchmark script (``bench_stages``, ``bench_delta``,
-``bench_spectral``, ``bench_parallel``) writes::
+``bench_spectral``, ``bench_parallel``, ``bench_handoff``) writes::
 
     {"benchmark": name,
      "host":      cores, machine, python, numpy, BLAS library and the
@@ -12,7 +12,7 @@ Every ``--check`` benchmark script (``bench_stages``, ``bench_delta``,
                           "floor" or "ceiling", "passed"}}}
 
 A gate with ``"enforced": false`` is recorded but cannot fail the run.
-``bench_stages``, ``bench_delta`` and ``bench_parallel`` apply
+``bench_stages``, ``bench_delta``, ``bench_parallel`` and ``bench_handoff`` apply
 :func:`~repro.parallel.budget.process_budget` before they measure, so
 their ``blas_threads`` is the count the service runs at.
 """

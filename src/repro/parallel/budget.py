@@ -1,17 +1,16 @@
 """One parallelism budget per process.
 
-Four parallel layers can nest in this codebase: the service's worker
-processes (:class:`~repro.service.workers.WorkerPool`), transport fleet
-ranks, :func:`~repro.parallel.openmp.parallel_for` thread teams, and
-the threads of the BLAS library under every ``gemm`` and LAPACK call.
+Three parallel layers nest in the service: its worker processes
+(:class:`~repro.service.workers.WorkerPool`, one rank each),
+:func:`~repro.parallel.openmp.parallel_for` thread teams, and the
+threads of the BLAS library under every ``gemm`` and LAPACK call.
 Their product is what the host has to run, so they are resolved
 together, once, into one :class:`ParallelBudget`:
 
 * ``cores`` — the CPUs this process may run on (its affinity mask);
-* ``processes`` / ``ranks`` — service worker processes and fleet ranks
-  per process (the service's workers solve inline: 1 rank each);
+* ``processes`` — service worker processes (each solves inline);
 * ``team`` — the default ``parallel_for`` team size: ``REPRO_NUM_THREADS``
-  when set, else the cores left per rank, ``cores // (processes * ranks)``;
+  when set, else the cores left per process, ``cores // processes``;
 * ``blas`` — BLAS threads per caller: **1**.  The repo's parallelism
   lives in the layers above, which split work at the granularity the
   paper threads (clusters, seeds, shifts, jobs — Sec. III).  A BLAS call
@@ -97,11 +96,10 @@ def _cores() -> int:
 
 @dataclass(frozen=True)
 class ParallelBudget:
-    """The resolved thread counts of the four parallel layers."""
+    """The resolved thread counts of the parallel layers."""
 
     cores: int
     processes: int = 1
-    ranks: int = 1
     team: int = 1
     blas: int = 1
     #: ``"env"`` when a BLAS variable set ``blas``, else ``"budget"``.
@@ -111,20 +109,17 @@ class ParallelBudget:
     def resolve(
         cls,
         processes: int = 1,
-        ranks: int = 1,
         team: int | None = None,
         environ: Mapping[str, str] | None = None,
     ) -> ParallelBudget:
-        """The budget for ``processes`` x ``ranks`` on this host.
+        """The budget for ``processes`` worker processes on this host.
 
         ``team`` fixes the team size (the service passes its
         ``threads_per_rank``); ``None`` takes ``REPRO_NUM_THREADS``, else
-        the cores left per rank.  ``environ`` defaults to ``os.environ``.
+        the cores left per process.  ``environ`` defaults to ``os.environ``.
         """
-        if processes < 1 or ranks < 1:
-            raise ValueError(
-                f"processes and ranks must be >= 1, got {processes}, {ranks}"
-            )
+        if processes < 1:
+            raise ValueError(f"processes must be >= 1, got {processes}")
         env = os.environ if environ is None else environ
         cores = _cores()
         blas, source = 1, "budget"
@@ -134,12 +129,10 @@ class ParallelBudget:
                 blas, source = n, "env"
                 break
         if team is None:
-            team = _positive_int(env.get(TEAM_VAR)) or max(
-                1, cores // (processes * ranks)
-            )
+            team = _positive_int(env.get(TEAM_VAR)) or max(1, cores // processes)
         if team < 1:
             raise ValueError(f"team must be >= 1, got {team}")
-        return cls(cores, processes, ranks, team, blas, source)
+        return cls(cores, processes, team, blas, source)
 
     def apply(self) -> ParallelBudget:
         """Make this the process's budget and set every OpenBLAS to it.
@@ -168,7 +161,7 @@ def process_budget() -> ParallelBudget:
     """The budget in force in this process.
 
     The first call in a process that has applied none resolves the
-    default budget (one process, one rank) and applies it.
+    default budget (one process) and applies it.
     """
     with _lock:
         if _applied is not None and _applied[0] == os.getpid():

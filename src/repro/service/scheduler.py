@@ -307,6 +307,11 @@ class GreensService:
             callback=hit_rate,
         )
         r.gauge(
+            "repro_result_segments_idle_bytes",
+            "Bytes of pooled result segments waiting for a batch",
+            callback=lambda: float(self._pool.segments.idle_bytes()),
+        )
+        r.gauge(
             "repro_delta_states",
             "Warm per-base Woodbury factorisations held for delta serving",
             callback=lambda: float(len(self._delta_states)),
@@ -323,7 +328,7 @@ class GreensService:
         r.gauge(
             "repro_parallel_budget_info",
             "Parallelism budget of this service (value is always 1)",
-            labels=("cores", "processes", "ranks", "team", "blas", "source"),
+            labels=("cores", "processes", "team", "blas", "source"),
         ).labels(**self.budget.as_dict()).set(1)
 
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ stages.  The worker processes are the service's one parallel layer
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
@@ -237,11 +238,41 @@ def chaos_batch_task(
 
 
 def _exported_task(
-    segment: str, task_fn: Callable[..., list], args: tuple, kwargs: dict
+    segment: str,
+    lease: handoff.Lease | None,
+    task_fn: Callable[..., list],
+    args: tuple,
+    kwargs: dict,
 ) -> handoff.Parcel:
     """Worker side of :meth:`WorkerPool.run_batch`: run the task, then
-    hand its result buffers over through the shared-memory ``segment``."""
-    return handoff.export(task_fn(*args, **kwargs), segment)
+    hand its result buffers over through the leased segment, or a new
+    shared-memory ``segment`` when there is none large enough."""
+    return handoff.export(task_fn(*args, **kwargs), segment, lease)
+
+
+#: How often a pool worker checks that the service process is alive.
+_PARENT_POLL_SECONDS = 0.5
+
+
+def _init_worker(budget: ParallelBudget, parent: int) -> None:
+    """Initializer of every pool worker: apply the pool's budget, and
+    exit once process ``parent`` (the service) is gone.
+
+    An orphaned worker would otherwise wait on its call queue forever,
+    holding the resource tracker's pipe open, so the tracker would
+    never unlink the segments of a killed service.
+    """
+    budget.apply()
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,), name="repro-parent-watch",
+        daemon=True,
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 class WorkerPool:
@@ -265,10 +296,14 @@ class WorkerPool:
     wakes at the same instant and hammers the recycled pool together.
 
     Results come back through :mod:`repro.service.handoff`: each batch's
-    block buffers travel in one shared-memory segment named
-    ``<segment_prefix><generation>-<seq>``, not through the result
-    pipe.  :meth:`_recycle` and :meth:`shutdown` sweep the segments a
-    killed worker left behind.
+    block buffers travel in one shared-memory segment, not through the
+    result pipe.  :attr:`segments` (a
+    :class:`~repro.service.handoff.ResultSegments`, at most ``workers``
+    idle) lends every batch its largest idle segment; a worker that
+    needs a larger one creates a fresh segment named
+    ``<segment_prefix><generation>-<seq>``, which the pool then adopts.
+    :meth:`_recycle` and :meth:`shutdown` sweep the fresh segments a
+    killed worker left behind; :meth:`shutdown` unlinks the pooled ones.
     """
 
     def __init__(
@@ -308,9 +343,14 @@ class WorkerPool:
         self.budget = ParallelBudget.resolve(
             processes=workers, team=threads_per_rank
         )
-        #: Names of this pool's result segments start with this.
+        #: Names of this pool's fresh result segments start with this.
         self.segment_prefix = handoff.pool_prefix()
-        self._segments = itertools.count()
+        self._segment_seq = itertools.count()
+        #: The result segments this pool reuses.
+        self.segments = handoff.ResultSegments(
+            handoff.POOLED_ROOT + self.segment_prefix[len(handoff.SEGMENT_ROOT):],
+            bound=workers,
+        )
         # Workers fork with the resource tracker's pipe, so segment
         # (un)registrations from every process reach one tracker.
         resource_tracker.ensure_running()
@@ -323,7 +363,7 @@ class WorkerPool:
     def _new_executor(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.workers,
-            initializer=self.budget.apply,
+            initializer=functools.partial(_init_worker, self.budget, os.getpid()),
         )
 
     def _current(self) -> tuple[ProcessPoolExecutor, int, str]:
@@ -332,7 +372,7 @@ class WorkerPool:
             if self._closed:
                 raise ServiceClosedError("worker pool is shut down")
             segment = (
-                f"{self.segment_prefix}{self._generation}-{next(self._segments)}"
+                f"{self.segment_prefix}{self._generation}-{next(self._segment_seq)}"
             )
             return self._executor, self._generation, segment
 
@@ -346,9 +386,11 @@ class WorkerPool:
             self._executor = self._new_executor()
         # Reap the old pool outside the lock; terminate stuck children so
         # a timed-out job cannot pin a CPU (or the interpreter) forever.
-        # Its workers are dead after that, so their segments can go.
+        # Its workers are dead after that: their fresh segments can go,
+        # and the pooled segments leased to them can be reused.
         _terminate(old)
         handoff.sweep(self.segment_prefix, seen_generation + 1)
+        self.segments.reaped(seen_generation + 1)
 
     # ------------------------------------------------------------------
     def run_batch(
@@ -362,35 +404,48 @@ class WorkerPool:
         args = (list(jobs), 1, self._threads_per_rank)
         while True:
             executor, generation, segment = self._current()
+            lease = self.segments.lease()
             try:
                 future = executor.submit(
-                    _exported_task, segment, self._task_fn, args, kwargs
+                    _exported_task, segment, lease, self._task_fn, args, kwargs
                 )
-                return handoff.receive(future.result(timeout=self.job_timeout))
+                parcel = future.result(timeout=self.job_timeout)
             except _FutureTimeout:
                 self._recycle(generation)
+                self.segments.strand(lease, generation)
                 raise JobTimeoutError(
                     f"batch of {len(jobs)} exceeded {self.job_timeout}s"
                 ) from None
-            except (BrokenProcessPool, CancelledError, handoff.SegmentLost) as exc:
+            except (BrokenProcessPool, CancelledError) as exc:
                 # CancelledError: our future was parked on an executor a
                 # sibling thread recycled — same recovery as a crash.
-                # SegmentLost: that recycle swept our result segment
-                # before we mapped it.
-                attempts += 1
-                self._recycle(generation)
-                if attempts > self.max_retries:
-                    raise WorkerCrashError(
-                        f"batch of {len(jobs)} failed after"
-                        f" {self.max_retries} retries"
-                    ) from exc
-                if self._on_retry is not None:
-                    self._on_retry(attempts)
-                cap = min(
-                    self.retry_backoff_max,
-                    self.retry_backoff * 2 ** (attempts - 1),
-                )
-                time.sleep(random.uniform(0.0, cap))
+                self.segments.strand(lease, generation)
+                failure = exc
+            except BaseException:
+                # The task raised in a worker that is still alive.
+                self.segments.release(lease)
+                raise
+            else:
+                try:
+                    return self.segments.receive(parcel, lease)
+                except handoff.SegmentLost as exc:
+                    # A sibling's recycle swept our fresh segment before
+                    # we mapped it.
+                    failure = exc
+            attempts += 1
+            self._recycle(generation)
+            if attempts > self.max_retries:
+                raise WorkerCrashError(
+                    f"batch of {len(jobs)} failed after"
+                    f" {self.max_retries} retries"
+                ) from failure
+            if self._on_retry is not None:
+                self._on_retry(attempts)
+            cap = min(
+                self.retry_backoff_max,
+                self.retry_backoff * 2 ** (attempts - 1),
+            )
+            time.sleep(random.uniform(0.0, cap))
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
@@ -404,8 +459,10 @@ class WorkerPool:
             _terminate(executor, wait=wait)
         else:
             executor.shutdown(wait=wait)
-            if not wait:
-                return  # running tasks still hand their segments over
+        # Segments still leased to a batch are unlinked as they return.
+        self.segments.close()
+        if not wait and not cancel_futures:
+            return  # running tasks still hand their fresh segments over
         handoff.sweep(self.segment_prefix, generations)
 
 

@@ -98,8 +98,8 @@ class TestSliceInverses:
                 formed = bare.inverse(i)
             np.testing.assert_allclose(formed, pc.inverse(i), rtol=0,
                                        atol=1e-12)
-            # kr.inverse: the LU (2/3 N^3) and the solve against I (2 N^3).
-            assert tr.total_flops == pytest.approx(8.0 / 3.0 * N**3)
+            # kr.inverse: the LU (2/3 N^3) and getri (4/3 N^3).
+            assert tr.total_flops == pytest.approx(2.0 * N**3)
 
 
 class TestDerivedMatricesCarryNoInverse:

@@ -6,15 +6,24 @@
 * a worker that fails after creating its segment unlinks it, and one
   that is killed leaves a segment the pool sweeps on recycle and
   shutdown;
+* a pool reuses the segment a dropped result released, never lends one
+  a live result still views, and leaves none behind after shutdown, a
+  crash, or a SIGKILL of the service process;
 * the scheduler's store-side screen still names a single poisoned
   block of a flat result.
 """
 
 from __future__ import annotations
 
+import gc
 import mmap
 import os
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -164,6 +173,237 @@ class TestSweep:
             assert isinstance(result.blocks.data.base, mmap.mmap)
             assert _segments(prefix) == []
         assert _segments(prefix) == []
+
+
+# ----------------------------------------------------------------------
+# pooled segments: a picklable task whose "jobs" are (value, n_blocks)
+# ----------------------------------------------------------------------
+
+def _filled(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
+    """One result per ``(value, n_blocks)``, every entry ``value``; a
+    negative value SIGKILLs the worker."""
+    out = []
+    for value, n in jobs:
+        if value < 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        blocks = {(k, 1): np.full((16, 16), value) for k in range(1, n + 1)}
+        out.append(_result(f"{value}-{n}", BlockArray.from_mapping(blocks)))
+    return out
+
+
+def _owned(pool) -> list[str]:
+    """The pool's segments in /dev/shm: pooled and fresh ones."""
+    return _segments(pool.segments.prefix) + _segments(pool.segment_prefix)
+
+
+class TestPooledSegments:
+    def test_dropped_result_segment_is_reused(self, no_floor):
+        pool = WorkerPool(workers=1, task_fn=_filled)
+        try:
+            [first] = pool.run_batch([(1.0, 8)])
+            [name] = _owned(pool)
+            assert name.startswith(pool.segments.prefix)
+            assert isinstance(first.blocks.data.base, mmap.mmap)
+            assert pool.segments.idle_bytes() == 0
+            del first
+            assert pool.segments.idle_bytes() == os.path.getsize(
+                os.path.join(handoff.SHM_DIR, name))
+            [second] = pool.run_batch([(2.0, 8)])
+            assert _owned(pool) == [name]  # no new segment
+            assert pool.segments.idle_bytes() == 0
+            # Bitwise what the fresh-segment path returns.
+            [fresh] = handoff.receive(handoff.export(
+                _filled([(2.0, 8)]), handoff.pool_prefix() + "0-0"))
+            np.testing.assert_array_equal(second.blocks.data, fresh.blocks.data)
+            assert list(second.blocks) == list(fresh.blocks)
+        finally:
+            pool.shutdown()
+
+    def test_live_result_segment_is_never_lent(self, no_floor):
+        pool = WorkerPool(workers=2, task_fn=_filled)
+        try:
+            [held] = pool.run_batch([(1.0, 8)])
+            expect = held.blocks.data.copy()
+            kept = []
+            for value in range(2, 8):
+                [res] = pool.run_batch([(float(value), 8)])
+                np.testing.assert_array_equal(res.blocks.data, value)
+                if value % 2:
+                    kept.append(res)  # some stay live, some are dropped
+                del res
+            np.testing.assert_array_equal(held.blocks.data, expect)
+            for res in kept:
+                assert res.blocks.data[0, 0, 0] % 2 == 1
+                assert (res.blocks.data == res.blocks.data[0, 0, 0]).all()
+            # Three live results, at most two idle segments.
+            assert 3 <= len(_owned(pool)) <= 5
+        finally:
+            pool.shutdown()
+
+    def test_cached_entry_segment_is_never_lent(self, no_floor):
+        fields = [HSField.random(SPEC.L, SPEC.N, np.random.default_rng(s))
+                  for s in range(4)]
+        jobs = [GreensJob.from_field(SPEC, f, c=4, pattern=Pattern.COLUMNS, q=1)
+                for f in fields]
+        with GreensService(ServiceConfig(workers=1)) as svc:
+            expect = svc.compute(jobs[0], timeout=60).blocks.data.copy()
+            for job in jobs[1:]:
+                svc.compute(job, timeout=60)  # dropped by the caller
+            cached = svc.cache.peek(jobs[0].fingerprint)
+            assert isinstance(cached.blocks.data.base, mmap.mmap)
+            np.testing.assert_array_equal(cached.blocks.data, expect)
+
+    def test_too_small_idle_segment_falls_back_and_is_kept(self, no_floor):
+        pool = WorkerPool(workers=2, task_fn=_filled)
+        try:
+            pool.run_batch([(1.0, 2)])  # dropped at once: small one idle
+            [small] = _owned(pool)
+            small_bytes = pool.segments.idle_bytes()
+            [big] = pool.run_batch([(2.0, 32)])
+            assert len(_owned(pool)) == 2 and small in _owned(pool)
+            assert pool.segments.idle_bytes() == small_bytes
+            np.testing.assert_array_equal(big.blocks.data, 2.0)
+            del big
+            assert pool.segments.idle_bytes() > 2 * small_bytes
+        finally:
+            pool.shutdown()
+
+    def test_idle_bound_unlinks_the_smallest(self, no_floor):
+        pool = WorkerPool(workers=1, task_fn=_filled)
+        try:
+            pool.run_batch([(1.0, 2)])
+            [small] = _owned(pool)
+            pool.run_batch([(2.0, 32)])  # falls back, then both idle
+            [large] = [n for n in _owned(pool) if n != small]
+            assert _owned(pool) == [large]
+            assert pool.segments.idle_bytes() == os.path.getsize(
+                os.path.join(handoff.SHM_DIR, large))
+        finally:
+            pool.shutdown()
+
+    def test_release_in_gc_on_another_thread_does_not_deadlock(self, no_floor):
+        pool = WorkerPool(workers=1, task_fn=_filled)
+        gc.disable()
+        try:
+            [res] = pool.run_batch([(1.0, 8)])
+            cycle = {"result": res}
+            cycle["self"] = cycle  # only the collector frees it
+            del res, cycle
+            collector = threading.Thread(target=gc.collect, daemon=True)
+            with pool._lock:  # the pool's executor lock is held
+                collector.start()
+                collector.join(timeout=10)
+            assert not collector.is_alive()
+            assert pool.segments.idle_bytes() > 0
+            # Re-entrant: a collection on a thread inside the idle lock.
+            [res] = pool.run_batch([(2.0, 8)])
+            cycle = {"result": res}
+            cycle["self"] = cycle
+            del res, cycle
+
+            def collect_inside_idle_lock():
+                with pool.segments._lock:
+                    gc.collect()
+
+            collector = threading.Thread(target=collect_inside_idle_lock,
+                                         daemon=True)
+            collector.start()
+            collector.join(timeout=10)
+            assert not collector.is_alive()
+            assert pool.segments.idle_bytes() > 0
+        finally:
+            gc.enable()
+            pool.shutdown()
+
+    def test_crash_and_recycle_keep_idle_segments(self, no_floor):
+        pool = WorkerPool(workers=1, max_retries=0, retry_backoff=0.0,
+                          task_fn=_filled)
+        try:
+            pool.run_batch([(1.0, 8)])
+            [name] = _owned(pool)
+            with pytest.raises(WorkerCrashError):
+                pool.run_batch([(-1.0, 8)])  # leased, then its worker died
+            # The recycle swept generation 0 and left the pooled segment;
+            # the crashed batch's lease is idle again.
+            assert _owned(pool) == [name]
+            assert pool.segments.idle_bytes() > 0
+            [res] = pool.run_batch([(3.0, 8)])
+            assert _owned(pool) == [name]
+            np.testing.assert_array_equal(res.blocks.data, 3.0)
+        finally:
+            pool.shutdown()
+        assert _owned(pool) == []
+
+    def test_shutdown_unlinks_pooled_segments(self, no_floor):
+        pool = WorkerPool(workers=2, task_fn=_filled)
+        try:
+            [held] = pool.run_batch([(1.0, 8)])
+            pool.run_batch([(2.0, 8)])
+            pool.run_batch([(3.0, 32)])  # the idle one is too small
+            assert len(_owned(pool)) == 3  # one held, two idle
+        finally:
+            pool.shutdown()
+        assert _owned(pool) == []
+        assert pool.segments.idle_bytes() == 0
+        # A result held across shutdown still reads its mapping.
+        np.testing.assert_array_equal(held.blocks.data, 1.0)
+        del held
+
+    def test_killed_service_leaves_no_segments(self):
+        script = textwrap.dedent(
+            """
+            import time
+            import numpy as np
+            from repro.core.patterns import Pattern
+            from repro.hubbard.hs_field import HSField
+            from repro.service import (
+                GreensJob, GreensService, ModelSpec, ServiceConfig, handoff,
+            )
+
+            handoff.MIN_SEGMENT_BYTES = 0
+            spec = ModelSpec(nx=2, ny=2, L=8, t=1.0, U=2.0, beta=1.0)
+            svc = GreensService(ServiceConfig(workers=2))
+            for seed in range(3):
+                field = HSField.random(spec.L, spec.N,
+                                       np.random.default_rng(seed))
+                svc.compute(GreensJob.from_field(
+                    spec, field, c=4, pattern=Pattern.COLUMNS, q=1))
+            pool = svc._pool
+            print(pool.segments.prefix, pool.segment_prefix,
+                  *pool._executor._processes, flush=True)
+            time.sleep(300)
+            """
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script],
+                                stdout=subprocess.PIPE, text=True)
+        workers: list[str] = []
+        try:
+            pooled, fresh, *workers = proc.stdout.readline().split()
+            assert _segments(pooled)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 30
+            while _segments(pooled) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert _segments(pooled) == []
+            assert _segments(fresh) == []
+            # The orphaned workers exited with their parent.
+            assert not any(_running(int(pid)) for pid in workers)
+        finally:
+            proc.kill()
+            proc.stdout.close()
+            for pid in workers:  # on failure, leave no orphan behind
+                if _running(int(pid)):
+                    os.kill(int(pid), signal.SIGKILL)
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is alive and not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 # ----------------------------------------------------------------------

@@ -57,8 +57,8 @@ class TestResolve:
         assert (b.blas, b.source) == (1, "budget")
 
     def test_team_is_the_cores_left_per_rank(self):
-        b = ParallelBudget.resolve(processes=CORES, ranks=2, environ={})
-        assert (b.processes, b.ranks, b.team) == (CORES, 2, 1)
+        b = ParallelBudget.resolve(processes=CORES, environ={})
+        assert (b.processes, b.team) == (CORES, 1)
         assert ParallelBudget.resolve(team=3, environ={}).team == 3
         env = {"REPRO_NUM_THREADS": "5", "OMP_NUM_THREADS": "1"}
         assert ParallelBudget.resolve(environ=env).team == 5
@@ -122,7 +122,8 @@ class TestWorkers:
             k: str(v) for k, v in expected.items()
         }
         assert child.value == 1.0
-        assert (expected["processes"], expected["ranks"]) == (1, 1)
+        assert expected["processes"] == 1
+        assert "ranks" not in expected
         assert expected["team"] == cfg.threads_per_rank
 
 
