@@ -21,18 +21,45 @@ blocks, b block rows and b block columns").
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .pcyclic import torus_index
 
 __all__ = [
-    "BlockArray", "Pattern", "Selection", "SelectedInversion", "seed_indices",
+    "BlockArray", "Pattern", "Selection", "SelectedInversion", "result_buffers",
+    "seed_indices",
 ]
+
+#: A result-buffer provider: ``(shape, dtype) -> array``, or ``None`` to
+#: let :meth:`SelectedInversion.empty` allocate as usual.
+BufferProvider = Callable[[tuple[int, ...], np.dtype], "np.ndarray | None"]
+
+_providers = threading.local()
+
+
+@contextlib.contextmanager
+def result_buffers(provider: BufferProvider) -> Iterator[None]:
+    """Offer ``provider`` every :meth:`SelectedInversion.empty` call made
+    on this thread inside the block.
+
+    The caller decides which allocation it serves: the service's worker
+    hands the first large result a view of the shared-memory segment
+    the result will travel in, so the solve writes there directly.
+    Other threads (a solve's thread team) never see the provider.
+    """
+    outer = getattr(_providers, "provider", None)
+    _providers.provider = provider
+    try:
+        yield
+    finally:
+        _providers.provider = outer
 
 
 class Pattern(Enum):
@@ -234,8 +261,15 @@ class SelectedInversion(BlockArray):
         block_shape: tuple[int, ...],
         dtype: np.dtype | type = np.float64,
     ) -> "SelectedInversion":
-        """An uninitialised result for ``selection``, to fill in place."""
-        data = np.empty((selection.count(),) + tuple(block_shape), dtype=dtype)
+        """An uninitialised result for ``selection``, to fill in place;
+        its buffer comes from this thread's :func:`result_buffers`
+        provider when that serves it."""
+        shape = (selection.count(),) + tuple(block_shape)
+        dtype = np.dtype(dtype)
+        provider = getattr(_providers, "provider", None)
+        data = None if provider is None else provider(shape, dtype)
+        if data is None:
+            data = np.empty(shape, dtype=dtype)
         return cls(selection, data)
 
     def _key(self, kl: tuple[int, int]) -> tuple[int, int]:

@@ -31,12 +31,21 @@ Lifecycle of a fresh segment:
 
 A :class:`ResultSegments` lets a pool reuse segments instead (a fresh
 segment costs the kernel a zeroed page per 4 KiB, and freeing it
-again): the pool leases an idle segment to each batch, the worker
-copies into it when it is large enough, and the service process maps
-it without unlinking it.  When the last array over the mapping is
-freed, the segment goes back to idle.  A fresh segment the worker had
-to create instead is renamed into the pool's own name family
-(``<pooled prefix><n>``), which :func:`sweep` never matches.
+again): the pool leases an idle segment to each batch, and the service
+process maps it without unlinking it.  When the last array over the
+mapping is freed, the segment goes back to idle.  A fresh segment the
+worker had to create instead is renamed into the pool's own name
+family (``<pooled prefix><n>``), which :func:`sweep` never matches.
+
+With a lease, the result need not be copied at all.  The worker
+installs an :class:`Arena` as its thread's
+:func:`~repro.core.patterns.result_buffers` provider, so the batch's
+first result allocation (:meth:`~repro.core.patterns.SelectedInversion.
+empty`), when it is large enough and fits, is a view of the leased
+segment: the solve writes the result where the service process will
+read it, and :func:`export` finds it already at its offset.  Every
+other buffer is copied into the lease when it fits (``copied``), else
+into a fresh segment (``fresh``); :attr:`Parcel.way` says which.
 
 Only the pool calls :func:`export` and receives parcels: pickling a
 :class:`~repro.service.job.JobResult` anywhere else copies its buffer
@@ -50,10 +59,12 @@ from __future__ import annotations
 import contextlib
 import copy
 import itertools
+import math
 import mmap
 import os
 import secrets
 import threading
+import time
 import weakref
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
@@ -65,8 +76,9 @@ from ..core.patterns import BlockArray
 from ..transport.process import untrack_segment
 
 __all__ = [
-    "Lease", "MIN_SEGMENT_BYTES", "POOLED_ROOT", "Parcel", "ResultSegments",
-    "SEGMENT_ROOT", "SegmentLost", "export", "pool_prefix", "receive", "sweep",
+    "Arena", "Lease", "MIN_SEGMENT_BYTES", "POOLED_ROOT", "Parcel",
+    "ResultSegments", "SEGMENT_ROOT", "SegmentLost", "WAYS", "export",
+    "pool_prefix", "receive", "sweep",
 ]
 
 #: Every pool's in-flight segment names start with this.
@@ -106,15 +118,27 @@ class Lease:
     size: int
 
 
+#: How a batch's results came back (:attr:`Parcel.way`).
+WAYS = ("in_place", "copied", "fresh", "pickled")
+
+
 @dataclass
 class Parcel:
     """What crosses the result pipe: results whose block buffers are
     empty, plus where each buffer lies in the segment (``None`` for
-    items that travel as they are)."""
+    items that travel as they are).
+
+    ``way`` says how the buffers got there: solved into the leased
+    segment (``in_place``), copied into it (``copied``), copied into a
+    new segment (``fresh``), or not at all (``pickled``, no segment).
+    ``export_seconds`` is the worker's time in :func:`export`.
+    """
 
     segment: str | None
     offsets: list[int | None]
     results: list[Any]
+    way: str = "pickled"
+    export_seconds: float = 0.0
 
 
 def _buffer(item: Any) -> np.ndarray | None:
@@ -127,7 +151,10 @@ def _hollow(item: Any) -> Any:
     its dtype and block shape, for :func:`receive` to rebuild)."""
     out = copy.copy(item)
     out.blocks = copy.copy(item.blocks)
-    out.blocks.data = item.blocks.data[:0]
+    data = item.blocks.data
+    # A fresh empty array: a ``[:0]`` view would keep the buffer (and a
+    # mapping under it) alive until the parcel is collected.
+    out.blocks.data = np.empty((0,) + data.shape[1:], data.dtype)
     return out
 
 
@@ -147,25 +174,33 @@ def _layout(buffers: list[np.ndarray | None]) -> tuple[list[int | None], int]:
 
 def _copy_in(view: Any, buffers: list, offsets: list[int | None]) -> None:
     for buf, offset in zip(buffers, offsets):
-        if offset is not None:
+        if buf is not None and offset is not None:
             # A memoryview copy leaves no export of the view behind to
             # block closing it when a later buffer fails.
             raw = memoryview(np.ascontiguousarray(buf)).cast("B")
             view[offset : offset + raw.nbytes] = raw
 
 
-def _fill(lease: Lease, buffers: list, offsets: list[int | None], size: int) -> bool:
-    """Copy the buffers into the leased segment; ``False`` when it is
-    gone (the service process died and its resource tracker unlinked
-    it)."""
+def _map_lease(lease: Lease, size: int) -> mmap.mmap | None:
+    """The first ``size`` bytes of the leased segment, pages pre-faulted;
+    ``None`` when it is gone (the service process died and its resource
+    tracker unlinked it)."""
     try:
         fd = os.open(f"{SHM_DIR}/{lease.name}", os.O_RDWR)
     except FileNotFoundError:
-        return False
+        return None
     try:
-        mapping = mmap.mmap(fd, size, flags=mmap.MAP_SHARED | _MAP_POPULATE)
+        return mmap.mmap(fd, size, flags=mmap.MAP_SHARED | _MAP_POPULATE)
     finally:
         os.close(fd)
+
+
+def _fill(lease: Lease, buffers: list, offsets: list[int | None], size: int) -> bool:
+    """Copy the buffers into the leased segment; ``False`` when it is
+    gone."""
+    mapping = _map_lease(lease, size)
+    if mapping is None:
+        return False
     try:
         _copy_in(mapping, buffers, offsets)
     finally:
@@ -173,22 +208,101 @@ def _fill(lease: Lease, buffers: list, offsets: list[int | None], size: int) -> 
     return True
 
 
-def export(results: list[Any], segment: str, lease: Lease | None = None) -> Parcel:
+class Arena:
+    """Worker side: the leased segment as the buffer of the batch's
+    first large result, so the solve writes it where the service process
+    will read it.
+
+    A :func:`repro.core.patterns.result_buffers` provider.  The first
+    allocation it is offered takes the segment when it is at least
+    :data:`MIN_SEGMENT_BYTES` and fits the lease: it gets a view at
+    offset 0 of a ``MAP_SHARED | MAP_POPULATE`` mapping made only then.
+    Every other allocation, and every one in a forked child, is left to
+    the caller.  :func:`export` then copies nothing for that buffer.
+    """
+
+    def __init__(self, lease: Lease):
+        self.lease = lease
+        #: The bytes of the lease the taken buffer views (``None`` until
+        #: an allocation takes it).
+        self._region: np.ndarray | None = None
+        self._offered = False
+        self._pid = os.getpid()
+
+    def __call__(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray | None:
+        if self._offered or os.getpid() != self._pid:
+            return None
+        self._offered = True
+        nbytes = math.prod(shape) * dtype.itemsize
+        if not max(MIN_SEGMENT_BYTES, 1) <= nbytes <= self.lease.size:
+            return None
+        mapping = _map_lease(self.lease, nbytes)
+        if mapping is None:
+            return None
+        self._region = np.ndarray((nbytes,), np.uint8, mapping)
+        return np.ndarray(shape, dtype, mapping, 0)
+
+    def holds(self, buf: np.ndarray, offset: int) -> bool:
+        """Whether ``buf`` is exactly the segment's bytes at ``offset``."""
+        return (
+            self._region is not None
+            and buf.flags.c_contiguous
+            and buf.ctypes.data == self._region.ctypes.data + offset
+        )
+
+    def overlaps(self, buf: np.ndarray) -> bool:
+        return self._region is not None and np.may_share_memory(buf, self._region)
+
+
+def export(
+    results: list[Any], segment: str, lease: Lease | None = None,
+    arena: Arena | None = None,
+) -> Parcel:
     """Worker side: move the block buffers of ``results`` into the
     ``lease``d segment when it is large enough, else into a new
-    ``segment``."""
+    ``segment``.  A buffer the solve already wrote into the lease
+    through ``arena``, at the offset planned for it, stays where it is.
+    """
+    t0 = time.perf_counter()
+    parcel = _export(results, segment, lease, arena)
+    parcel.export_seconds = time.perf_counter() - t0
+    return parcel
+
+
+def _still_to_copy(
+    buffers: list, offsets: list[int | None], arena: Arena | None
+) -> list:
+    """What must still be copied into the lease: ``None`` where nothing
+    is (no bytes, or solved in place at its offset); a private copy of a
+    buffer that lies elsewhere in the lease, before another lands on it."""
+    out = []
+    for buf, offset in zip(buffers, offsets):
+        if offset is None or (arena is not None and arena.holds(buf, offset)):
+            out.append(None)
+        elif arena is not None and arena.overlaps(buf):
+            out.append(buf.copy())
+        else:
+            out.append(buf)
+    return out
+
+
+def _export(
+    results: list[Any], segment: str, lease: Lease | None, arena: Arena | None
+) -> Parcel:
     buffers = [_buffer(item) for item in results]
     offsets, size = _layout(buffers)
     if size < MIN_SEGMENT_BYTES or not os.path.isdir(SHM_DIR):
-        return Parcel(None, [None] * len(results), list(results))
+        return Parcel(None, [None] * len(results), list(results), "pickled")
     hollow = [
         item if offset is None else _hollow(item)
         for item, offset in zip(results, offsets)
     ]
-    if lease is not None and lease.size >= size and _fill(
-        lease, buffers, offsets, size
-    ):
-        return Parcel(lease.name, offsets, hollow)
+    if lease is not None and lease.size >= size:
+        copies = _still_to_copy(buffers, offsets, arena)
+        if not any(buf is not None for buf in copies):
+            return Parcel(lease.name, offsets, hollow, "in_place")
+        if _fill(lease, copies, offsets, size):
+            return Parcel(lease.name, offsets, hollow, "copied")
     shm = shared_memory.SharedMemory(name=segment, create=True, size=size)
     try:
         _copy_in(shm.buf, buffers, offsets)
@@ -198,7 +312,7 @@ def export(results: list[Any], segment: str, lease: Lease | None = None) -> Parc
         raise
     finally:
         shm.close()
-    return Parcel(segment, offsets, hollow)
+    return Parcel(segment, offsets, hollow, "fresh")
 
 
 def _map(name: str) -> mmap.mmap:

@@ -19,6 +19,9 @@ Stage flops arrive with each result: workers count them per
 :func:`repro.telemetry.stage` and ship them back as
 ``JobResult.stage_flops``, which :meth:`ServiceMetrics.absorb_stage_flops`
 folds into the ``repro_stage_flops_total{stage=...}`` counter family.
+Each dispatch's handoff arrives the same way, on its
+:class:`~repro.service.handoff.Parcel`: :meth:`ServiceMetrics.
+absorb_handoff` counts its way and observes the worker's export time.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import time
 
 from ..telemetry.metrics import Counter, Histogram, MetricRegistry
+from .handoff import WAYS
 
 __all__ = ["Counter", "Histogram", "ServiceMetrics"]
 
@@ -118,6 +122,16 @@ class ServiceMetrics:
         self.timeouts = r.counter(
             "repro_timeouts_total", "Dispatches abandoned on timeout"
         )
+        # result handoff (counted here from each batch's parcel)
+        self._handoffs = r.counter(
+            "repro_result_handoff_total",
+            "Dispatches by how their results came back from the worker",
+            labels=("way",),
+        )
+        self.export_time = r.histogram(
+            "repro_handoff_export_seconds",
+            "Worker-side time handing a dispatch's results over",
+        )
         # latencies (seconds)
         self.latency = r.histogram(
             "repro_request_latency_seconds",
@@ -141,6 +155,19 @@ class ServiceMetrics:
         """Fold a result's ``stage_flops`` into the service totals."""
         for stage, flops in stage_flops.items():
             self._stage_flops.labels(stage=stage).inc(float(flops))
+
+    def absorb_handoff(self, way: str, export_seconds: float) -> None:
+        """Count how one dispatch's results came back (a
+        :attr:`~repro.service.handoff.Parcel.way`) and time its export."""
+        self._handoffs.labels(way=way).inc()
+        self.export_time.observe(export_seconds)
+
+    def handoffs(self) -> dict[str, float]:
+        """Dispatches per handoff way, every way present."""
+        counts = {way: 0.0 for way in WAYS}
+        for values, child in self._handoffs.samples():
+            counts[values[0]] = child.value
+        return counts
 
     @property
     def total_flops(self) -> float:
@@ -193,6 +220,10 @@ class ServiceMetrics:
             "latency_seconds": self.latency.snapshot(),
             "queue_wait_seconds": self.queue_wait.snapshot(),
             "exec_seconds": self.exec_time.snapshot(),
+            "handoff": {
+                **self.handoffs(),
+                "export_seconds": self.export_time.snapshot(),
+            },
             "flops": {"total": self.total_flops, "stages": self.stage_flops()},
         }
 

@@ -250,6 +250,7 @@ class GreensService:
             pdiv_partitions=cfg.pdiv_partitions,
             guards=cfg.guards,
             on_retry=lambda _n: self.metrics.retries.inc(),
+            on_handoff=self.metrics.absorb_handoff,
         )
         # The pool forks its workers on first submit, so this process
         # runs under the pool's budget before any worker exists.
@@ -295,6 +296,17 @@ class GreensService:
         r.gauge(
             "repro_cache_bytes_used", "Result-cache bytes in use",
             callback=lambda: float(self.cache.stats().bytes_used),
+        )
+        r.gauge(
+            "repro_cache_evictions",
+            "Cached results evicted to make room, since start",
+            callback=lambda: float(self.cache.stats().evictions),
+        )
+        r.gauge(
+            "repro_cache_drops",
+            "Results refused by the cache as larger than its budget,"
+            " since start",
+            callback=lambda: float(self.cache.stats().drops),
         )
 
         def hit_rate() -> float:
@@ -807,63 +819,72 @@ class GreensService:
             entry = self._queue.get()
             if entry is None:
                 return  # closed and drained
-            self.metrics.queue_wait.observe(
-                max(0.0, time.monotonic() - entry.enqueued_at)
+            self._dispatch(entry)
+
+    def _dispatch(self, entry: QueueEntry) -> None:
+        """Run one queue entry through the pool and resolve its tickets.
+
+        A method of its own, so its result dies with the call: kept in
+        the loop's frame, it would pin its pooled segment while the next
+        entry's batch leases one.
+        """
+        self.metrics.queue_wait.observe(
+            max(0.0, time.monotonic() - entry.enqueued_at)
+        )
+        if not self._breaker_admit():
+            self._fail_entry(entry, ServiceDegradedError(
+                "service stopping while worker pool circuit breaker"
+                " is open",
+                retry_after=self._breaker.retry_after(),
+            ))
+            return
+        self.metrics.batches.inc()
+        # The dispatch span parents into the request's trace.  Its
+        # context travels to the worker process so worker-side
+        # spans stitch into the same trace.
+        parent_ctx = entry.tickets[0]._span.context if entry.tickets else None
+        if parent_ctx is not None:
+            dispatch_span = _telemetry.start_span(
+                "service.dispatch", parent=parent_ctx
             )
-            if not self._breaker_admit():
-                self._fail_entry(entry, ServiceDegradedError(
-                    "service stopping while worker pool circuit breaker"
-                    " is open",
-                    retry_after=self._breaker.retry_after(),
-                ))
-                continue
-            self.metrics.batches.inc()
-            # The dispatch span parents into the request's trace.  Its
-            # context travels to the worker process so worker-side
-            # spans stitch into the same trace.
-            parent_ctx = entry.tickets[0]._span.context if entry.tickets else None
-            if parent_ctx is not None:
-                dispatch_span = _telemetry.start_span(
-                    "service.dispatch", parent=parent_ctx
-                )
-                trace_ctx = _telemetry.inject(dispatch_span.context)
-            else:
-                dispatch_span = _telemetry.null_span()
-                trace_ctx = None
-            try:
-                [result] = self._pool.run_batch([entry.job], trace_ctx=trace_ctx)
-            except ServiceError as exc:
-                if isinstance(exc, JobTimeoutError):
-                    self.metrics.timeouts.inc()
-                # Crashes and timeouts are infrastructure failures: they
-                # feed the breaker.  ServiceClosedError does not.
-                if isinstance(exc, (JobTimeoutError, WorkerCrashError)):
-                    self._breaker.record_failure()
-                dispatch_span.set_attribute("error", type(exc).__name__)
-                dispatch_span.end()
-                self._fail_entry(entry, exc)
-                continue
-            except Exception as exc:  # worker-side computation error
-                # The worker ran and raised: the *pool* is healthy.
-                self._breaker.record_success()
-                wrapped = JobFailedError(f"job execution failed: {exc!r}")
-                wrapped.__cause__ = exc
-                dispatch_span.set_attribute("error", type(exc).__name__)
-                dispatch_span.end()
-                self._fail_entry(entry, wrapped)
-                continue
-            self._breaker.record_success()
+            trace_ctx = _telemetry.inject(dispatch_span.context)
+        else:
+            dispatch_span = _telemetry.null_span()
+            trace_ctx = None
+        try:
+            [result] = self._pool.run_batch([entry.job], trace_ctx=trace_ctx)
+        except ServiceError as exc:
+            if isinstance(exc, JobTimeoutError):
+                self.metrics.timeouts.inc()
+            # Crashes and timeouts are infrastructure failures: they
+            # feed the breaker.  ServiceClosedError does not.
+            if isinstance(exc, (JobTimeoutError, WorkerCrashError)):
+                self._breaker.record_failure()
+            dispatch_span.set_attribute("error", type(exc).__name__)
             dispatch_span.end()
-            self.metrics.executions.inc()
-            self.metrics.exec_time.observe(result.exec_seconds)
-            self.metrics.absorb_stage_flops(result.stage_flops)
-            if result.spans:
-                # Re-absorb the worker process's spans into the global
-                # collector, then strip them so cached results don't
-                # replay stale spans on later hits.
-                _telemetry.collector().add_many(result.spans)
-                result.spans = []
-            self._complete_entry(entry, result)
+            self._fail_entry(entry, exc)
+            return
+        except Exception as exc:  # worker-side computation error
+            # The worker ran and raised: the *pool* is healthy.
+            self._breaker.record_success()
+            wrapped = JobFailedError(f"job execution failed: {exc!r}")
+            wrapped.__cause__ = exc
+            dispatch_span.set_attribute("error", type(exc).__name__)
+            dispatch_span.end()
+            self._fail_entry(entry, wrapped)
+            return
+        self._breaker.record_success()
+        dispatch_span.end()
+        self.metrics.executions.inc()
+        self.metrics.exec_time.observe(result.exec_seconds)
+        self.metrics.absorb_stage_flops(result.stage_flops)
+        if result.spans:
+            # Re-absorb the worker process's spans into the global
+            # collector, then strip them so cached results don't
+            # replay stale spans on later hits.
+            _telemetry.collector().add_many(result.spans)
+            result.spans = []
+        self._complete_entry(entry, result)
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:

@@ -45,7 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import resource_tracker
 from typing import Callable, Sequence
 
-from ..core.patterns import BlockArray, Selection
+from ..core.patterns import BlockArray, Selection, result_buffers
 from ..core.pcyclic import BlockPCyclic
 from ..parallel.budget import ParallelBudget
 from ..telemetry import FlopTracer
@@ -246,8 +246,17 @@ def _exported_task(
 ) -> handoff.Parcel:
     """Worker side of :meth:`WorkerPool.run_batch`: run the task, then
     hand its result buffers over through the leased segment, or a new
-    shared-memory ``segment`` when there is none large enough."""
-    return handoff.export(task_fn(*args, **kwargs), segment, lease)
+    shared-memory ``segment`` when there is none large enough.
+
+    With a lease, the task's first large result is solved straight into
+    it (:class:`~repro.service.handoff.Arena`), and nothing is copied.
+    """
+    if lease is None:
+        return handoff.export(task_fn(*args, **kwargs), segment)
+    arena = handoff.Arena(lease)
+    with result_buffers(arena):
+        results = task_fn(*args, **kwargs)
+    return handoff.export(results, segment, lease, arena)
 
 
 #: How often a pool worker checks that the service process is alive.
@@ -280,7 +289,10 @@ class WorkerPool:
 
     ``task_fn`` is the picklable batch entry point (defaults to
     :func:`execute_batch`); tests and chaos drills substitute
-    :func:`chaos_batch_task` or a slow variant.  All public methods are
+    :func:`chaos_batch_task` or a slow variant.  ``on_retry`` hears each
+    retry's attempt number, ``on_handoff`` each returned batch's
+    :attr:`~repro.service.handoff.Parcel.way` and worker-side export
+    seconds.  All public methods are
     thread-safe — the scheduler calls :meth:`run_batch` from several
     dispatcher threads against the one shared pool.
 
@@ -299,7 +311,8 @@ class WorkerPool:
     block buffers travel in one shared-memory segment, not through the
     result pipe.  :attr:`segments` (a
     :class:`~repro.service.handoff.ResultSegments`, at most ``workers``
-    idle) lends every batch its largest idle segment; a worker that
+    idle) lends every batch its largest idle segment, which the worker
+    solves the batch's first large result into; a worker that
     needs a larger one creates a fresh segment named
     ``<segment_prefix><generation>-<seq>``, which the pool then adopts.
     :meth:`_recycle` and :meth:`shutdown` sweep the fresh segments a
@@ -320,6 +333,7 @@ class WorkerPool:
         pdiv_partitions: int = 0,
         guards: GuardConfig | None = None,
         on_retry: Callable[[int], None] | None = None,
+        on_handoff: Callable[[str, float], None] | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -339,6 +353,7 @@ class WorkerPool:
             "pdiv_partitions": pdiv_partitions,
         }
         self._on_retry = on_retry
+        self._on_handoff = on_handoff
         #: Applied in every worker process this pool starts.
         self.budget = ParallelBudget.resolve(
             processes=workers, team=threads_per_rank
@@ -427,11 +442,15 @@ class WorkerPool:
                 raise
             else:
                 try:
-                    return self.segments.receive(parcel, lease)
+                    results = self.segments.receive(parcel, lease)
                 except handoff.SegmentLost as exc:
                     # A sibling's recycle swept our fresh segment before
                     # we mapped it.
                     failure = exc
+                else:
+                    if self._on_handoff is not None:
+                        self._on_handoff(parcel.way, parcel.export_seconds)
+                    return results
             attempts += 1
             self._recycle(generation)
             if attempts > self.max_retries:

@@ -9,14 +9,20 @@
 * a pool reuses the segment a dropped result released, never lends one
   a live result still views, and leaves none behind after shutdown, a
   crash, or a SIGKILL of the service process;
+* a worker solves the first large result of a leased batch straight
+  into the lease and copies nothing, falls back to a copy or a fresh
+  segment when it cannot, and never maps the lease for small results;
 * the scheduler's store-side screen still names a single poisoned
   block of a flat result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import importlib
 import mmap
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -24,12 +30,16 @@ import sys
 import textwrap
 import threading
 import time
+import weakref
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.core.patterns import BlockArray, Pattern, Selection
+from repro.core.fsi import fsi, fsi_resilient
+from repro.core.patterns import (
+    BlockArray, Pattern, SelectedInversion, Selection, result_buffers,
+)
 from repro.hubbard.hs_field import HSField
 from repro.resilience.guards import GuardConfig, NumericalHealthError
 from repro.service import (
@@ -42,6 +52,8 @@ from repro.service import (
     WorkerPool,
 )
 from repro.service import handoff
+from repro.spectral import SpectralSpec
+from repro.transport.process import untrack_segment
 
 pytestmark = pytest.mark.skipif(
     not os.path.isdir(handoff.SHM_DIR), reason="needs POSIX shm in /dev/shm"
@@ -404,6 +416,221 @@ def _running(pid: int) -> bool:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
     except FileNotFoundError:
         return False
+
+
+# ----------------------------------------------------------------------
+# solved in place: the lease is the first large result's buffer
+# ----------------------------------------------------------------------
+
+def _job(seed: int, pattern: Pattern = Pattern.COLUMNS, c: int = 4,
+         spectral: SpectralSpec | None = None) -> GreensJob:
+    field = HSField.random(SPEC.L, SPEC.N, np.random.default_rng(seed))
+    return GreensJob.from_field(SPEC, field, c=c, pattern=pattern, q=1,
+                                spectral=spectral)
+
+
+def _inline(job: GreensJob, solve=fsi, **kwargs) -> np.ndarray:
+    pc = job.spec.build_model().build_matrix(job.field(), job.spec.sigma)
+    return solve(pc, job.c, job.pattern, q=job.q, num_threads=1,
+                 **kwargs).selected.data
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count the calls of a ``handoff`` function in every process: the
+    counter is shared memory that forked pool workers inherit."""
+
+    def install(name: str):
+        calls = multiprocessing.Value("i", 0)
+        real = getattr(handoff, name)
+
+        def counted(*args, **kwargs):
+            with calls.get_lock():
+                calls.value += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(handoff, name, counted)
+        return calls
+
+    return install
+
+
+def _served(pool: WorkerPool, job: GreensJob) -> np.ndarray:
+    """Serve ``job`` through ``pool``; a copy of its blocks (the result,
+    and with it the segment, is dropped at once)."""
+    [res] = pool.run_batch([job])
+    return res.blocks.data.copy()
+
+
+class TestSolvedInPlace:
+    @pytest.mark.parametrize("pattern", list(Pattern))
+    def test_served_in_place_equals_inline_fsi(self, no_floor, count_calls,
+                                               pattern):
+        copies = count_calls("_copy_in")
+        ways: list[str] = []
+        pool = WorkerPool(workers=1, on_handoff=lambda way, _s: ways.append(way))
+        try:
+            jobs = [_job(seed, pattern) for seed in range(4)]
+            first = _served(pool, jobs[0])  # no idle segment yet
+            assert copies.value == 1
+            served = [_served(pool, job) for job in jobs[1:]]
+        finally:
+            pool.shutdown()
+        assert ways == ["fresh", "in_place", "in_place", "in_place"]
+        assert copies.value == 1  # the steady state copied nothing
+        for job, blocks in zip(jobs, [first, *served]):
+            np.testing.assert_array_equal(blocks, _inline(job))
+
+    def test_too_small_lease_falls_back_to_a_fresh_segment(self, no_floor):
+        ways: list[str] = []
+        pool = WorkerPool(workers=2, on_handoff=lambda way, _s: ways.append(way))
+        try:
+            small = _job(0, Pattern.DIAGONAL)
+            _served(pool, small)  # its segment goes idle: 256 bytes
+            big = _job(1, Pattern.COLUMNS)
+            blocks = _served(pool, big)
+            assert len(_owned(pool)) == 2  # the small one is kept
+        finally:
+            pool.shutdown()
+        assert ways == ["fresh", "fresh"]
+        np.testing.assert_array_equal(blocks, _inline(big))
+
+    def test_tripped_direct_rung_is_served_from_a_finer_rung(
+        self, no_floor, monkeypatch
+    ):
+        fsi_module = importlib.import_module("repro.core.fsi")
+        real = fsi_module.run_stages
+        took = multiprocessing.Value("i", 0)
+
+        def trip_direct(pc, selection, *args, **kwargs):
+            selected, seeds, report = real(pc, selection, *args, **kwargs)
+            if selection.c == 4:
+                if isinstance(selected.data.base, mmap.mmap):
+                    with took.get_lock():
+                        took.value += 1
+                raise NumericalHealthError(
+                    "tripped after WRP", check="finite", site="result"
+                )
+            return selected, seeds, report
+
+        monkeypatch.setattr(fsi_module, "run_stages", trip_direct)
+        ways: list[str] = []
+        pool = WorkerPool(workers=1, guards=GuardConfig(),
+                          on_handoff=lambda way, _s: ways.append(way))
+        try:
+            _served(pool, _job(0))
+            job = _job(1)
+            [res] = pool.run_batch([job])
+            assert res.rung == "c=2"
+            blocks = res.blocks.data.copy()
+            del res
+        finally:
+            pool.shutdown()
+        assert took.value == 1  # the direct rung wrote into the lease
+        assert ways == ["fresh", "copied"]
+        np.testing.assert_array_equal(
+            blocks, _inline(job, fsi_resilient, guards=GuardConfig())
+        )
+
+    def test_small_and_spectral_results_never_map_the_lease(
+        self, monkeypatch, count_calls
+    ):
+        # A 4 KiB COLUMNS result leaves a 4 KiB idle segment; the 256-byte
+        # DIAGONAL and 2 KiB spectral results fit it, under the floor.
+        monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 4096)
+        maps = count_calls("_map_lease")
+        ways: list[str] = []
+        pool = WorkerPool(workers=1, on_handoff=lambda way, _s: ways.append(way))
+        try:
+            _served(pool, _job(0, Pattern.COLUMNS, c=2))
+            assert pool.segments.idle_bytes() == 4096
+            small = _job(1, Pattern.DIAGONAL)
+            spectral = _job(2, Pattern.DIAGONAL,
+                            spectral=SpectralSpec.linear(-2.0, -1.0, 4, 0.1))
+            np.testing.assert_array_equal(_served(pool, small), _inline(small))
+            assert _served(pool, spectral).shape == (2, 4, 4, 4)
+            assert pool.segments.idle_bytes() == 4096  # lent, returned
+        finally:
+            pool.shutdown()
+        assert ways == ["fresh", "pickled", "pickled"]
+        assert maps.value == 0
+
+
+@pytest.fixture
+def make_lease():
+    """A segment of ``size`` bytes this process hands over like a
+    worker's (untracked); unlinked after the test if still there."""
+    names = []
+
+    def make(size: int) -> handoff.Lease:
+        shm = shared_memory.SharedMemory(
+            name=handoff.pool_prefix() + "0-0", create=True, size=size
+        )
+        untrack_segment(shm.name)
+        shm.close()
+        names.append(shm.name)
+        return handoff.Lease(shm.name, size)
+
+    yield make
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(os.path.join(handoff.SHM_DIR, name))
+
+
+class TestArena:
+    SELECTION = Selection(Pattern.COLUMNS, L=8, c=4, q=1)
+
+    def _solve(self, arena: handoff.Arena, value: float) -> SelectedInversion:
+        with result_buffers(arena):
+            out = SelectedInversion.empty(self.SELECTION, (4, 4))
+        out.data[:] = value
+        return out
+
+    def test_hollow_results_do_not_pin_the_mapping(self, no_floor, make_lease):
+        lease = make_lease(2048)
+        arena = handoff.Arena(lease)
+        out = self._solve(arena, 3.0)
+        assert isinstance(out.data.base, mmap.mmap)
+        parcel = handoff.export([_result("g", out)], "unused", lease, arena)
+        assert parcel.way == "in_place"
+        assert parcel.export_seconds >= 0.0
+        mapping = weakref.ref(out.data.base)
+        del arena, out
+        gc.collect()
+        assert mapping() is None  # the parcel keeps nothing of it
+        assert parcel.results[0].blocks.data.base is None
+        [back] = handoff.receive(parcel)
+        np.testing.assert_array_equal(back.blocks.data, 3.0)
+
+    def test_only_the_first_allocation_is_offered(self, monkeypatch,
+                                                  make_lease):
+        # The 256-byte first result is under the floor; the 2 KiB one
+        # after it would take the lease, but is never offered it.
+        monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 1024)
+        arena = handoff.Arena(make_lease(4096))
+        with result_buffers(arena):
+            small = SelectedInversion.empty(
+                Selection(Pattern.DIAGONAL, L=8, c=4, q=1), (4, 4)
+            )
+            big = SelectedInversion.empty(self.SELECTION, (4, 4))
+        assert small.data.base is None and big.data.base is None
+
+    def test_out_of_place_buffer_in_the_lease_is_copied_out_first(
+        self, no_floor, make_lease
+    ):
+        lease = make_lease(4096)
+        arena = handoff.Arena(lease)
+        second = self._solve(arena, 2.0)  # at offset 0, planned at 2048
+        first = _result("h", {(1, 1): np.full((16, 16), 1.0)})
+        parcel = handoff.export(
+            [first, _result("i", second)], "unused", lease, arena
+        )
+        assert parcel.way == "copied"
+        assert parcel.offsets == [0, 2048]
+        del arena, second
+        a, b = handoff.receive(parcel)
+        np.testing.assert_array_equal(a.blocks.data, 1.0)
+        np.testing.assert_array_equal(b.blocks.data, 2.0)
 
 
 # ----------------------------------------------------------------------

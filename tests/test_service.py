@@ -10,6 +10,8 @@ Covers the acceptance scenarios of the service subsystem:
 * PDIV serving, and a PDIV solve on an mp-shm world producing one
   stitched trace;
 * one job per dispatch, each traced in its own request's trace;
+* how each dispatch's results came back, and the cache's drops, as
+  exported metric families;
 * an end-to-end 100-job burst with >= 30% duplicates verified
   against the direct :func:`repro.core.fsi.fsi` oracle.
 """
@@ -49,7 +51,9 @@ from repro.service import (
     execute_batch,
 )
 from repro.resilience import FaultKind, FaultPlan, FaultRule
+from repro.service import handoff
 from repro.service.workers import chaos_batch_task
+from repro.telemetry import prometheus_text
 from repro.telemetry import runtime as _telemetry
 
 #: Small enough that one FSI run takes ~a millisecond.
@@ -515,6 +519,39 @@ class TestServiceCacheEviction:
 
         args = build_parser().parse_args(["serve"])
         assert args.cache_mb * 1024 * 1024 == ServiceConfig().cache_bytes
+
+
+class TestHandoffMetrics:
+    def test_steady_state_results_are_counted_in_place(self, monkeypatch):
+        # Forked workers inherit the floor: even 2 KiB results take a
+        # segment.
+        monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 0)
+        jobs = [make_job(seed, pattern=Pattern.COLUMNS) for seed in range(3)]
+        # A budget under one result: every put is a drop, and each
+        # dropped result hands its segment back to the pool.
+        with GreensService(ServiceConfig(workers=1, cache_bytes=1024)) as svc:
+            for job in jobs:
+                blocks = svc.compute(job, timeout=60).blocks.data.copy()
+                expect = np.stack(list(oracle_blocks(job).values()))
+                np.testing.assert_array_equal(blocks, expect)
+            stats = svc.stats()
+            text = prometheus_text(svc.metrics.registry)
+        assert stats["handoff"]["fresh"] == 1
+        assert stats["handoff"]["in_place"] == 2
+        assert stats["handoff"]["copied"] == stats["handoff"]["pickled"] == 0
+        assert stats["handoff"]["export_seconds"]["count"] == 3
+        assert stats["cache"]["drops"] == 3
+        assert 'repro_result_handoff_total{way="in_place"} 2' in text
+        assert "repro_handoff_export_seconds_count 3" in text
+        assert "repro_cache_drops 3" in text
+        assert "repro_cache_evictions 0" in text
+
+    def test_small_results_are_counted_pickled(self):
+        with GreensService(ServiceConfig(workers=1)) as svc:
+            svc.compute(make_job(0), timeout=60)
+            handoffs = svc.stats()["handoff"]
+        assert handoffs["pickled"] == 1
+        assert handoffs["in_place"] == handoffs["fresh"] == 0
 
 
 class TestQueueWait:
