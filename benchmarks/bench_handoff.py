@@ -8,24 +8,24 @@ trip of that result — the worker hands it over, the service process
 rebuilds it, and then drops it — with no solve in the way: every task
 returns the same precomputed result, built before the workers fork.
 
-* **pooled** — :meth:`repro.service.WorkerPool.run_batch` on a
-  2-worker pool in steady state.  The task returns a buffer it did not
-  allocate through :meth:`~repro.core.patterns.SelectedInversion.
-  empty`, so this is the *copy fallback*: the worker copies into a
-  reused segment the pool leased it (:class:`repro.service.handoff.
-  ResultSegments`), and dropping the result returns the segment;
-* **fresh** — :func:`repro.service.handoff.export` into a new segment
-  in the worker and :func:`~repro.service.handoff.receive` in the
-  service process, a fresh name every round (the pool's path before it
-  reused segments);
+* **pooled** — :meth:`repro.service.WorkerPool.run` on a 2-worker pool
+  in steady state.  The task returns a buffer it did not allocate
+  through :meth:`~repro.core.patterns.SelectedInversion.empty`, so
+  this is the *copy fallback*: the worker copies into the segment the
+  pool leased it (:class:`repro.service.handoff.ResultSegments`), and
+  dropping the result returns the segment;
+* **fresh** — a new segment per round, as a worker had to make one
+  before the pool lent segments: the worker creates it, copies the
+  result in and returns its name; the service process maps it,
+  unlinks it and rebuilds the result over the mapping;
 * **pickled** — the result returned through the executor's result pipe.
 
 Two more points run a real solve of one paper-scale COLUMNS
 :class:`~repro.service.GreensJob`:
 
 * **served** — :func:`repro.service.execute_job` through a steady-state
-  2-worker ``run_batch``: the worker solves into the leased segment
-  (:class:`repro.service.handoff.Arena`) and copies nothing;
+  2-worker ``WorkerPool.run``: the worker solves into the leased
+  segment (:class:`repro.service.handoff.Arena`) and copies nothing;
 * **inline** — the same ``execute_job`` in the calling process.
 
 All five run interleaved, one round each in turn.  Two gates compare
@@ -42,7 +42,11 @@ Run the gate locally with::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
+import mmap
+import os
+import secrets
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -90,17 +94,40 @@ def _columns_job() -> GreensJob:
     return GreensJob.from_field(spec, field, c=w.c, pattern=Pattern.COLUMNS, q=3)
 
 
-def _precomputed(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
-    """Pool task: the precomputed result, as a batch of one."""
-    return [_RESULT]
+def _precomputed(job, **kwargs) -> JobResult:
+    """Pool task: the precomputed result."""
+    return _RESULT
 
 
-def _export_fresh(segment: str) -> handoff.Parcel:
-    return handoff.export([_RESULT], segment)
+def _pickled() -> JobResult:
+    return _RESULT
 
 
-def _pickled() -> list:
-    return [_RESULT]
+def _export_fresh(name: str) -> str:
+    """Worker side of ``fresh``: create segment ``name``, copy the
+    result's buffer into it, and hand it over."""
+    data = _RESULT.blocks.data
+    fd = os.open(f"{handoff.SHM_DIR}/{name}", os.O_RDWR | os.O_CREAT | os.O_EXCL)
+    try:
+        os.ftruncate(fd, data.nbytes)
+        with mmap.mmap(fd, data.nbytes) as mapping:
+            mapping[:] = memoryview(data).cast("B")
+    finally:
+        os.close(fd)
+    return name
+
+
+def _receive_fresh(name: str) -> np.ndarray:
+    """Service side of ``fresh``: map segment ``name``, unlink it, and
+    rebuild the result's buffer over the mapping."""
+    path = f"{handoff.SHM_DIR}/{name}"
+    fd = os.open(path, os.O_RDWR)
+    try:
+        mapping = mmap.mmap(fd, os.fstat(fd).st_size)
+    finally:
+        os.close(fd)
+    os.unlink(path)
+    return np.ndarray(_RESULT.blocks.data.shape, np.float64, mapping)
 
 
 def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
@@ -108,31 +135,31 @@ def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
     global _RESULT
     _RESULT = _columns_result()
     nbytes = _RESULT.blocks.data.nbytes
+    job = _columns_job()
+    assert job.result_nbytes == nbytes
     pool = WorkerPool(workers=2, task_fn=_precomputed)
     plain = ProcessPoolExecutor(max_workers=2)
-    job = _columns_job()
     served_ways: list[str] = []
     solver = WorkerPool(
         workers=2, on_handoff=lambda way, _s: served_ways.append(way)
     )
-    prefix = handoff.pool_prefix()
+    prefix = f"repro-bench-fresh-{secrets.token_hex(4)}-"
     names = itertools.count()
 
     def pooled() -> None:
-        [res] = pool.run_batch([])
+        res = pool.run(job)
         assert res.blocks.data.nbytes == nbytes
 
     def fresh() -> None:
-        parcel = plain.submit(_export_fresh, f"{prefix}0-{next(names)}").result()
-        [res] = handoff.receive(parcel)
-        assert res.blocks.data.nbytes == nbytes
+        name = plain.submit(_export_fresh, f"{prefix}{next(names)}").result()
+        assert _receive_fresh(name).nbytes == nbytes
 
     def pickled() -> None:
-        [res] = plain.submit(_pickled).result()
+        res = plain.submit(_pickled).result()
         assert res.blocks.data.nbytes == nbytes
 
     def served() -> None:
-        [res] = solver.run_batch([job])
+        res = solver.run(job)
         assert res.blocks.data.nbytes == nbytes
 
     def inline() -> None:
@@ -155,7 +182,10 @@ def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
         pool.shutdown()
         solver.shutdown()
         plain.shutdown()
-        handoff.sweep(prefix, 1)
+        for name in os.listdir(handoff.SHM_DIR):  # a round cut short
+            if name.startswith(prefix):
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(f"{handoff.SHM_DIR}/{name}")
     points = []
     for name, ms in samples.items():
         q1, med, q3 = np.percentile(ms, [25, 50, 75])

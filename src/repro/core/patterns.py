@@ -45,9 +45,9 @@ _providers = threading.local()
 
 
 @contextlib.contextmanager
-def result_buffers(provider: BufferProvider) -> Iterator[None]:
+def result_buffers(provider: BufferProvider | None) -> Iterator[None]:
     """Offer ``provider`` every :meth:`SelectedInversion.empty` call made
-    on this thread inside the block.
+    on this thread inside the block (``None``: offer none).
 
     The caller decides which allocation it serves: the service's worker
     hands the first large result a view of the shared-memory segment

@@ -10,9 +10,9 @@ machine, across process boundaries, with no shared counters.
 
 Sites (the names the service layer pokes):
 
-* ``worker.task`` — the worker-side batch entry point: ``CRASH``
+* ``worker.task`` — the worker-side job entry point: ``CRASH``
   (SIGKILL, what an OOM kill looks like) and ``HANG`` (sleep past the
-  batch timeout) fire here;
+  job timeout) fire here;
 * ``cls.output`` — the CLS-stage output inside :func:`repro.core.fsi.
   fsi`: ``CORRUPT`` (NaN/Inf block entries) and ``ILLCOND``
   (artificially ill-conditioned blocks) fire here;
@@ -58,7 +58,7 @@ class FaultKind(Enum):
     """What a firing rule does."""
 
     CRASH = "crash"      # SIGKILL the current process
-    HANG = "hang"        # sleep (trips batch timeouts)
+    HANG = "hang"        # sleep (trips job timeouts)
     CORRUPT = "corrupt"  # overwrite entries with NaN/Inf
     ILLCOND = "illcond"  # scale a block to blow up its condition number
 

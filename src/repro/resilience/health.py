@@ -7,7 +7,7 @@ and the service *wedges* instead of failing fast.  The classic fix is
 a circuit breaker:
 
 * ``CLOSED`` — normal operation; consecutive infrastructure failures
-  (worker crashes, batch timeouts) are counted, successes reset the
+  (worker crashes, job timeouts) are counted, successes reset the
   count;
 * ``OPEN`` — the consecutive-failure threshold was hit; compute is
   shed immediately (callers get a typed retry-after error) until

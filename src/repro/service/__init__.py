@@ -42,7 +42,7 @@ from .job import GreensJob, JobResult, ModelSpec
 from .metrics import Counter, Histogram, ServiceMetrics
 from .queue import BackpressurePolicy, BoundedPriorityQueue, QueueEntry
 from .scheduler import GreensService, JobTicket, ServiceConfig
-from .workers import WorkerPool, chaos_batch_task, execute_batch, execute_job
+from .workers import WorkerPool, chaos_task, execute_batch, execute_job
 
 __all__ = [
     "BackpressurePolicy",
@@ -69,7 +69,7 @@ __all__ = [
     "ServiceMetrics",
     "WorkerCrashError",
     "WorkerPool",
-    "chaos_batch_task",
+    "chaos_task",
     "execute_batch",
     "execute_job",
 ]

@@ -253,14 +253,27 @@ class GreensJob:
 
     @property
     def compat_key(self) -> tuple:
-        """Micro-batching compatibility: jobs sharing this key differ
-        only in the HS field and ``q`` and can run as one fleet.
-        Spectral jobs batch only with jobs sweeping the same grid."""
+        """Jobs sharing this key differ only in the HS field and ``q``:
+        :func:`~repro.service.workers.execute_batch` (the benchmark
+        harness's replay loop) accepts only lists of such jobs.  Spectral
+        jobs share it only with jobs sweeping the same grid."""
         return (self.spec, self.c, self.pattern, self.spectral)
 
     @property
     def selection(self) -> Selection:
         return Selection(self.pattern, L=self.spec.L, c=self.c, q=self.q)
+
+    @property
+    def result_nbytes(self) -> int:
+        """Bytes of this job's result blocks, fixed by the selection
+        before any compute: ``N x N`` float64 per selected block, or
+        complex128 per block and omega point for a spectral job.  The
+        worker pool sizes the segment it lends the job by this."""
+        if self.spectral is None:
+            per_block = np.dtype(np.float64).itemsize
+        else:
+            per_block = np.dtype(np.complex128).itemsize * self.spectral.n_omega
+        return self.selection.count() * self.spec.N ** 2 * per_block
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -113,6 +113,8 @@ class ServiceMetrics:
         self.executions = r.counter(
             "repro_executions_total", "FSI computations actually run"
         )
+        #: Dispatches to the worker pool, one job each; named
+        #: ``batches`` in ``stats()``, which the benchmark harness reads.
         self.batches = r.counter(
             "repro_batches_total", "Jobs dispatched to the worker pool"
         )
@@ -122,7 +124,7 @@ class ServiceMetrics:
         self.timeouts = r.counter(
             "repro_timeouts_total", "Dispatches abandoned on timeout"
         )
-        # result handoff (counted here from each batch's parcel)
+        # result handoff (counted here from each dispatch's parcel)
         self._handoffs = r.counter(
             "repro_result_handoff_total",
             "Dispatches by how their results came back from the worker",
@@ -157,7 +159,7 @@ class ServiceMetrics:
             self._stage_flops.labels(stage=stage).inc(float(flops))
 
     def absorb_handoff(self, way: str, export_seconds: float) -> None:
-        """Count how one dispatch's results came back (a
+        """Count how one dispatch's result came back (a
         :attr:`~repro.service.handoff.Parcel.way`) and time its export."""
         self._handoffs.labels(way=way).inc()
         self.export_time.observe(export_seconds)

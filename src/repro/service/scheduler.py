@@ -61,7 +61,7 @@ from .errors import (
 from .job import GreensJob, JobResult
 from .metrics import ServiceMetrics
 from .queue import BackpressurePolicy, BoundedPriorityQueue, QueueEntry
-from .workers import WorkerPool, chaos_batch_task, execute_batch
+from .workers import WorkerPool, chaos_task, execute_job
 
 __all__ = ["ServiceConfig", "JobTicket", "GreensService"]
 
@@ -93,7 +93,7 @@ class ServiceConfig:
     #: fsi_distributed` with this many chain partitions instead of the
     #: serial FSI pipeline (one transport world per job).
     pdiv_partitions: int = 0
-    task_fn: Callable = dataclass_field(default=execute_batch)
+    task_fn: Callable = dataclass_field(default=execute_job)
     #: When set, workers solve through ``fsi_resilient`` with these
     #: guards, and the scheduler screens results before caching them.
     guards: GuardConfig | None = None
@@ -105,7 +105,7 @@ class ServiceConfig:
     #: Concurrent half-open probe dispatches.
     breaker_probes: int = 1
     #: Deterministic fault-injection plan (chaos drills); routes jobs
-    #: through :func:`~repro.service.workers.chaos_batch_task`.
+    #: through :func:`~repro.service.workers.chaos_task`.
     chaos_plan: FaultPlan | None = None
     #: Serve requests carrying a ``base_fingerprint`` hint by a
     #: Sherman–Morrison delta update of the cached base when possible
@@ -237,7 +237,7 @@ class GreensService:
         self._queue = BoundedPriorityQueue(cfg.queue_capacity, cfg.backpressure)
         task_fn = cfg.task_fn
         if cfg.chaos_plan is not None:
-            task_fn = functools.partial(chaos_batch_task, plan=cfg.chaos_plan)
+            task_fn = functools.partial(chaos_task, plan=cfg.chaos_plan)
         self._pool = WorkerPool(
             cfg.workers,
             job_timeout=cfg.job_timeout,
@@ -320,7 +320,7 @@ class GreensService:
         )
         r.gauge(
             "repro_result_segments_idle_bytes",
-            "Bytes of pooled result segments waiting for a batch",
+            "Bytes of pooled result segments waiting for a job",
             callback=lambda: float(self._pool.segments.idle_bytes()),
         )
         r.gauge(
@@ -826,7 +826,7 @@ class GreensService:
 
         A method of its own, so its result dies with the call: kept in
         the loop's frame, it would pin its pooled segment while the next
-        entry's batch leases one.
+        entry's job leases one.
         """
         self.metrics.queue_wait.observe(
             max(0.0, time.monotonic() - entry.enqueued_at)
@@ -852,7 +852,7 @@ class GreensService:
             dispatch_span = _telemetry.null_span()
             trace_ctx = None
         try:
-            [result] = self._pool.run_batch([entry.job], trace_ctx=trace_ctx)
+            result = self._pool.run(entry.job, trace_ctx=trace_ctx)
         except ServiceError as exc:
             if isinstance(exc, JobTimeoutError):
                 self.metrics.timeouts.inc()

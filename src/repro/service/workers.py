@@ -6,7 +6,7 @@ is the first layer of this codebase that escapes it entirely.  The pool
 wraps :class:`concurrent.futures.ProcessPoolExecutor` with the three
 behaviours a serving layer cannot live without:
 
-* **per-batch timeouts** — a wedged worker surfaces as a typed
+* **per-job timeouts** — a wedged worker surfaces as a typed
   :class:`~repro.service.errors.JobTimeoutError` instead of a hang, and
   the pool is recycled to reclaim the stuck process;
 * **bounded retry with exponential backoff** — a crashed worker
@@ -17,8 +17,10 @@ behaviours a serving layer cannot live without:
 * **graceful shutdown** — in-flight work completes before the pool is
   torn down unless cancellation is requested.
 
-Worker-side entry points (:func:`execute_job`, :func:`execute_batch`)
-are module-level functions of picklable arguments.  Each solve runs
+The pool's task is :func:`execute_job`, a module-level function of
+picklable arguments, called with one job per task;
+:func:`execute_batch` loops it over a list of compatible jobs for the
+end-to-end benchmark harness.  Each solve runs
 under a :class:`~repro.telemetry.FlopTracer`, which reads the flops its
 :func:`repro.telemetry.stage` blocks count, and returns them with the
 blocks as ``JobResult.stage_flops``, so the service can aggregate
@@ -31,7 +33,6 @@ stages.  The worker processes are the service's one parallel layer
 from __future__ import annotations
 
 import functools
-import itertools
 import os
 import random
 import threading
@@ -57,7 +58,7 @@ from . import handoff
 from .errors import JobTimeoutError, ServiceClosedError, WorkerCrashError
 from .job import GreensJob, JobResult
 
-__all__ = ["execute_job", "execute_batch", "chaos_batch_task", "WorkerPool"]
+__all__ = ["execute_job", "execute_batch", "chaos_task", "WorkerPool"]
 
 
 def execute_job(
@@ -163,15 +164,19 @@ def execute_batch(
     transport: str | None = None,
 ) -> list[JobResult]:
     """Run *compatible* jobs (same ``compat_key``) one after another
-    through :func:`execute_job` in this worker.
+    through :func:`execute_job` in this process.
 
-    The service sends one job per call.  ``fleet_ranks`` must be 1: the
-    worker processes are the only rank level.  ``transport`` names the
-    backend of PDIV solves.  When ``trace_ctx`` carries a sampled span
-    context, all spans recorded in this process are attached to the
-    *first* result's ``spans`` (one drain per call).
+    The service never calls this: its pool runs one job per task.  It
+    is the replay loop of the end-to-end benchmark harness
+    (``benchmarks/e2e/replay.py``).  ``fleet_ranks`` must be 1: the
+    worker processes are the only rank level.  When ``trace_ctx``
+    carries a sampled span context, all spans recorded in this process
+    are attached to the *first* result's ``spans`` (one drain per call).
     """
-    _check_fleet_ranks(fleet_ranks)
+    if fleet_ranks != 1:
+        raise ValueError(
+            f"fleet_ranks must be 1 (jobs run inline), got {fleet_ranks}"
+        )
     jobs = list(jobs)
     if not jobs:
         return []
@@ -191,72 +196,47 @@ def execute_batch(
     return results
 
 
-def _check_fleet_ranks(fleet_ranks: int) -> None:
-    if fleet_ranks != 1:
-        raise ValueError(
-            f"fleet_ranks must be 1 (jobs run inline), got {fleet_ranks}"
-        )
+def chaos_task(
+    job: GreensJob, plan: FaultPlan | None = None, **kwargs
+) -> JobResult:
+    """:func:`execute_job` under a deterministic :class:`FaultPlan`.
 
-
-def chaos_batch_task(
-    jobs: Sequence[GreensJob],
-    fleet_ranks: int = 1,
-    threads_per_rank: int = 1,
-    trace_ctx: dict | None = None,
-    guards: GuardConfig | None = None,
-    pdiv_partitions: int = 0,
-    transport: str | None = None,
-    plan: FaultPlan | None = None,
-) -> list[JobResult]:
-    """:func:`execute_batch` under a deterministic :class:`FaultPlan`.
-
-    The worker-side chaos entry point: activates ``plan`` for the batch
+    The worker-side chaos entry point: activates ``plan`` for the job
     and consults the ``worker.task`` site first — ``CRASH`` SIGKILLs
-    this process mid-batch (exactly what an OOM kill looks like to the
-    pool), ``HANG`` sleeps past the batch timeout.  The solve-level
-    sites (``cls.output``) then fire inside :func:`execute_job` per job
-    fingerprint.  Decisions are pure functions of the plan seed and the
-    batch's job fingerprints, so a given plan replays identically;
-    one-shot rules persist their firing in the plan's ``state_dir`` and
-    survive pool recycling.  Used by the chaos suite and operational
-    fire drills (``--chaos-plan``).
+    this process mid-job (exactly what an OOM kill looks like to the
+    pool), ``HANG`` sleeps past the job timeout.  The solve-level sites
+    (``cls.output``) then fire inside :func:`execute_job`.  Decisions
+    are pure functions of the plan seed and the job's fingerprint, so a
+    given plan replays identically; one-shot rules persist their firing
+    in the plan's ``state_dir`` and survive pool recycling.  Used by the
+    chaos suite and operational fire drills (``--chaos-plan``).
     """
-    _check_fleet_ranks(fleet_ranks)
-    key = jobs[0].fingerprint if jobs else ""
-    with _chaos.activate(plan), _chaos.job_key(key):
+    with _chaos.activate(plan), _chaos.job_key(job.fingerprint):
         if plan is not None:
-            rule = plan.decide("worker.task", key)
+            rule = plan.decide("worker.task", job.fingerprint)
             if rule is not None and rule.kind is FaultKind.CRASH:
                 os.kill(os.getpid(), 9)
             if rule is not None and rule.kind is FaultKind.HANG:
                 time.sleep(rule.hang_seconds)
-        return execute_batch(
-            jobs, fleet_ranks, threads_per_rank,
-            trace_ctx=trace_ctx, guards=guards,
-            pdiv_partitions=pdiv_partitions, transport=transport,
-        )
+        return execute_job(job, **kwargs)
 
 
 def _exported_task(
-    segment: str,
     lease: handoff.Lease | None,
-    task_fn: Callable[..., list],
-    args: tuple,
+    task_fn: Callable[..., JobResult],
+    job: GreensJob,
     kwargs: dict,
 ) -> handoff.Parcel:
-    """Worker side of :meth:`WorkerPool.run_batch`: run the task, then
-    hand its result buffers over through the leased segment, or a new
-    shared-memory ``segment`` when there is none large enough.
+    """Worker side of :meth:`WorkerPool.run`: run the task, then hand
+    its result's buffer over through the leased segment.
 
-    With a lease, the task's first large result is solved straight into
-    it (:class:`~repro.service.handoff.Arena`), and nothing is copied.
+    With a lease, the result is solved straight into it
+    (:class:`~repro.service.handoff.Arena`), and nothing is copied.
     """
-    if lease is None:
-        return handoff.export(task_fn(*args, **kwargs), segment)
-    arena = handoff.Arena(lease)
+    arena = None if lease is None else handoff.Arena(lease)
     with result_buffers(arena):
-        results = task_fn(*args, **kwargs)
-    return handoff.export(results, segment, lease, arena)
+        result = task_fn(job, **kwargs)
+    return handoff.export(result, lease, arena)
 
 
 #: How often a pool worker checks that the service process is alive.
@@ -287,14 +267,16 @@ def _exit_with_parent(parent: int) -> None:
 class WorkerPool:
     """A recycling ``ProcessPoolExecutor`` with timeout + crash retry.
 
-    ``task_fn`` is the picklable batch entry point (defaults to
-    :func:`execute_batch`); tests and chaos drills substitute
-    :func:`chaos_batch_task` or a slow variant.  ``on_retry`` hears each
-    retry's attempt number, ``on_handoff`` each returned batch's
+    ``task_fn`` is the picklable job entry point (defaults to
+    :func:`execute_job`); tests and chaos drills substitute
+    :func:`chaos_task` or a slow variant.  :meth:`run` calls it with one
+    job and the keywords ``num_threads``, ``trace_ctx``, ``guards``,
+    ``transport`` and ``pdiv_partitions``.  ``on_retry`` hears each
+    retry's attempt number, ``on_handoff`` each returned job's
     :attr:`~repro.service.handoff.Parcel.way` and worker-side export
-    seconds.  All public methods are
-    thread-safe — the scheduler calls :meth:`run_batch` from several
-    dispatcher threads against the one shared pool.
+    seconds.  All public methods are thread-safe — the scheduler calls
+    :meth:`run` from several dispatcher threads against the one shared
+    pool.
 
     Every worker process, including those of a recycled executor, first
     applies :attr:`budget` (a :class:`~repro.parallel.budget.ParallelBudget`
@@ -307,16 +289,13 @@ class WorkerPool:
     — every dispatcher thread that lost a worker to the same crash
     wakes at the same instant and hammers the recycled pool together.
 
-    Results come back through :mod:`repro.service.handoff`: each batch's
-    block buffers travel in one shared-memory segment, not through the
-    result pipe.  :attr:`segments` (a
-    :class:`~repro.service.handoff.ResultSegments`, at most ``workers``
-    idle) lends every batch its largest idle segment, which the worker
-    solves the batch's first large result into; a worker that
-    needs a larger one creates a fresh segment named
-    ``<segment_prefix><generation>-<seq>``, which the pool then adopts.
-    :meth:`_recycle` and :meth:`shutdown` sweep the fresh segments a
-    killed worker left behind; :meth:`shutdown` unlinks the pooled ones.
+    Results come back through :mod:`repro.service.handoff`.
+    :attr:`segments` (a :class:`~repro.service.handoff.ResultSegments`,
+    at most ``workers`` idle) lends every job a segment sized by its
+    :attr:`~repro.service.job.GreensJob.result_nbytes`, which the
+    worker solves the result into.  The lease of a crashed or timed-out
+    job is lent again once :meth:`_recycle` has joined its worker;
+    :meth:`shutdown` unlinks every segment.
     """
 
     def __init__(
@@ -327,7 +306,7 @@ class WorkerPool:
         max_retries: int = 2,
         retry_backoff: float = 0.05,
         retry_backoff_max: float = 2.0,
-        task_fn: Callable[..., list[JobResult]] = execute_batch,
+        task_fn: Callable[..., JobResult] = execute_job,
         threads_per_rank: int = 1,
         transport: str | None = None,
         pdiv_partitions: int = 0,
@@ -345,9 +324,9 @@ class WorkerPool:
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
         self._task_fn = task_fn
-        self._threads_per_rank = threads_per_rank
-        #: Forwarded to ``task_fn`` with every batch (plus ``trace_ctx``).
+        #: Forwarded to ``task_fn`` with every job (plus ``trace_ctx``).
         self._task_kwargs = {
+            "num_threads": threads_per_rank,
             "guards": guards,
             "transport": transport,
             "pdiv_partitions": pdiv_partitions,
@@ -358,16 +337,10 @@ class WorkerPool:
         self.budget = ParallelBudget.resolve(
             processes=workers, team=threads_per_rank
         )
-        #: Names of this pool's fresh result segments start with this.
-        self.segment_prefix = handoff.pool_prefix()
-        self._segment_seq = itertools.count()
-        #: The result segments this pool reuses.
-        self.segments = handoff.ResultSegments(
-            handoff.POOLED_ROOT + self.segment_prefix[len(handoff.SEGMENT_ROOT):],
-            bound=workers,
-        )
-        # Workers fork with the resource tracker's pipe, so segment
-        # (un)registrations from every process reach one tracker.
+        #: The result segments this pool owns and lends.
+        self.segments = handoff.ResultSegments(bound=workers)
+        # Started before any worker forks, so every process reports its
+        # segments (this pool's, the mp-shm transport's) to one tracker.
         resource_tracker.ensure_running()
         self._lock = threading.Lock()
         self._generation = 0
@@ -381,15 +354,12 @@ class WorkerPool:
             initializer=functools.partial(_init_worker, self.budget, os.getpid()),
         )
 
-    def _current(self) -> tuple[ProcessPoolExecutor, int, str]:
-        """The live executor, its generation, and a fresh segment name."""
+    def _current(self) -> tuple[ProcessPoolExecutor, int]:
+        """The live executor and its generation."""
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("worker pool is shut down")
-            segment = (
-                f"{self.segment_prefix}{self._generation}-{next(self._segment_seq)}"
-            )
-            return self._executor, self._generation, segment
+            return self._executor, self._generation
 
     def _recycle(self, seen_generation: int) -> None:
         """Replace a broken/stuck executor exactly once per generation."""
@@ -401,35 +371,29 @@ class WorkerPool:
             self._executor = self._new_executor()
         # Reap the old pool outside the lock; terminate stuck children so
         # a timed-out job cannot pin a CPU (or the interpreter) forever.
-        # Its workers are dead after that: their fresh segments can go,
-        # and the pooled segments leased to them can be reused.
+        # Its workers are dead after that: the segments leased to them
+        # can be lent again.
         _terminate(old)
-        handoff.sweep(self.segment_prefix, seen_generation + 1)
         self.segments.reaped(seen_generation + 1)
 
     # ------------------------------------------------------------------
-    def run_batch(
-        self,
-        jobs: Sequence[GreensJob],
-        trace_ctx: dict | None = None,
-    ) -> list[JobResult]:
-        """Execute a batch with timeout/retry; blocks the calling thread."""
+    def run(self, job: GreensJob, trace_ctx: dict | None = None) -> JobResult:
+        """Execute one job with timeout/retry; blocks the calling thread."""
         attempts = 0
         kwargs = {**self._task_kwargs, "trace_ctx": trace_ctx}
-        args = (list(jobs), 1, self._threads_per_rank)
         while True:
-            executor, generation, segment = self._current()
-            lease = self.segments.lease()
+            executor, generation = self._current()
+            lease = self.segments.lease(job.result_nbytes)
             try:
                 future = executor.submit(
-                    _exported_task, segment, lease, self._task_fn, args, kwargs
+                    _exported_task, lease, self._task_fn, job, kwargs
                 )
                 parcel = future.result(timeout=self.job_timeout)
             except _FutureTimeout:
                 self._recycle(generation)
                 self.segments.strand(lease, generation)
                 raise JobTimeoutError(
-                    f"batch of {len(jobs)} exceeded {self.job_timeout}s"
+                    f"job exceeded {self.job_timeout}s"
                 ) from None
             except (BrokenProcessPool, CancelledError) as exc:
                 # CancelledError: our future was parked on an executor a
@@ -441,22 +405,15 @@ class WorkerPool:
                 self.segments.release(lease)
                 raise
             else:
-                try:
-                    results = self.segments.receive(parcel, lease)
-                except handoff.SegmentLost as exc:
-                    # A sibling's recycle swept our fresh segment before
-                    # we mapped it.
-                    failure = exc
-                else:
-                    if self._on_handoff is not None:
-                        self._on_handoff(parcel.way, parcel.export_seconds)
-                    return results
+                result = self.segments.receive(parcel, lease)
+                if self._on_handoff is not None:
+                    self._on_handoff(parcel.way, parcel.export_seconds)
+                return result
             attempts += 1
             self._recycle(generation)
             if attempts > self.max_retries:
                 raise WorkerCrashError(
-                    f"batch of {len(jobs)} failed after"
-                    f" {self.max_retries} retries"
+                    f"job failed after {self.max_retries} retries"
                 ) from failure
             if self._on_retry is not None:
                 self._on_retry(attempts)
@@ -473,16 +430,13 @@ class WorkerPool:
                 return
             self._closed = True
             executor = self._executor
-            generations = self._generation + 1
         if cancel_futures:
             _terminate(executor, wait=wait)
         else:
             executor.shutdown(wait=wait)
-        # Segments still leased to a batch are unlinked as they return.
+        # Segments still leased to a running job are unlinked as they
+        # return.
         self.segments.close()
-        if not wait and not cancel_futures:
-            return  # running tasks still hand their fresh segments over
-        handoff.sweep(self.segment_prefix, generations)
 
 
 #: How long :func:`_terminate` waits for each terminated worker to exit.

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
@@ -30,10 +31,14 @@ def restore_budget():
     before.apply()
 
 
-def _report_blas(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
+def _report_blas(job, **kwargs):
     """Pool task: the worker's BLAS thread counts (module level, so the
     fork-based pool can run it)."""
-    return [blas_threads()]
+    return blas_threads()
+
+
+#: What the pool runs ``_report_blas`` on: nothing to lease a segment for.
+_NO_RESULT = types.SimpleNamespace(result_nbytes=0)
 
 
 class TestResolve:
@@ -104,9 +109,9 @@ class TestWorkers:
         dataclasses.replace(process_budget(), blas=2).apply()
         pool = WorkerPool(workers=1, task_fn=_report_blas)
         try:
-            assert set(pool.run_batch([])[0].values()) == {1}
+            assert set(pool.run(_NO_RESULT).values()) == {1}
             pool._recycle(pool._generation)
-            assert set(pool.run_batch([])[0].values()) == {1}
+            assert set(pool.run(_NO_RESULT).values()) == {1}
         finally:
             pool.shutdown()
         assert pool.budget.blas == 1

@@ -49,10 +49,11 @@ from repro.service import (
     WorkerCrashError,
     WorkerPool,
     execute_batch,
+    execute_job,
 )
 from repro.resilience import FaultKind, FaultPlan, FaultRule
 from repro.service import handoff
-from repro.service.workers import chaos_batch_task
+from repro.service.workers import chaos_task
 from repro.telemetry import prometheus_text
 from repro.telemetry import runtime as _telemetry
 
@@ -78,29 +79,27 @@ def oracle_blocks(job: GreensJob) -> dict:
 # picklable chaos tasks (module level so the fork-based pool finds them)
 # ----------------------------------------------------------------------
 
-def _sleep_task(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
+def _sleep_task(job, **kwargs):
     time.sleep(60.0)
-    return []
 
 
-def _always_crash_task(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
+def _always_crash_task(job, **kwargs):
     os.kill(os.getpid(), 9)
 
 
 SLOW_TASK_SECONDS = 0.5
 
 
-def _slow_task(jobs, fleet_ranks=1, threads_per_rank=1, **kwargs):
+def _slow_task(job, **kwargs):
     time.sleep(SLOW_TASK_SECONDS)
-    return execute_batch(jobs, fleet_ranks, threads_per_rank, **kwargs)
+    return execute_job(job, **kwargs)
 
 
-def _gated_task(jobs, fleet_ranks=1, threads_per_rank=1, gate_path=None,
-                **kwargs):
+def _gated_task(job, gate_path=None, **kwargs):
     """Block until ``gate_path`` exists, then compute normally."""
     while not os.path.exists(gate_path):
         time.sleep(0.005)
-    return execute_batch(jobs, fleet_ranks, threads_per_rank, **kwargs)
+    return execute_job(job, **kwargs)
 
 
 def _wait_until(predicate, timeout=10.0, interval=0.005):
@@ -343,7 +342,7 @@ class TestWorkerPool:
         jobs = [make_job(seed=s, q=s % 4) for s in range(3)]
         pool = WorkerPool(workers=1)
         try:
-            results = pool.run_batch(jobs)
+            results = [pool.run(job) for job in jobs]
         finally:
             pool.shutdown()
         assert [r.fingerprint for r in results] == [j.fingerprint for j in jobs]
@@ -361,8 +360,6 @@ class TestWorkerPool:
         for ranks in (0, 2):
             with pytest.raises(ValueError, match="fleet_ranks must be 1"):
                 execute_batch(jobs, fleet_ranks=ranks)
-            with pytest.raises(ValueError, match="fleet_ranks must be 1"):
-                chaos_batch_task(jobs, fleet_ranks=ranks)
         assert ServiceConfig().fleet_ranks == 1
         with pytest.raises(TypeError):
             ServiceConfig(fleet_ranks=2)
@@ -384,19 +381,19 @@ class TestWorkerPool:
             workers=1,
             max_retries=2,
             retry_backoff=0.01,
-            task_fn=functools.partial(chaos_batch_task, plan=plan),
+            task_fn=functools.partial(chaos_task, plan=plan),
             on_retry=retries.append,
         )
         job = make_job(seed=5)
         try:
-            results = pool.run_batch([job])
+            result = pool.run(job)
         finally:
             pool.shutdown()
         assert plan.fired() == 1             # the crash really happened
         assert retries == [1]
         expect = oracle_blocks(job)
         for kl, blk in expect.items():
-            np.testing.assert_allclose(results[0].blocks[kl], blk,
+            np.testing.assert_allclose(result.blocks[kl], blk,
                                        rtol=1e-12, atol=1e-12)
 
     def test_persistent_crash_raises_typed_error(self):
@@ -406,7 +403,7 @@ class TestWorkerPool:
         )
         try:
             with pytest.raises(WorkerCrashError, match="after 1 retries"):
-                pool.run_batch([make_job(seed=0)])
+                pool.run(make_job(seed=0))
         finally:
             pool.shutdown()
 
@@ -415,7 +412,7 @@ class TestWorkerPool:
         t0 = time.monotonic()
         try:
             with pytest.raises(JobTimeoutError, match="exceeded"):
-                pool.run_batch([make_job(seed=0)])
+                pool.run(make_job(seed=0))
         finally:
             pool.shutdown(wait=False, cancel_futures=True)
         assert time.monotonic() - t0 < 5.0
@@ -424,7 +421,7 @@ class TestWorkerPool:
         pool = WorkerPool(workers=1)
         pool.shutdown()
         with pytest.raises(ServiceClosedError):
-            pool.run_batch([make_job(seed=0)])
+            pool.run(make_job(seed=0))
 
 
 # ----------------------------------------------------------------------
@@ -523,8 +520,8 @@ class TestServiceCacheEviction:
 
 class TestHandoffMetrics:
     def test_steady_state_results_are_counted_in_place(self, monkeypatch):
-        # Forked workers inherit the floor: even 2 KiB results take a
-        # segment.
+        # The pool and its forked workers read the patched floor: even
+        # 2 KiB results take a segment.
         monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 0)
         jobs = [make_job(seed, pattern=Pattern.COLUMNS) for seed in range(3)]
         # A budget under one result: every put is a drop, and each
@@ -536,12 +533,11 @@ class TestHandoffMetrics:
                 np.testing.assert_array_equal(blocks, expect)
             stats = svc.stats()
             text = prometheus_text(svc.metrics.registry)
-        assert stats["handoff"]["fresh"] == 1
-        assert stats["handoff"]["in_place"] == 2
+        assert stats["handoff"]["in_place"] == 3
         assert stats["handoff"]["copied"] == stats["handoff"]["pickled"] == 0
         assert stats["handoff"]["export_seconds"]["count"] == 3
         assert stats["cache"]["drops"] == 3
-        assert 'repro_result_handoff_total{way="in_place"} 2' in text
+        assert 'repro_result_handoff_total{way="in_place"} 3' in text
         assert "repro_handoff_export_seconds_count 3" in text
         assert "repro_cache_drops 3" in text
         assert "repro_cache_evictions 0" in text
@@ -551,7 +547,7 @@ class TestHandoffMetrics:
             svc.compute(make_job(0), timeout=60)
             handoffs = svc.stats()["handoff"]
         assert handoffs["pickled"] == 1
-        assert handoffs["in_place"] == handoffs["fresh"] == 0
+        assert handoffs["in_place"] == handoffs["copied"] == 0
 
 
 class TestQueueWait:
@@ -729,7 +725,7 @@ class TestServiceTransport:
         assert len(world_traces) == 1
         names = {s["name"] for s in world_traces[0]}
         assert {
-            "service.request", "service.dispatch", "worker.batch",
+            "service.request", "service.dispatch",
             "worker.job", "pdiv", "transport.world", "transport.rank",
         } <= names
         ranks = [s for s in world_traces[0] if s["name"] == "transport.rank"]
