@@ -19,8 +19,10 @@ full FSI pipeline per shift.  This file pins that contract down twice:
   against the naive path to 1e-8 so the gate can never pass on a
   fast-but-wrong sweep,
   measures the complex guard battery a guarded shift runs (with the
-  factor's one-time condition estimate amortised over the grid)
-  against the repo-wide 5% budget, and writes the measurement to
+  factor's one-time screen of the reduced chain and condition estimate
+  amortised over the grid) against the repo-wide 5% budget, reports
+  the unguarded per-shift time at ``c = 32`` (the served ``b = 2``) and
+  ``c = 8``, and writes the measurement to
   ``BENCH_spectral.json`` (the shared envelope of
   ``benchmarks/envelope.py``) — the committed perf-trajectory point for
   the spectral path.
@@ -205,12 +207,13 @@ def measure_guard_overhead(seed: int = 1) -> dict:
     default, so the complex screens + condition estimates must fit the
     same 5% budget the equal-time path honours
     (``bench_resilience.py``).  Same methodology as that gate: the
-    checks a guarded shift runs (finiteness screens of the shifted
-    reduced chain, the BSOFI band and one gathered sample of result
-    blocks; the seed residual on the band) are timed directly on the
+    checks a guarded shift runs (finiteness screens of the BSOFI band
+    and one gathered sample of result blocks; the seed residual on the
+    band against the shifted chain ``t R``) are timed directly on the
     *real* per-shift arrays of a ``(N, L, c) = (100, 64, 8)`` sweep,
-    plus the factor's one-time cluster-condition estimate on the
-    unshifted reduced chain, amortised over the grid's shifts.
+    plus the factor's one-time screen of the unshifted reduced chain
+    and its cluster-condition estimate, amortised over the grid's
+    shifts.
     Differencing two end-to-end sweep timings would put a machine-drift
     noise floor right on top of the 5% budget, while the component
     costs are microseconds, measurable to a few percent with tight
@@ -219,8 +222,6 @@ def measure_guard_overhead(seed: int = 1) -> dict:
     time bounds the slowdown.
     """
     from repro.core.bsofi import bsofi_seeds
-    from repro.core.cls import cls
-    from repro.core.pcyclic import BlockPCyclic
     from repro.resilience.guards import (
         check_cluster_conditions,
         check_seed_residual,
@@ -236,34 +237,34 @@ def measure_guard_overhead(seed: int = 1) -> dict:
     pattern = Pattern.DIAGONAL
     factor = ResolventFactor(pc, w.c, pattern=pattern, q=0)
 
-    # the real arrays each per-shift check sees in a guarded sweep
+    # the real arrays each check sees in a guarded sweep: the reduced
+    # chain R in its own dtype, and one shift's scale t = s(z)^c
     z = complex(grid.z[grid.n // 2])
     _, s = shift_scale(z)
-    reduced_z = BlockPCyclic(factor._reduced_B * s**w.c)
-    band = bsofi_seeds(reduced_z, pattern).band
+    t = s**w.c
+    reduced = factor._reduced.B
+    band = bsofi_seeds(factor._reduced, pattern, t).band
     selected, _ = factor.solve_shift(z, num_threads=1)
     picked = sample_indices(len(selected), guards.result_screen_samples)
-    reduced = cls(pc, w.c, 0).B
 
     components = {
-        "screen_cls": lambda: screen_finite("cls", reduced_z.B),
+        "screen_cls": lambda: screen_finite("cls", reduced),
         "screen_bsofi": lambda: screen_finite("bsofi", *band.arrays),
         "screen_result": lambda: screen_finite(
             "result", selected.data[picked]
         ),
-        "residual": lambda: check_seed_residual(reduced_z.B, band, guards),
+        "residual": lambda: check_seed_residual(reduced, band, guards, t=t),
         "condition": lambda: check_cluster_conditions(reduced, guards),
     }
     costs = {
         name: _best_of_calls(fn, repeats=7, calls=50)
         for name, fn in components.items()
     }
-    costs["condition"] /= grid.n  # once per factor
+    for once_per_factor in ("screen_cls", "condition"):
+        costs[once_per_factor] /= grid.n
     battery = sum(costs.values())
 
-    factor.sweep(grid, num_threads=1)  # warm caches
-    sweep_s = _best_of(lambda: factor.sweep(grid, num_threads=1), repeats=5)
-    per_shift = sweep_s / grid.n
+    per_shift = _per_shift_s(factor, grid)
     return {
         "point": "guards",
         "N": w.N, "L": w.L, "c": w.c, "n_omega": grid.n,
@@ -272,6 +273,32 @@ def measure_guard_overhead(seed: int = 1) -> dict:
         "shift_ms": per_shift * 1e3,
         "guard_overhead": battery / per_shift,
     }
+
+
+def _per_shift_s(factor: ResolventFactor, grid: OmegaGrid) -> float:
+    """Best-of-5 unguarded per-shift time of ``factor`` over ``grid``."""
+    factor.sweep(grid, num_threads=1)  # warm caches
+    sweep_s = _best_of(lambda: factor.sweep(grid, num_threads=1), repeats=5)
+    return sweep_s / grid.n
+
+
+def measure_shifts(seed: int = 1) -> list[dict]:
+    """Reported-only per-shift points: an unguarded DIAGONAL 8-point
+    sweep at ``(N, L) = (100, 64)``, with ``c = 32`` (the ``b = 2`` the
+    spectral serving workload runs) and ``c = 8``."""
+    w = VALIDATION
+    pc, _, _ = make_hubbard(w, seed=seed)
+    grid = OmegaGrid.linear(-4.0, 4.0, 8, 0.5)
+    points = []
+    for c in (32, 8):
+        factor = ResolventFactor(pc, c, pattern=Pattern.DIAGONAL, q=0)
+        points.append({
+            "point": "shift",
+            "N": w.N, "L": w.L, "c": c, "b": w.L // c, "n_omega": grid.n,
+            "pattern": "diagonal",
+            "shift_ms": _per_shift_s(factor, grid) * 1e3,
+        })
+    return points
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,6 +323,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sweep = measure_sweep(seed=args.seed)
     guard = measure_guard_overhead(seed=args.seed)
+    shifts = measure_shifts(seed=args.seed)
     print(
         f"factored sweep: {sweep['factored_ms']:.1f} ms vs"
         f" {sweep['naive_ms']:.1f} ms naive per-shift"
@@ -314,6 +342,11 @@ def main(argv: list[str] | None = None) -> int:
         f" = {guard['guard_overhead']:.3%} overhead"
         f" (budget {GUARD_OVERHEAD_BUDGET:.0%})"
     )
+    for point in shifts:
+        print(
+            f"  unguarded shift at (N, L, c) = ({point['N']}, {point['L']},"
+            f" {point['c']}): {point['shift_ms']:.2f} ms (reported only)"
+        )
     gates = {
         "speedup": {
             "metric": "naive per-shift ms / factored sweep ms (same run)",
@@ -337,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
     workload = {"lattice": f"{SWEEP.nx}x{SWEEP.ny}", "seed": args.seed,
                 "sweep_eta": sweep["eta"], "pattern": "diagonal"}
     passed = write_record(
-        args.json_out, "spectral-sweep", workload, [sweep, guard], gates
+        args.json_out, "spectral-sweep", workload, [sweep, guard, *shifts],
+        gates
     )
     return 0 if passed or not args.check else 1
 

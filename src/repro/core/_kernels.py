@@ -15,6 +15,10 @@ Conventions (the standard dense counts the paper uses):
   (LU solve with both triangles: ``2 m n^2``);
 * Householder QR of ``m x n`` (``m >= n``): ``2 n^2 (m - n/3)``;
 * forming the full ``m x m`` Q: ``4/3 m^3`` (loose, adequate for rates).
+
+A product of a real and a complex operand runs as one real gemm on the
+complex operand's float64 view (:func:`_mixed_product`), and is counted
+as that gemm: ``4 m k n``.  The real operand is never upcast.
 """
 
 from __future__ import annotations
@@ -52,8 +56,47 @@ def gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """``A @ B`` with flop accounting."""
     m, k = A.shape
     n = B.shape[1]
+    if _mixed(A, B):
+        record_flops(4.0 * m * k * n, (A.nbytes + B.nbytes) + 16.0 * m * n)
+        return _mixed_product(A, B)
     record_flops(2.0 * m * k * n, (A.nbytes + B.nbytes) + 8.0 * m * n)
     return A @ B
+
+
+def _mixed(A: Operand, B: Operand) -> bool:
+    """Whether exactly one of ``A`` and ``B`` is complex."""
+    return _is_complex(A) != _is_complex(B)
+
+
+def _is_complex(X: Operand) -> bool:
+    # dtype.kind, not np.iscomplexobj: this runs on every counted gemm.
+    if not isinstance(X, np.ndarray):
+        if not len(X):
+            return False
+        X = X[0]
+    return X.dtype.kind == "c"
+
+
+def _float_view(X: np.ndarray) -> np.ndarray:
+    """A complex matrix as its ``(m, 2n)`` float view: the real and
+    imaginary parts of each entry side by side (copied to C order first
+    if its rows are not contiguous)."""
+    X = np.ascontiguousarray(X)
+    return X.view(X.real.dtype)
+
+
+def _mixed_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``A @ B`` for one real and one complex matrix, as one real gemm.
+
+    A real left factor multiplies the complex ``B``'s float view, whose
+    columns interleave the real and imaginary parts, in one pass.  A real
+    right factor does the same on the transposes, ``(A B)^T = B^T A^T``,
+    and the result is returned as the transpose view (Fortran order).
+    Either way half the arithmetic of a complex gemm on an upcast copy.
+    """
+    if _is_complex(B):
+        return (A @ _float_view(B)).view(B.dtype)
+    return (B.T @ _float_view(A.T)).view(A.dtype).T
 
 
 def gemm_into(out: np.ndarray, A: Operand, B: Operand) -> np.ndarray:
@@ -67,12 +110,20 @@ def gemm_into(out: np.ndarray, A: Operand, B: Operand) -> np.ndarray:
     views share a buffer with ``out`` through a temporary.
     """
     inner = (A if isinstance(A, np.ndarray) else A[0]).shape[-1]
-    record_flops(2.0 * out.size * inner, _nbytes(A) + _nbytes(B) + out.nbytes)
+    mixed = _mixed(A, B)
+    flops = (4.0 if mixed else 2.0) * out.size * inner
+    record_flops(flops, _nbytes(A) + _nbytes(B) + out.nbytes)
     if out.ndim == 2:
-        np.matmul(A, B, out=out)
+        if mixed:
+            out[...] = _mixed_product(A, B)
+        else:
+            np.matmul(A, B, out=out)
         return out
     for i in range(out.shape[0]):
-        np.matmul(_entry(A, i), _entry(B, i), out=out[i])
+        if mixed:
+            out[i] = _mixed_product(_entry(A, i), _entry(B, i))
+        else:
+            np.matmul(_entry(A, i), _entry(B, i), out=out[i])
     return out
 
 
@@ -112,12 +163,21 @@ def gemm_acc(
 
 
 def batched_gemm(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Broadcasted ``A @ B`` over leading batch dimensions, counted."""
-    out = np.matmul(A, B)
+    """Broadcasted ``A @ B`` over leading batch dimensions, counted.
+
+    A batch of complex ``A`` against one real ``B`` runs as one real gemm
+    of the stacked rows (:func:`_mixed_product`)."""
+    mixed = _is_complex(A) and not _is_complex(B) and B.ndim == 2
+    if mixed:
+        out = _mixed_product(A.reshape(-1, A.shape[-1]), B)
+        out = out.reshape(A.shape[:-1] + B.shape[-1:])
+    else:
+        out = np.matmul(A, B)
     m, n = out.shape[-2], out.shape[-1]
     k = A.shape[-1]
     batch = int(np.prod(out.shape[:-2], dtype=np.int64)) if out.ndim > 2 else 1
-    record_flops(2.0 * batch * m * k * n, A.nbytes + B.nbytes + out.nbytes)
+    flops = (4.0 if mixed else 2.0) * batch * m * k * n
+    record_flops(flops, A.nbytes + B.nbytes + out.nbytes)
     return out
 
 
@@ -276,6 +336,10 @@ def triangular_solve(R: np.ndarray, B: np.ndarray, trans: bool = False) -> np.nd
     right-hand sides.
     """
     n = R.shape[0]
+    if _is_complex(B) and not _is_complex(R):
+        # A real R solves the complex B's float view: one real trsm on
+        # twice the columns, and the real R is never upcast.
+        return triangular_solve(R, _float_view(B), trans).view(B.dtype)
     record_flops(float(B.shape[1]) * n * n, R.nbytes + B.nbytes)
     trsm = get_blas_funcs("trsm", (R, B))
     return trsm(1.0, R.T, B.T, side=1, lower=1, trans_a=1 if trans else 0).T

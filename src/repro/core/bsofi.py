@@ -18,7 +18,9 @@ structure:
    (:func:`repro.core._kernels.qr_full`): the same reflectors as
    ``geqrf``, in under half the ``geqrf`` + ``orgqr`` time.
 (For complex matrices every ``Q^T`` below is the conjugate transpose
-``Q^H`` — the implementation is dtype-generic.)
+``Q^H`` — the implementation is dtype-generic, and a product of a real
+and a complex factor runs as one real gemm, see
+:mod:`~repro.core._kernels`.)
 
 2. **The full inverse** (:func:`bsofi`, the paper's ``7 b^2 N^3``):
    structured back-substitution for ``R^{-1}`` — row ``i`` of ``R`` has
@@ -59,6 +61,19 @@ seed ``G~_{k0,l0}`` and need the grid.  The grid of a band solve is
 completed from the retained factors if and when someone reads it
 (:class:`SeedSet`).
 
+**Scaled chains.**  :func:`bsofi_seeds` also inverts the chain with
+blocks ``t B_i`` for one complex scalar ``t = |t| e^{i theta}`` — a
+spectral shift's reduced chain (:mod:`repro.spectral.resolvent`) —
+without forming it.  The unitary similarity ``D = diag(e^{-i k theta}
+I)`` (0-based ``k``) turns the sub-diagonal blocks into ``-|t| B_k`` and
+the corner into ``e^{i b theta} |t| B_1``, so for a real chain every
+panel ``[X_i; -|t| B_{i+1}]`` is a real QR with a real ``Q_i``: only the
+last block column of ``R`` (which the corner fills), ``Q_f`` and the
+last diagonal block are complex.  The inverse maps back by ``G~_{kl} =
+e^{i (k-l) theta} G'_{kl}``: the diagonal is unchanged, the
+super-diagonal takes ``e^{-i theta}`` and the corner ``e^{i (b-1)
+theta}``.  With ``t = 1`` every operation is the unscaled one.
+
 Orthogonal transforms keep the factorisation backward stable even for
 the ill-conditioned products that CLS produces at low temperature —
 this is why the paper pairs CLS with BSOFI instead of an LU inversion
@@ -67,6 +82,7 @@ this is why the paper pairs CLS with BSOFI instead of an LU inversion
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Callable
 
@@ -97,18 +113,24 @@ GRID_PATTERNS = frozenset({Pattern.COLUMNS, Pattern.ROWS})
 
 @dataclass
 class StructuredQR:
-    """The structured factors ``M~ = Q R``.
+    """The structured factors ``M~ = Q R`` (0-based block indices).
+
+    The last block column of ``R`` is one array: the corner block fills
+    it, so for a scaled chain it carries the corner's phase and is the
+    only complex part of ``R`` (module docstring).
 
     Attributes
     ----------
     Rd:
-        Diagonal blocks ``R_ii`` (upper triangular), shape ``(b, N, N)``.
+        Diagonal blocks ``R_ii`` for ``i <= b-2`` (upper triangular),
+        shape ``(b-1, N, N)``.
     Ru:
-        Super-diagonal blocks ``R_{i,i+1}``, shape ``(b-1, N, N)``.
+        Super-diagonal blocks ``R_{i,i+1}`` for ``i <= b-3``, shape
+        ``(max(b-2, 0), N, N)``.
     Rc:
-        Last-column fill ``R_{i,b}`` for ``i <= b-3`` (0-based rows
-        ``0 .. b-3``), shape ``(max(b-2, 0), N, N)``.  For row ``b-2``
-        the super-diagonal *is* the last column and lives in ``Ru``.
+        The last block column ``R_{i,b-1}`` for every row, shape
+        ``(b, N, N)``: fill for rows ``0 .. b-3``, the super-diagonal of
+        row ``b-2`` and the last diagonal block (upper triangular).
     Q:
         Panel factors ``Q_i`` (each ``2N x 2N``), shape ``(b-1, 2N, 2N)``.
     Qf:
@@ -123,32 +145,40 @@ class StructuredQR:
 
     @property
     def b(self) -> int:
-        return self.Rd.shape[0]
+        return self.Rc.shape[0]
 
     @property
     def N(self) -> int:
-        return self.Rd.shape[1]
+        return self.Rc.shape[1]
 
     @property
     def nbytes(self) -> int:
         return sum(a.nbytes for a in (self.Rd, self.Ru, self.Rc, self.Q, self.Qf))
 
+    def r_diag(self, i: int) -> np.ndarray:
+        """``R_ii``: ``Rd[i]``, or ``Rc[b-1]`` for the last row."""
+        return self.Rd[i] if i < self.b - 1 else self.Rc[i]
+
+    def r_upper(self, i: int) -> np.ndarray:
+        """``R_{i,i+1}``: ``Ru[i]``, or ``Rc[b-2]`` for row ``b-2``."""
+        return self.Ru[i] if i < self.b - 2 else self.Rc[i]
+
     def to_dense_r(self) -> np.ndarray:
         """Materialise ``R`` densely (tests/diagnostics)."""
         b, N = self.b, self.N
-        R = np.zeros((b * N, b * N), dtype=self.Rd.dtype)
-        for i in range(b):
-            R[i * N : (i + 1) * N, i * N : (i + 1) * N] = self.Rd[i]
+        R = np.zeros((b * N, b * N), dtype=np.result_type(self.Rd, self.Rc))
         for i in range(b - 1):
+            R[i * N : (i + 1) * N, i * N : (i + 1) * N] = self.Rd[i]
+        for i in range(b - 2):
             R[i * N : (i + 1) * N, (i + 1) * N : (i + 2) * N] = self.Ru[i]
-        for i in range(max(b - 2, 0)):
+        for i in range(b):
             R[i * N : (i + 1) * N, (b - 1) * N :] = self.Rc[i]
         return R
 
     def to_dense_q(self) -> np.ndarray:
         """Materialise ``Q = Q_1 Q_2 ... Q_{b-1} Q_b`` densely (tests)."""
         b, N = self.b, self.N
-        dtype = self.Q.dtype
+        dtype = np.result_type(self.Q, self.Qf)
         Qfull = np.eye(b * N, dtype=dtype)
         for i in range(b - 1):
             E = np.eye(b * N, dtype=dtype)
@@ -159,70 +189,88 @@ class StructuredQR:
         return Qfull @ E
 
 
-def bsofi_qr(pc: BlockPCyclic) -> StructuredQR:
-    """Structured QR factorisation of a block p-cyclic matrix.
+def _phase(t: complex, k: int) -> float | complex:
+    """``e^{i k theta}`` for ``theta = arg t``.  A real ``t`` gives a real
+    sign, so a real chain scaled by it stays in real arithmetic."""
+    t = complex(t)
+    if t.imag == 0.0:
+        return -1.0 if t.real < 0.0 and k % 2 else 1.0
+    return cmath.exp(1j * k * cmath.phase(t))
+
+
+def bsofi_qr(pc: BlockPCyclic, t: complex = 1.0) -> StructuredQR:
+    """Structured QR factorisation of the block p-cyclic matrix with
+    blocks ``t B_i``.
 
     ``pc`` is typically the CLS-reduced matrix (``b`` blocks); the
-    factorisation never forms the dense matrix.
+    factorisation never forms the dense matrix, nor the scaled chain.
+    For a ``t`` off the positive real axis it factors the phase frame
+    ``D M~ D^H`` of the module docstring, whose panels are real for a
+    real ``pc``.
     """
     b, N = pc.L, pc.N
     if b < 2:
         raise ValueError("bsofi_qr needs at least 2 block rows; use bsofi()")
     dtype = pc.dtype
-    # All factors in one allocation, each Q_i formed in its slot and each
-    # panel factored in place in one column-major scratch.  With separate
-    # arrays and per-panel temporaries the allocator handed back fresh
-    # pages on every call: about 1,100 page faults, a third of the QR
-    # time at N = 100.
-    sizes = (4 * (b - 1), b, b - 1, max(b - 2, 0))  # in N x N blocks
-    Q, Rd, Ru, Rc = np.split(
+    scale = abs(t)
+    # The last-column fill starts as the corner block; only it (and what
+    # it fills) carries the phase.
+    C = pc.block(1) * (scale * _phase(t, b))
+    # All real factors in one allocation, each Q_i formed in its slot and
+    # each panel factored in place in one column-major scratch.  With
+    # separate arrays and per-panel temporaries the allocator handed back
+    # fresh pages on every call: about 1,100 page faults, a third of the
+    # QR time at N = 100.
+    # The last block column joins the allocation when it is real too.
+    sizes = (4 * (b - 1), b - 1, max(b - 2, 0))  # in N x N blocks
+    if C.dtype == dtype:
+        sizes += (b,)
+    Q, Rd, Ru, *last = np.split(
         np.empty((sum(sizes), N, N), dtype=dtype), np.cumsum(sizes)[:-1]
     )
+    Rc = last[0] if last else np.empty((b, N, N), dtype=C.dtype)
     Q = Q.reshape(b - 1, 2 * N, 2 * N)
     panel = np.empty((2 * N, N), dtype=dtype, order="F")
 
     X = np.eye(N, dtype=dtype)          # active diagonal block
-    C = np.array(pc.block(1), copy=True)  # last-column fill (starts as B_1)
     for i in range(b - 1):
         panel[:N] = X
-        np.negative(pc.block(i + 2), out=panel[N:])  # -B_{i+2} (1-based)
+        # -|t| B_{i+2} (1-based)
+        np.multiply(pc.block(i + 2), -scale, out=panel[N:])
         Qi, Rfull = kr.qr_full(panel, out=Q[i], overwrite_a=True)
         Rd[i] = Rfull[:N]
         QiT = Qi.conj().T
+        T = kr.gemm(QiT[:, :N], C)  # == Qi^T @ [C; 0]
         if i < b - 2:
             # Trailing columns: (i+1) holding [0; I] and the last column
             # holding [C; 0].
-            T1 = QiT[:, N:]  # == Qi^T @ [0; I]
-            Ru[i] = T1[:N]
-            X = T1[N:]
-            T2 = kr.gemm(QiT[:, :N], C)  # == Qi^T @ [C; 0]
-            Rc[i] = T2[:N]
-            C = T2[N:]
+            Ru[i] = QiT[:N, N:]  # == (Qi^T @ [0; I])[:N]
+            X = QiT[N:, N:]
+            Rc[i] = T[:N]
+            C = T[N:]
         else:
             # i == b-2: the trailing column *is* the last column, holding
             # [C; I] (fill above, diagonal below).
-            T = kr.gemm(QiT[:, :N], C)
             T[:N] += QiT[:N, N:]
             T[N:] += QiT[N:, N:]
-            Ru[i] = T[:N]
+            Rc[i] = T[:N]
             X = T[N:]
-    Qf, Rlast = kr.qr_full(X)
-    Rd[b - 1] = Rlast
+    Qf, Rc[b - 1] = kr.qr_full(X)
     return StructuredQR(Rd=Rd, Ru=Ru, Rc=Rc, Q=Q, Qf=Qf)
 
 
 def _r_inverse(f: StructuredQR) -> np.ndarray:
     """``R^{-1}`` as a ``(b, b, N, N)`` block array (upper triangular fill)."""
     b, N = f.b, f.N
-    X = np.zeros((b, b, N, N), dtype=f.Rd.dtype)
-    Tinv = [kr.triangular_inverse(f.Rd[i]) for i in range(b)]
+    X = np.zeros((b, b, N, N), dtype=f.Rc.dtype)
+    Tinv = [kr.triangular_inverse(f.r_diag(i)) for i in range(b)]
     for j in range(b):
         X[j, j] = Tinv[j]
-    # Last column, bottom-up: rows i <= b-3 see both Ru and Rc fill.
+    # Last column, bottom-up: rows i <= b-3 also see the super-diagonal.
     for i in range(b - 2, -1, -1):
-        acc = kr.gemm(f.Ru[i], X[i + 1, b - 1])
+        acc = kr.gemm(f.Rc[i], X[b - 1, b - 1])
         if i < b - 2:
-            acc += kr.gemm(f.Rc[i], X[b - 1, b - 1])
+            acc += kr.gemm(f.Ru[i], X[i + 1, b - 1])
         X[i, b - 1] = -kr.gemm(Tinv[i], acc)
     # Interior columns: only the super-diagonal couples rows.
     for j in range(b - 2, 0, -1):
@@ -245,19 +293,26 @@ def _apply_qt(G: np.ndarray, f: StructuredQR) -> np.ndarray:
     return G
 
 
-def _grid(f: StructuredQR) -> np.ndarray:
-    """The full ``(b, b, N, N)`` inverse from the factors."""
+def _grid(f: StructuredQR, t: complex = 1.0) -> np.ndarray:
+    """The full ``(b, b, N, N)`` inverse from the factors of
+    :func:`bsofi_qr` with scale ``t``."""
     with _telemetry.span("bsofi.rinv"):
         G = _r_inverse(f)
     with _telemetry.span("bsofi.applyqt"):
-        return _apply_qt(G, f)
+        G = _apply_qt(G, f)
+    if _phase(t, 1) != 1.0:
+        # Back from the phase frame: G~_kl = e^{i(k-l) theta} G'_kl.
+        rows = range(f.b)
+        phases = np.array([[_phase(t, k - l) for l in rows] for k in rows])
+        G *= phases[:, :, None, None]
+    return G
 
 
-def _single_block_inverse(pc: BlockPCyclic) -> np.ndarray:
-    """``(I + B_1)^{-1}`` as a ``(1, 1, N, N)`` grid (``b = 1``)."""
-    A = np.array(pc.block(1), copy=True)
+def _single_block_inverse(pc: BlockPCyclic, t: complex = 1.0) -> np.ndarray:
+    """``(I + t B_1)^{-1}`` as a ``(1, 1, N, N)`` grid (``b = 1``)."""
+    A = pc.block(1) * t
     kr.add_identity(A)
-    return kr.solve(A, np.eye(pc.N, dtype=pc.dtype))[None, None]
+    return kr.solve(A, np.eye(pc.N, dtype=A.dtype))[None, None]
 
 
 def bsofi(pc: BlockPCyclic) -> np.ndarray:
@@ -307,21 +362,23 @@ class SeedBand:
         return sum(a.nbytes for a in self.arrays)
 
 
-def bsofi_band(f: StructuredQR) -> SeedBand:
-    """The band of ``G~ = R^{-1} Q^H`` from the structured factors.
+def bsofi_band(f: StructuredQR, t: complex = 1.0) -> SeedBand:
+    """The band of ``G~ = R^{-1} Q^H`` from the structured factors of
+    :func:`bsofi_qr` with scale ``t`` (mapped back from its phase frame).
 
     The backward recurrence of the module docstring: per step five
     gemms (at most ``N x N x 2N``) and one ``trsm``, ``O(b N^3)`` in all.
+    In the phase frame ``P`` and the ``trsm``'s ``R_{i-1,i-1}`` are real.
     """
     b, N = f.b, f.N
-    diag = np.empty((b, N, N), dtype=f.Rd.dtype)
-    upper = np.empty((b - 1, N, N), dtype=f.Rd.dtype)
-    S = F = kr.triangular_solve(f.Rd[b - 1], f.Qf.conj().T)
+    diag = np.empty((b, N, N), dtype=f.Rc.dtype)
+    upper = np.empty((b - 1, N, N), dtype=f.Rc.dtype)
+    S = F = kr.triangular_solve(f.Rc[b - 1], f.Qf.conj().T)
     for i in range(b - 1, 0, -1):
         P = f.Q[i - 1].conj().T
-        Z = kr.gemm(f.Ru[i - 1], S)
-        if i - 1 <= b - 3:  # rows above b-2 carry last-column fill
-            Z += kr.gemm(f.Rc[i - 1], F)
+        Z = kr.gemm(f.Rc[i - 1], F)
+        if i < b - 1:  # rows above b-2 also carry the super-diagonal
+            Z += kr.gemm(f.Ru[i - 1], S)
         kr.gemm_into(diag[i], S, P[N:, N:])
         W = P[:N] - kr.gemm(Z, P[N:])
         W = kr.triangular_solve(f.Rd[i - 1], W)
@@ -329,6 +386,10 @@ def bsofi_band(f: StructuredQR) -> SeedBand:
         upper[i - 1] = W[:, N:]
         F = kr.gemm(F, P[N:, :N])
     diag[0] = S
+    if _phase(t, 1) != 1.0:
+        # Back from the phase frame: G~_kl = e^{i(k-l) theta} G'_kl.
+        upper *= _phase(t, -1)
+        F = np.multiply(F, _phase(t, b - 1), order="C")
     return SeedBand(diag=diag, upper=upper, corner=F)
 
 
@@ -394,22 +455,25 @@ class SeedSet:
         )
 
 
-def bsofi_seeds(pc: BlockPCyclic, pattern: Pattern) -> SeedSet:
-    """The BSOFI output that wrapping ``pattern`` needs.
+def bsofi_seeds(
+    pc: BlockPCyclic, pattern: Pattern, t: complex = 1.0
+) -> SeedSet:
+    """The BSOFI output that wrapping ``pattern`` needs, for the chain
+    with blocks ``t B_i`` (``pc`` itself by default).
 
     COLUMNS and ROWS get the full grid.  The other patterns get the band
     (:func:`bsofi_band`); their grid is completed from the retained
     factors on first read.
     """
     if pc.L == 1:
-        return SeedSet(grid=_single_block_inverse(pc))
+        return SeedSet(grid=_single_block_inverse(pc, t))
     with _telemetry.span("bsofi.qr", b=pc.L, N=pc.N):
-        f = bsofi_qr(pc)
+        f = bsofi_qr(pc, t)
     if pattern in GRID_PATTERNS:
-        return SeedSet(grid=_grid(f))
+        return SeedSet(grid=_grid(f, t))
     with _telemetry.span("bsofi.band"):
-        band = bsofi_band(f)
-    return SeedSet(band=band, complete=lambda: _grid(f),
+        band = bsofi_band(f, t)
+    return SeedSet(band=band, complete=lambda: _grid(f, t),
                    held=band.nbytes + f.nbytes)
 
 

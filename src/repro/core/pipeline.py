@@ -9,8 +9,11 @@ with its scaled chain, its reduced chain and the ``1/(z-1)`` scale)::
                  -> BSOFI -> screen band, seed residual
                  -> WRP -> (scale) -> sampled result screen
 
-A shift enters after CLS: its factor screened the input and checked
-the cluster conditions once, on the unshifted chain.
+A shift enters after CLS with its factor's unshifted reduced chain and
+the scalar ``t`` that shifts it: the factor screened the input and the
+reduced chain and checked the cluster conditions once.  BSOFI inverts
+the shifted chain ``t R`` without forming it, and the band screen and
+seed residual see the shifted chain's inverse.
 
 Each stage is a :func:`repro.telemetry.stage` (span + flop accounting).
 """
@@ -51,20 +54,21 @@ def run_stages(
     guards: GuardConfig | None = None,
     num_threads: int | None = None,
     reduced: BlockPCyclic | None = None,
+    t: complex = 1.0,
     scale: complex | None = None,
 ) -> tuple[SelectedInversion, SeedSet, GuardReport | None]:
     """Run the guarded stages; return ``(selected, seeds, report)``.
 
     WRP reads ``pc``'s blocks and inverses.  ``reduced`` (the caller's
-    reduced chain) skips the input screen, CLS and the cluster-condition
+    reduced chain, which BSOFI inverts scaled by ``t``) skips the input
+    screen, CLS, the reduced chain's screen and the cluster-condition
     check, which the caller runs once where it clustered; then ``pc``
     only needs what WRP reads.  ``scale`` multiplies the wrapped blocks
     before the result screen.  A guard trip raises
     ``NumericalHealthError``.
     """
     report = GuardReport() if guards is not None else None
-    ran_cls = reduced is None
-    if ran_cls:
+    if reduced is None:
         if guards is not None and guards.screen_input:
             _guards.screen_finite("input", pc.B, report=report)
         with _telemetry.stage("cls"):
@@ -73,18 +77,20 @@ def run_stages(
             corrupted = _chaos.corrupt_array("cls.output", reduced.B)
             if corrupted is not None:
                 reduced = BlockPCyclic(corrupted)
-    if guards is not None:
-        if guards.screen_stages:
-            _guards.screen_finite("cls", reduced.B, report=report)
-        if guards.condition_samples and ran_cls:
-            _guards.check_cluster_conditions(reduced.B, guards, report)
+        if guards is not None:
+            if guards.screen_stages:
+                _guards.screen_finite("cls", reduced.B, report=report)
+            if guards.condition_samples:
+                _guards.check_cluster_conditions(reduced.B, guards, report)
     with _telemetry.stage("bsofi"):
-        seeds = bsofi_seeds(reduced, selection.pattern)
+        seeds = bsofi_seeds(reduced, selection.pattern, t)
     if guards is not None:
         if guards.screen_stages:
             _guards.screen_finite("bsofi", *seeds.band.arrays, report=report)
         if guards.residual_samples:
-            _guards.check_seed_residual(reduced.B, seeds.band, guards, report)
+            _guards.check_seed_residual(
+                reduced.B, seeds.band, guards, report, t=t
+            )
     with _telemetry.stage("wrp", pattern=selection.pattern.name):
         selected = wrap(pc, seeds, selection, num_threads=num_threads)
     if scale is not None:

@@ -83,9 +83,9 @@ class PCyclicSolver:
         assert f is not None
         n = f.b
         x = y
-        x[n - 1] = kr.triangular_solve(f.Rd[n - 1], y[n - 1])
+        x[n - 1] = kr.triangular_solve(f.r_diag(n - 1), y[n - 1])
         for i in range(n - 2, -1, -1):
-            acc = y[i] - kr.gemm(f.Ru[i], x[i + 1])
+            acc = y[i] - kr.gemm(f.r_upper(i), x[i + 1])
             if i < n - 2:
                 acc -= kr.gemm(f.Rc[i], x[n - 1])
             x[i] = kr.triangular_solve(f.Rd[i], acc)
@@ -104,11 +104,11 @@ class PCyclicSolver:
         for i in range(n):
             acc = y[i]
             if i > 0:
-                acc = acc - kr.gemm(f.Ru[i - 1].T, z[i - 1])
+                acc = acc - kr.gemm(f.r_upper(i - 1).T, z[i - 1])
             if i == n - 1:
                 for j in range(n - 2):
                     acc -= kr.gemm(f.Rc[j].T, z[j])
-            z[i] = kr.triangular_solve(f.Rd[i], acc, trans=True)
+            z[i] = kr.triangular_solve(f.r_diag(i), acc, trans=True)
         return z
 
     def _apply_qbar(self, z: np.ndarray) -> np.ndarray:
@@ -193,7 +193,7 @@ class PCyclicSolver:
             sign *= unit(np.linalg.det(f.Qf))
             logabs = 0.0
             for i in range(f.b):
-                d = np.diag(f.Rd[i])
+                d = np.diag(f.r_diag(i))
                 sign *= np.prod([unit(x) for x in d])
                 logabs += float(np.sum(np.log(np.abs(d))))
         if abs(complex(sign).imag) < 1e-12:

@@ -156,17 +156,18 @@ def _observe(name: str, help_text: str, value: float) -> None:
 # ----------------------------------------------------------------------
 
 def _maybe_nonfinite(arr: np.ndarray) -> bool:
-    """Cheap screen: a NaN/Inf entry poisons the sum (``inf - inf`` is
-    NaN), so one C reduction — no boolean temporary — clears the common
-    all-finite case.  A positive here may rarely be overflow of a
-    genuinely finite array, so callers re-verify with an exact scan.
+    """Cheap screen: a NaN/Inf entry poisons the sum — no sum returns
+    from inf or NaN to a finite value (``inf - inf`` is NaN) — so one C
+    reduction, with no boolean temporary, clears the common all-finite
+    case.  A positive here may rarely be overflow of a genuinely finite
+    array, so callers re-verify with an exact scan.
 
-    Complex arrays are screened through ``|x|``: the magnitude maps a
-    non-finite entry in *either* component to ``+inf``/NaN, and the
-    resulting sum of non-negative reals cannot cancel back to a finite
-    value the way signed real/imaginary parts can."""
+    Complex arrays are summed through their float view, the real and
+    imaginary parts side by side: a non-finite entry in either part
+    poisons that sum the same way."""
     if np.issubdtype(arr.dtype, np.complexfloating):
-        return not bool(np.isfinite(np.abs(arr).sum()))
+        arr = np.ascontiguousarray(arr)
+        arr = arr.view(arr.real.dtype)
     return not bool(np.isfinite(arr.sum()))
 
 
@@ -345,11 +346,13 @@ def check_seed_residual(
     seeds: SeedBand | np.ndarray,
     config: GuardConfig,
     report: GuardReport | None = None,
+    t: complex = 1.0,
 ) -> float:
     """Sampled identity residual of the BSOFI inverse.
 
-    ``B`` holds the reduced blocks ``B~_i`` (``(b, N, N)``); ``seeds``
-    is the band of the BSOFI inverse ``G~`` (a
+    ``t * B`` holds the reduced blocks ``B~_i`` (``(b, N, N)``; ``t``
+    is a spectral shift's scale, see :func:`~repro.core.bsofi.bsofi_seeds`);
+    ``seeds`` is the band of the BSOFI inverse ``G~`` (a
     :class:`~repro.core.bsofi.SeedBand`) or the whole ``(b, b, N, N)``
     grid.  For sampled rows ``k`` the reduced p-cyclic structure gives
 
@@ -366,7 +369,15 @@ def check_seed_residual(
     with np.errstate(invalid="ignore", over="ignore"):
         for k0 in sample_indices(b, config.residual_samples):
             G_kk, G_nb = _band_pair(seeds, k0)
-            prod = B[k0] @ G_nb
+            if G_nb.dtype.kind == "c" and B.dtype.kind != "c":
+                # A real B~ multiplies the complex seed's float view: one
+                # real gemm, no complex copy of B~.
+                G_nb = np.ascontiguousarray(G_nb)
+                prod = (B[k0] @ G_nb.view(G_nb.real.dtype)).view(G_nb.dtype)
+            else:
+                prod = B[k0] @ G_nb
+            if t != 1.0:
+                prod = t * prod
             # Row 1 holds +B~_1 in the corner (b = 1: M~ = I + B~_1).
             R = G_kk + prod if k0 == 0 else G_kk - prod
             R.flat[:: N + 1] -= 1.0

@@ -31,6 +31,7 @@ import functools
 import math
 import threading
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, ClassVar
@@ -249,7 +250,9 @@ class GreensService:
             transport=cfg.transport,
             pdiv_partitions=cfg.pdiv_partitions,
             guards=cfg.guards,
-            on_retry=lambda _n: self.metrics.retries.inc(),
+            # Bound to the counter, not to ``self``: a closure over the
+            # service would keep a shut-down service alive in a cycle.
+            on_retry=lambda _n, retries=self.metrics.retries: retries.inc(),
             on_handoff=self.metrics.absorb_handoff,
         )
         # The pool forks its workers on first submit, so this process
@@ -283,59 +286,74 @@ class GreensService:
             thread.start()
 
     def _register_gauges(self) -> None:
-        """Callback gauges over live service state (read at scrape time)."""
+        """Callback gauges over live service state (read at scrape time).
+
+        The registry is the service's own, so each callback reaches the
+        service through a weak reference: a closure over ``self`` would
+        form a cycle that keeps a shut-down, dropped service (its cache
+        and results) alive until the cyclic GC runs.  A gauge read after
+        the service is gone is NaN.
+        """
         r = self.metrics.registry
+        service = weakref.ref(self)
+
+        def live(read: Callable[[GreensService], float]) -> Callable[[], float]:
+            def callback() -> float:
+                svc = service()
+                return math.nan if svc is None else float(read(svc))
+            return callback
+
         r.gauge(
             "repro_queue_depth", "Jobs waiting in the priority queue",
-            callback=lambda: float(len(self._queue)),
+            callback=live(lambda svc: len(svc._queue)),
         )
         r.gauge(
             "repro_inflight_jobs", "Distinct fingerprints queued or executing",
-            callback=lambda: float(len(self._inflight)),
+            callback=live(lambda svc: len(svc._inflight)),
         )
         r.gauge(
             "repro_cache_bytes_used", "Result-cache bytes in use",
-            callback=lambda: float(self.cache.stats().bytes_used),
+            callback=live(lambda svc: svc.cache.stats().bytes_used),
         )
         r.gauge(
             "repro_cache_evictions",
             "Cached results evicted to make room, since start",
-            callback=lambda: float(self.cache.stats().evictions),
+            callback=live(lambda svc: svc.cache.stats().evictions),
         )
         r.gauge(
             "repro_cache_drops",
             "Results refused by the cache as larger than its budget,"
             " since start",
-            callback=lambda: float(self.cache.stats().drops),
+            callback=live(lambda svc: svc.cache.stats().drops),
         )
 
-        def hit_rate() -> float:
-            hits = self.metrics.cache_hits.value
-            total = hits + self.metrics.cache_misses.value
+        def hit_rate(svc: GreensService) -> float:
+            hits = svc.metrics.cache_hits.value
+            total = hits + svc.metrics.cache_misses.value
             return hits / total if total else 0.0
 
         r.gauge(
             "repro_cache_hit_rate", "Result-cache hit rate (0..1)",
-            callback=hit_rate,
+            callback=live(hit_rate),
         )
         r.gauge(
             "repro_result_segments_idle_bytes",
             "Bytes of pooled result segments waiting for a job",
-            callback=lambda: float(self._pool.segments.idle_bytes()),
+            callback=live(lambda svc: svc._pool.segments.idle_bytes()),
         )
         r.gauge(
             "repro_delta_states",
             "Warm per-base Woodbury factorisations held for delta serving",
-            callback=lambda: float(len(self._delta_states)),
+            callback=live(lambda svc: len(svc._delta_states)),
         )
         r.gauge(
             "repro_service_state",
             "Service health (0 healthy, 1 degraded, 2 failed)",
-            callback=lambda: float(self.state.value),
+            callback=live(lambda svc: svc.state.value),
         )
         r.gauge(
             "repro_breaker_trips", "Worker-pool circuit-breaker trips",
-            callback=lambda: float(self._breaker.trips),
+            callback=live(lambda svc: svc._breaker.trips),
         )
         r.gauge(
             "repro_parallel_budget_info",

@@ -39,6 +39,7 @@ import threading
 import time
 from concurrent.futures import (
     CancelledError,
+    Future,
     ProcessPoolExecutor,
     TimeoutError as _FutureTimeout,
 )
@@ -385,9 +386,7 @@ class WorkerPool:
             executor, generation = self._current()
             lease = self.segments.lease(job.result_nbytes)
             try:
-                future = executor.submit(
-                    _exported_task, lease, self._task_fn, job, kwargs
-                )
+                future = self._submit(executor, lease, job, kwargs)
                 parcel = future.result(timeout=self.job_timeout)
             except _FutureTimeout:
                 self._recycle(generation)
@@ -422,6 +421,28 @@ class WorkerPool:
                 self.retry_backoff * 2 ** (attempts - 1),
             )
             time.sleep(random.uniform(0.0, cap))
+
+    def _submit(
+        self, executor: ProcessPoolExecutor, lease: handoff.Lease | None,
+        job: GreensJob, kwargs: dict,
+    ) -> Future:
+        """Submit one job to ``executor``, as :meth:`_current` returned it.
+
+        An executor shut down since refuses with a bare ``RuntimeError``.
+        That is :class:`ServiceClosedError` when :meth:`shutdown` closed
+        the pool (the caller releases the lease), and otherwise a
+        sibling's recycle, recovered like a future it cancelled.
+        """
+        try:
+            return executor.submit(
+                _exported_task, lease, self._task_fn, job, kwargs
+            )
+        except BrokenProcessPool:
+            raise
+        except RuntimeError:
+            if self._closed:
+                raise ServiceClosedError("worker pool is shut down") from None
+            raise CancelledError() from None
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:

@@ -22,15 +22,20 @@ Everything omega-independent is then computed **once** per matrix
 (:class:`ResolventFactor`):
 
 * the CLS clustered products ``R_i`` of the *unshifted* chain — the
-  shifted reduced chain is exactly ``s(z)^c * R_i`` (scalars commute
-  through the product), so the ``2b(c-1)N^3`` CLS stage never re-runs;
+  shifted reduced chain is exactly ``t R_i`` with ``t = s(z)^c``
+  (scalars commute through the product), so the ``2b(c-1)N^3`` CLS
+  stage never re-runs, and the shifted chain is never formed: BSOFI
+  takes ``(R, t)`` and factors the unitary phase similarity of ``t R``
+  (:mod:`repro.core.bsofi`), whose panels are real for a real ``M`` —
+  only the last block column of ``R``, ``Q_f`` and the last diagonal
+  block are complex;
 * the block inverses used by the wrapping moves — ``(s B_i)^{-1} =
   B_i^{-1} / s``, so one ``B_i^{-1}`` per block serves every shift
   (:class:`_ScaledChain`; exact ones, a Hubbard matrix's, cost
   ``O(N^2)`` and are formed on use).
 
-Per shift only the ``~7 b^2 N^3`` BSOFI inversion of the tiny reduced
-chain (plus pattern wrapping) remains — run by the same guarded
+Per shift only the BSOFI inversion of the tiny reduced chain (plus
+pattern wrapping) remains — run by the same guarded
 :func:`~repro.core.pipeline.run_stages` as :func:`~repro.core.fsi.fsi`,
 with the same ``"bsofi"``/``"wrp"`` stages — which is what makes dense
 omega-grids cheap: see ``benchmarks/bench_spectral.py`` for the gate
@@ -41,9 +46,12 @@ ill-conditioned regime the resilience ladder exists for: with guards
 enabled, a tripped fast path falls back to a full
 :func:`~repro.core.fsi.fsi_resilient` solve of the shifted chain for
 that shift only, and the serving rung is recorded per shift on the
-``repro_spectral_shifts_total`` counter.  The cluster-condition check
-is the exception: scaling leaves condition numbers unchanged, so it
-runs once per factor and a trip sends every shift to the ladder.
+``repro_spectral_shifts_total`` counter.  Per shift the guards screen
+the BSOFI band and sample the seed residual against the shifted chain;
+the checks of the reduced chain itself run once per factor: its screen
+(an overflow of ``t R`` shows in the band) and the cluster-condition
+check (scaling leaves condition numbers unchanged, so a trip sends
+every shift to the ladder).
 """
 
 from __future__ import annotations
@@ -179,10 +187,10 @@ class ResolventFactor:
         service, so the same request must do the same work.
     guards:
         Optional :class:`~repro.resilience.guards.GuardConfig`.  When
-        set, the factor estimates the reduced chain's condition once
-        and every shift runs the complex-capable screens and seed
-        identity residual; a trip retries that shift (a condition
-        trip: every shift) through
+        set, the factor screens the reduced chain and estimates its
+        condition once, and every shift runs the band and result
+        screens and the seed identity residual; a trip retries that
+        shift (a condition trip: every shift) through
         :func:`~repro.core.fsi.fsi_resilient`'s fallback ladder.
     num_threads:
         Team size for the one-time CLS stage (sweeps parallelise over
@@ -215,7 +223,8 @@ class ResolventFactor:
                 _guards.screen_finite("input", pc.B, report=report)
             # CLS of the *unshifted* chain: scalars commute through the
             # cluster products, so the shifted reduced chain is just
-            # s(z)^c times these blocks — computed once, scaled per shift.
+            # s(z)^c times these blocks — computed once, in the chain's
+            # own dtype; BSOFI applies the scalar.
             with _telemetry.stage("cls"):
                 reduced = cls(pc, c, q, num_threads=num_threads)
             if guards is not None and guards.screen_stages:
@@ -229,9 +238,7 @@ class ResolventFactor:
                     _guards.check_cluster_conditions(reduced.B, guards, report)
                 except NumericalHealthError:
                     self._conditioned = False
-            self._reduced_B = np.ascontiguousarray(
-                reduced.B.astype(np.complex128)
-            )
+            self._reduced = reduced
             # Block inverses for every shift: a formed B_i^{-1} is kept
             # from its first use, an exact one is O(N^2) on each use.
             self._ops = AdjacencyOps(pc)
@@ -241,12 +248,13 @@ class ResolventFactor:
         self, z: complex, num_threads: int | None
     ) -> SelectedInversion:
         d, s = shift_scale(z)
-        # G(z) = M~(z)^{-1} / (z-1): the pipeline scales the wrapped
-        # blocks by 1/d before its result screen.
+        # M~(z) reduces to s^c R; G(z) = M~(z)^{-1} / (z-1): the
+        # pipeline scales the wrapped blocks by 1/d before its result
+        # screen.
         selected, _, _ = run_stages(
             _ScaledChain(self._ops, s), self.selection,
             guards=self.guards, num_threads=num_threads,
-            reduced=BlockPCyclic(self._reduced_B * s**self.c), scale=1.0 / d,
+            reduced=self._reduced, t=s**self.c, scale=1.0 / d,
         )
         return selected
 

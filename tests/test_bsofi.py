@@ -46,7 +46,7 @@ class TestFactorisation:
         pc = random_pcyclic(5, 4, np.random.default_rng(1), scale=0.8)
         f = bsofi_qr(pc)
         for i in range(5):
-            lower = np.tril(f.Rd[i], k=-1)
+            lower = np.tril(f.r_diag(i), k=-1)
             np.testing.assert_allclose(lower, 0.0, atol=1e-14)
 
     def test_r_structure_sparsity(self):
@@ -69,9 +69,9 @@ class TestFactorisation:
     def test_factor_shapes(self):
         b, N = 6, 3
         f = bsofi_qr(random_pcyclic(b, N, np.random.default_rng(0), scale=0.8))
-        assert f.Rd.shape == (b, N, N)
-        assert f.Ru.shape == (b - 1, N, N)
-        assert f.Rc.shape == (b - 2, N, N)
+        assert f.Rd.shape == (b - 1, N, N)
+        assert f.Ru.shape == (b - 2, N, N)
+        assert f.Rc.shape == (b, N, N)
         assert f.Q.shape == (b - 1, 2 * N, 2 * N)
         assert f.Qf.shape == (N, N)
         assert f.b == b and f.N == N
@@ -334,3 +334,146 @@ class TestBandFlops:
             bsofi_band_flops(0, 10)
         with pytest.raises(ValueError):
             bsofi_qr_flops(1, 10)
+
+
+# ----------------------------------------------------------------------
+# scaled chains: the phase frame
+# ----------------------------------------------------------------------
+
+#: One scale per quadrant of ``theta = arg t``.
+QUADRANT_SCALES = [
+    0.9 * np.exp(1j * theta) for theta in (0.4, 2.0, -2.5, -0.9)
+]
+
+
+def _chain(b: int, is_complex: bool) -> BlockPCyclic:
+    rng = np.random.default_rng(200 + b)
+    return (complex_pcyclic(b, 4, rng, scale=0.7) if is_complex
+            else random_pcyclic(b, 4, rng, scale=0.7))
+
+
+def _grid_error(G: np.ndarray, ref: np.ndarray) -> float:
+    """Worst entry error relative to the block scale ``max |ref|``."""
+    return float(np.abs(stitch(G) - ref).max() / np.abs(ref).max())
+
+
+class TestScaledChain:
+    """``bsofi_seeds(pc, pattern, t)`` inverts ``BlockPCyclic(t * B)``
+    through the phase similarity, without forming the scaled chain."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 8])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    @pytest.mark.parametrize("t", QUADRANT_SCALES)
+    @pytest.mark.parametrize("pattern", list(Pattern))
+    def test_matches_dense_and_the_scaled_chain(self, b, is_complex, t, pattern):
+        pc = _chain(b, is_complex)
+        scaled = BlockPCyclic(pc.B * t)
+        dense = np.linalg.inv(scaled.to_dense())
+        seeds = bsofi_seeds(pc, pattern, t)
+        # the unshifted code on the materialised complex chain
+        direct = bsofi_seeds(scaled, pattern)
+        band, ref_band = seeds.band, direct.band
+        scale = np.abs(dense).max()
+        for got, ref in zip(band.arrays, ref_band.arrays):
+            assert np.abs(got - ref).max(initial=0.0) <= 1e-12 * scale
+        assert _grid_error(seeds.grid, dense) <= 1e-12
+        assert _grid_error(seeds.grid, stitch(direct.grid)) <= 1e-12
+        np.testing.assert_allclose(  # the band is the grid's
+            band.diag, SeedBand.of_grid(seeds.grid).diag,
+            rtol=0, atol=1e-12 * scale,
+        )
+
+    @pytest.mark.parametrize("t", [0.5, -0.7, -1.0])
+    def test_real_scale_stays_real(self, t):
+        pc = _chain(5, False)
+        f = bsofi_qr(pc, t)
+        assert all(a.dtype == np.float64 for a in (f.Q, f.Rd, f.Ru, f.Rc, f.Qf))
+        seeds = bsofi_seeds(pc, Pattern.DIAGONAL, t)
+        dense = np.linalg.inv(BlockPCyclic(pc.B * t).to_dense())
+        assert seeds.band.diag.dtype == np.float64
+        assert _grid_error(seeds.grid, dense) <= 1e-12
+
+    def test_only_the_last_column_is_complex(self):
+        """A real chain at a complex scale: real panels, real ``Q_i``,
+        complex last block column of ``R`` and ``Q_f``; the factors
+        reproduce the phase frame ``D M~ D^H``."""
+        b, N, t = 4, 4, QUADRANT_SCALES[1]
+        pc = _chain(b, False)
+        f = bsofi_qr(pc, t)
+        assert f.Q.dtype == f.Rd.dtype == f.Ru.dtype == np.float64
+        assert f.Rc.dtype == f.Qf.dtype == np.complex128
+        Q = f.to_dense_q()
+        assert Q.dtype == np.complex128  # built in the dtype of Q and Qf
+        np.testing.assert_allclose(Q.conj().T @ Q, np.eye(b * N), atol=1e-12)
+        theta = np.angle(t)
+        D = np.kron(np.diag(np.exp(-1j * theta * np.arange(b))), np.eye(N))
+        phase_frame = D @ BlockPCyclic(pc.B * t).to_dense() @ D.conj().T
+        np.testing.assert_allclose(Q @ f.to_dense_r(), phase_frame, atol=1e-12)
+
+    def test_real_by_complex_products_are_counted_as_run(self):
+        """The shifted band traces fewer flops than the complex chain's
+        would under the same conventions, and more than the real one."""
+        pc = _chain(6, False)
+        t = QUADRANT_SCALES[0]
+        with FlopTracer() as tr:
+            bsofi_seeds(pc, Pattern.DIAGONAL, t)
+        real = bsofi_band_flops(6, 4)
+        assert real < tr.total_flops < 2.0 * real
+
+
+def _head_band(pc: BlockPCyclic) -> SeedBand:
+    """The unscaled structured QR and band recurrence, operation for
+    operation as they ran before the phase frame (old factor layout)."""
+    from repro.core import _kernels as kr
+
+    b, N = pc.L, pc.N
+    Q = np.empty((b - 1, 2 * N, 2 * N), dtype=pc.dtype)
+    Rd = np.empty((b, N, N), dtype=pc.dtype)
+    Ru = np.empty((b - 1, N, N), dtype=pc.dtype)
+    Rc = np.empty((max(b - 2, 0), N, N), dtype=pc.dtype)
+    panel = np.empty((2 * N, N), dtype=pc.dtype, order="F")
+    X = np.eye(N, dtype=pc.dtype)
+    C = np.array(pc.block(1), copy=True)
+    for i in range(b - 1):
+        panel[:N] = X
+        np.negative(pc.block(i + 2), out=panel[N:])
+        Qi, Rfull = kr.qr_full(panel, out=Q[i], overwrite_a=True)
+        Rd[i] = Rfull[:N]
+        QiT = Qi.conj().T
+        if i < b - 2:
+            Ru[i], X = QiT[:N, N:], QiT[N:, N:]
+            T2 = kr.gemm(QiT[:, :N], C)
+            Rc[i], C = T2[:N], T2[N:]
+        else:
+            T = kr.gemm(QiT[:, :N], C)
+            T[:N] += QiT[:N, N:]
+            T[N:] += QiT[N:, N:]
+            Ru[i], X = T[:N], T[N:]
+    Qf, Rd[b - 1] = kr.qr_full(X)
+    diag = np.empty((b, N, N), dtype=pc.dtype)
+    upper = np.empty((b - 1, N, N), dtype=pc.dtype)
+    S = F = kr.triangular_solve(Rd[b - 1], Qf.conj().T)
+    for i in range(b - 1, 0, -1):
+        P = Q[i - 1].conj().T
+        Z = kr.gemm(Ru[i - 1], S)
+        if i - 1 <= b - 3:
+            Z += kr.gemm(Rc[i - 1], F)
+        kr.gemm_into(diag[i], S, P[N:, N:])
+        W = kr.triangular_solve(Rd[i - 1], P[:N] - kr.gemm(Z, P[N:]))
+        S, upper[i - 1] = W[:, :N], W[:, N:]
+        F = kr.gemm(F, P[N:, :N])
+    diag[0] = S
+    return SeedBand(diag=diag, upper=upper, corner=F)
+
+
+class TestUnscaledBitwise:
+    @pytest.mark.parametrize("b", [2, 3, 8])
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_band_is_bitwise_the_unscaled_recurrence(self, b, is_complex):
+        pc = _chain(b, is_complex)
+        ref = _head_band(pc)
+        for t in (1.0, 1):
+            band = bsofi_seeds(pc, Pattern.DIAGONAL, t).band
+            for got, want in zip(band.arrays, ref.arrays):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()

@@ -175,9 +175,28 @@ class TestComplexGuards:
                 guards.screen_finite("test", bad)
             assert err.value.check == "finite"
 
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_screen_finite_trips_on_either_part(self, part, value):
+        bad = np.ones((8, 8), dtype=np.complex128)
+        getattr(bad, part)[3, 5] = value
+        assert not guards.all_finite(bad)
+        assert not guards.all_finite(bad.T)  # rows not contiguous
+        with pytest.raises(NumericalHealthError):
+            guards.screen_finite("test", bad)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_screen_finite_passes_finite_arrays_that_overflow_the_sum(self):
+        big = np.full((6, 6), 1e308 + 1e308j)
+        assert not np.isfinite(big.view(np.float64).sum())  # quick scan
+        for arr in (big, big.T, big[:, ::2]):
+            assert guards.all_finite(arr)
+            guards.screen_finite("test", arr)  # the exact rescan clears it
+
     def test_screen_finite_complex_no_sign_cancellation(self):
-        """Magnitude screening: opposite-signed infinities in the two
-        components cannot cancel to a finite quick-scan value."""
+        """Opposite-signed infinities, in one part or across the two,
+        cannot cancel to a finite quick-scan value: ``inf - inf`` is
+        NaN."""
         bad = np.zeros((2, 2), dtype=np.complex128)
         bad[0, 0] = np.inf
         bad[1, 1] = -np.inf

@@ -150,9 +150,9 @@ class TestDerivedMatricesCarryNoInverse:
         seen = []
         real = pipeline.bsofi_seeds
 
-        def spy(reduced, pattern):
+        def spy(reduced, pattern, t=1.0):
             seen.append(reduced.inverses)
-            return real(reduced, pattern)
+            return real(reduced, pattern, t)
 
         monkeypatch.setattr(pipeline._chaos, "is_active", lambda: True)
         monkeypatch.setattr(pipeline._chaos, "corrupt_array",

@@ -256,6 +256,66 @@ class TestNoSegmentLeftBehind:
         assert [type(exc) for exc in errors] == [ServiceClosedError]
         assert _owned(pool) == []
 
+    def test_shutdown_before_submit_is_service_closed(
+        self, no_floor, monkeypatch
+    ):
+        """A shutdown between ``_current()`` and ``submit`` is typed."""
+        pool = WorkerPool(workers=1, task_fn=_filled)
+        current = pool._current
+
+        def current_then_shutdown():
+            got = current()
+            pool.shutdown()
+            return got
+
+        monkeypatch.setattr(pool, "_current", current_then_shutdown)
+        with pytest.raises(ServiceClosedError):
+            pool.run(Fill(1.0, 8))
+        assert _owned(pool) == []
+
+    def test_shutdown_after_the_lease_releases_it(self, no_floor, monkeypatch):
+        pool = WorkerPool(workers=1, task_fn=_filled)
+        lease = pool.segments.lease
+        leased = []
+
+        def lease_then_shutdown(nbytes):
+            leased.append(lease(nbytes))
+            pool.shutdown()
+            return leased[-1]
+
+        monkeypatch.setattr(pool.segments, "lease", lease_then_shutdown)
+        with pytest.raises(ServiceClosedError):
+            pool.run(Fill(1.0, 8))
+        assert leased[0] is not None
+        assert _owned(pool) == []  # released, and unlinked as closed
+
+    def test_shutdown_before_submit_leaves_the_breaker_alone(
+        self, monkeypatch
+    ):
+        field = HSField.random(SPEC.L, SPEC.N, np.random.default_rng(3))
+        job = GreensJob.from_field(SPEC, field, c=4, pattern=Pattern.DIAGONAL, q=1)
+        svc = GreensService(ServiceConfig(workers=1))
+        pool = svc._pool
+        current = pool._current
+
+        def current_then_shutdown():
+            got = current()
+            pool.shutdown()
+            return got
+
+        verdicts = []
+        monkeypatch.setattr(pool, "_current", current_then_shutdown)
+        monkeypatch.setattr(svc._breaker, "record_success",
+                            lambda: verdicts.append("success"))
+        monkeypatch.setattr(svc._breaker, "record_failure",
+                            lambda: verdicts.append("failure"))
+        try:
+            with pytest.raises(ServiceClosedError):
+                svc.compute(job, timeout=60)
+            assert verdicts == []
+        finally:
+            svc.shutdown()
+
     def test_service_leaves_no_segments(self, no_floor):
         field = HSField.random(SPEC.L, SPEC.N, np.random.default_rng(3))
         job = GreensJob.from_field(SPEC, field, c=4, pattern=Pattern.COLUMNS, q=1)

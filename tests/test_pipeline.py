@@ -72,8 +72,9 @@ class TestGuardParity:
         telemetry.reset()
         _, rung = factor.solve_shift(complex(-1.0, 0.1))
         assert rung == "factored"
-        # scaled cls, bsofi and result screens; one residual
-        assert guard_checks() == {"finite": 3, "residual": 1}
+        # bsofi and result screens; one residual (the reduced chain was
+        # screened once, by the factor)
+        assert guard_checks() == {"finite": 2, "residual": 1}
 
     def test_ill_conditioned_factor_sends_every_shift_to_the_ladder(self):
         pc = toy_pcyclic()
@@ -133,6 +134,7 @@ def test_spectral_job_reports_stage_flops():
     assert result.flops == SPECTRAL_JOB_FLOPS
 
 
-#: The traced total of the job above, as measured when the whole sweep
-#: was one ``"spectral"`` stage.
-SPECTRAL_JOB_FLOPS = 31680.0
+#: The traced total of the job above.  A real-by-complex product of a
+#: shift's BSOFI counts as the real gemm that runs on the complex
+#: operand's float view, ``4 m k n``.
+SPECTRAL_JOB_FLOPS = 43776.0

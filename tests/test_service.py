@@ -19,10 +19,13 @@ Covers the acceptance scenarios of the service subsystem:
 from __future__ import annotations
 
 import functools
+import gc
+import math
 import os
 import subprocess
 import sys
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -638,6 +641,24 @@ class TestServiceShutdown:
         with GreensService(ServiceConfig(workers=1)) as svc:
             ticket = svc.submit(make_job(seed=31))
         assert ticket.done() and ticket.result().flops > 0
+
+    def test_dropped_service_is_freed_without_gc(self):
+        """No reference cycle keeps a shut-down service, with its cache
+        and results, alive until the cyclic GC happens to run."""
+        svc = GreensService(ServiceConfig(workers=1, max_retries=1))
+        svc.compute(make_job(seed=32), timeout=60)
+        registry = svc.metrics.registry
+        svc.shutdown()
+        gc.collect()
+        gc.disable()
+        try:
+            ref = weakref.ref(svc)
+            del svc
+            assert ref() is None
+        finally:
+            gc.enable()
+        # A gauge read after the service is gone is NaN, not an error.
+        assert math.isnan(registry.get("repro_queue_depth").value)
 
 
 class TestServiceBackpressure:

@@ -252,6 +252,46 @@ class TestResolventOracle:
                 blk, naive[kl] / d, rtol=0, atol=1e-12 * abs(1.0 / d)
             )
 
+    @pytest.mark.parametrize("pattern", list(Pattern))
+    @pytest.mark.parametrize("c", [24, 12, 8, 3])  # b = 1, 2, 3, 8
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    def test_phase_frame_matches_the_scaled_reduced_chain(
+        self, pattern, c, dtype
+    ):
+        """Each shift's BSOFI runs on the unshifted reduced chain in the
+        phase frame.  Its blocks match the same stages run on the
+        materialised complex reduced chain ``s(z)^c R`` (complex
+        panels), with ``theta = arg s(z)^c`` in each quadrant: to 1e-12
+        of the block scale where WRP copies or walks the diagonal, and
+        no less accurate against the dense resolvent where its walks
+        amplify the seeds' rounding.  The seeds themselves are checked
+        against the dense inverse in ``test_bsofi.py``."""
+        from repro.core.pipeline import run_stages
+        from repro.spectral.resolvent import _ScaledChain
+
+        pc = (random_pcyclic(24, 4, np.random.default_rng(c), scale=0.7)
+              if dtype == "real" else random_complex_pc(24, 4, seed=c))
+        factor = ResolventFactor(pc, c=c, pattern=pattern, q=1)
+        for theta in (0.4, 2.0, -2.5, -0.9):
+            z = 1.0 - 1.0 / (0.8 * np.exp(1j * theta / c))
+            d, s = shift_scale(z)
+            assert np.angle(s**c) == pytest.approx(theta)
+            fast, rung = factor.solve_shift(z)
+            assert rung == "factored"
+            complex_path, _, _ = run_stages(
+                _ScaledChain(factor._ops, s), factor.selection,
+                reduced=BlockPCyclic(factor._reduced.B * s**c),
+                scale=1.0 / d,
+            )
+            if pattern in (Pattern.DIAGONAL, Pattern.FULL_DIAGONAL):
+                scale = float(np.abs(complex_path.data).max())
+                np.testing.assert_allclose(
+                    fast.data, complex_path.data, rtol=0, atol=1e-12 * scale
+                )
+            assert oracle_error(pc, fast, z) <= (
+                10.0 * oracle_error(pc, complex_path, z) + 1e-13
+            )
+
     def test_degenerate_single_slice(self):
         pc = random_pcyclic(1, 5, np.random.default_rng(7), scale=0.6)
         factor = ResolventFactor(pc, c=1, pattern=Pattern.DIAGONAL)
