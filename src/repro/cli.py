@@ -283,8 +283,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backpressure=BackpressurePolicy(args.backpressure),
         cache_bytes=args.cache_mb * 1024 * 1024,
         job_timeout=args.job_timeout,
-        transport=args.transport,
-        pdiv_partitions=args.pdiv_partitions,
         guards=_resolve_guards(args),
         chaos_plan=_resolve_chaos_plan(args),
     )
@@ -617,15 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=ServiceConfig.cache_bytes // (1024 * 1024),
                    help="result-cache byte budget in MiB (default: %(default)s)")
     s.add_argument("--job-timeout", type=float, default=None)
-    s.add_argument("--transport", default=None,
-                   choices=("threads", "mp-shm", "sockets"),
-                   help="transport backend of PDIV solves (default:"
-                        " $REPRO_TRANSPORT, else threads)")
-    s.add_argument("--pdiv-partitions", type=int, default=0,
-                   help=">=2 routes solves through distributed selected"
-                        " inversion (PDIV) with this many chain partitions"
-                        " (guarded solves take precedence: combine with"
-                        " --no-guards)")
     s.add_argument("--arrival", choices=("poisson", "burst", "closed"),
                    default="poisson")
     s.add_argument("--rate", type=float, default=200.0,

@@ -35,7 +35,6 @@ from .greens_explicit import (
 )
 from .patterns import Pattern, SelectedInversion, Selection, seed_indices
 from .pcyclic import BlockPCyclic, pcyclic_from_general, random_pcyclic, torus_index
-from .pdiv import PDIVReport, PDIVResult, fsi_distributed, partition_bounds
 from .smw import (
     DeltaReport,
     FactorPairs,
@@ -75,12 +74,8 @@ __all__ = [
     "explicit_form_flops",
     "explicit_full_inverse",
     "explicit_selected_columns",
-    "PDIVReport",
-    "PDIVResult",
     "fsi",
     "fsi_accuracy_sweep",
-    "fsi_distributed",
-    "partition_bounds",
     "fsi_flops",
     "fsi_table_flops",
     "full_lu_flops",

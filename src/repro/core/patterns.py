@@ -263,7 +263,9 @@ class SelectedInversion(BlockArray):
     ) -> "SelectedInversion":
         """An uninitialised result for ``selection``, to fill in place;
         its buffer comes from this thread's :func:`result_buffers`
-        provider when that serves it."""
+        provider when that serves it.  Every serving path allocates its
+        result here: ``wrap``, the UDT rung of ``fsi_resilient`` and
+        ``ResolventFactor.sweep``."""
         shape = (selection.count(),) + tuple(block_shape)
         dtype = np.dtype(dtype)
         provider = getattr(_providers, "provider", None)

@@ -164,11 +164,14 @@ def _maybe_nonfinite(arr: np.ndarray) -> bool:
 
     Complex arrays are summed through their float view, the real and
     imaginary parts side by side: a non-finite entry in either part
-    poisons that sum the same way."""
+    poisons that sum the same way.  The sum's own overflow and
+    ``inf - inf`` warnings are silenced: the result says it all."""
     if np.issubdtype(arr.dtype, np.complexfloating):
         arr = np.ascontiguousarray(arr)
         arr = arr.view(arr.real.dtype)
-    return not bool(np.isfinite(arr.sum()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    return not bool(np.isfinite(total))
 
 
 def all_finite(arr: np.ndarray) -> bool:

@@ -87,13 +87,6 @@ class ServiceConfig:
     #: inline.  A constant, not a knob.
     fleet_ranks: ClassVar[int] = 1
     threads_per_rank: int = 1
-    #: Transport backend of PDIV solves (``threads`` / ``mp-shm`` /
-    #: ``sockets``); ``None`` defers to ``REPRO_TRANSPORT``.
-    transport: str | None = None
-    #: When >= 2, workers solve through :func:`~repro.core.pdiv.
-    #: fsi_distributed` with this many chain partitions instead of the
-    #: serial FSI pipeline (one transport world per job).
-    pdiv_partitions: int = 0
     task_fn: Callable = dataclass_field(default=execute_job)
     #: When set, workers solve through ``fsi_resilient`` with these
     #: guards, and the scheduler screens results before caching them.
@@ -140,8 +133,6 @@ class ServiceConfig:
             raise ValueError("workers must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be >= 1")
-        if self.pdiv_partitions < 0:
-            raise ValueError("pdiv_partitions must be >= 0")
         if self.delta_rank_budget < 1:
             raise ValueError("delta_rank_budget must be >= 1")
         if self.delta_max_depth < 1:
@@ -247,8 +238,6 @@ class GreensService:
             retry_backoff_max=cfg.retry_backoff_max,
             task_fn=task_fn,
             threads_per_rank=cfg.threads_per_rank,
-            transport=cfg.transport,
-            pdiv_partitions=cfg.pdiv_partitions,
             guards=cfg.guards,
             # Bound to the counter, not to ``self``: a closure over the
             # service would keep a shut-down service alive in a cycle.

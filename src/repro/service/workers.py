@@ -67,8 +67,6 @@ def execute_job(
     num_threads: int | None = None,
     trace_ctx: dict | None = None,
     guards: GuardConfig | None = None,
-    pdiv_partitions: int = 0,
-    transport: str | None = None,
 ) -> JobResult:
     """Rebuild the model + field and run one traced FSI (worker side).
 
@@ -77,11 +75,7 @@ def execute_job(
     back in ``JobResult.spans`` so the caller can stitch one trace.
     With ``guards`` the solve runs through
     :func:`~repro.core.fsi.fsi_resilient` (health checks + the fallback
-    ladder); the serving rung is reported on ``JobResult.rung``.  With
-    ``pdiv_partitions >= 2`` (and no guards — the fallback ladder is a
-    serial-path control flow) the solve routes through
-    :func:`~repro.core.pdiv.fsi_distributed` on the named ``transport``
-    backend, reported as rung ``pdiv(P)``.
+    ladder); the serving rung is reported on ``JobResult.rung``.
 
     Spectral jobs (``job.spectral`` set) run a factor-once
     :class:`~repro.spectral.resolvent.ResolventFactor` sweep over the
@@ -89,8 +83,7 @@ def execute_job(
     ride along as the per-shift fallback ladder — and report rung
     ``spectral(n_omega)`` with blocks stacked ``(n_omega, N, N)``.
     Every path reports ``stage_flops`` by its
-    :func:`repro.telemetry.stage` labels (``cls``/``bsofi``/``wrp``
-    for FSI and spectral jobs, ``pdiv`` for PDIV).
+    :func:`repro.telemetry.stage` labels (``cls``/``bsofi``/``wrp``).
     """
     model = job.spec.build_model()
     pc = model.build_matrix(job.field(), job.spec.sigma)
@@ -100,9 +93,7 @@ def execute_job(
             workload=job.workload,
         ), _chaos.job_key(job.fingerprint), FlopTracer() as tracer:
             t0 = time.perf_counter()
-            selection, blocks, rung = _solve(
-                job, pc, num_threads, guards, pdiv_partitions, transport
-            )
+            selection, blocks, rung = _solve(job, pc, num_threads, guards)
             elapsed = time.perf_counter() - t0
     return JobResult(
         fingerprint=job.fingerprint,
@@ -121,11 +112,9 @@ def _solve(
     pc: BlockPCyclic,
     num_threads: int | None,
     guards: GuardConfig | None,
-    pdiv_partitions: int,
-    transport: str | None,
 ) -> tuple[Selection, BlockArray, str]:
     """``(selection, blocks, rung)`` of the one serving path for ``job``:
-    a spectral sweep, else the guarded ladder, else PDIV, else ``fsi``."""
+    a spectral sweep, else the guarded ladder, else ``fsi``."""
     # Worker-side imports keep module load light.
     from ..core.fsi import fsi, fsi_resilient
 
@@ -139,14 +128,6 @@ def _solve(
         )
         swept = factor.sweep(grid, num_threads=num_threads)
         return factor.selection, swept.blocks, f"spectral({grid.n})"
-    if guards is None and pdiv_partitions >= 2:
-        from ..core.pdiv import fsi_distributed
-
-        res = fsi_distributed(
-            pc, job.c, pattern=job.pattern, q=job.q,
-            partitions=pdiv_partitions, transport=transport,
-        )
-        return res.selection, res.selected, f"pdiv({res.report.partitions})"
     solve = fsi if guards is None else fsi_resilient
     out = solve(
         pc, job.c, pattern=job.pattern, q=job.q, num_threads=num_threads,
@@ -161,8 +142,6 @@ def execute_batch(
     threads_per_rank: int = 1,
     trace_ctx: dict | None = None,
     guards: GuardConfig | None = None,
-    pdiv_partitions: int = 0,
-    transport: str | None = None,
 ) -> list[JobResult]:
     """Run *compatible* jobs (same ``compat_key``) one after another
     through :func:`execute_job` in this process.
@@ -186,10 +165,7 @@ def execute_batch(
     with _telemetry.activate_remote(trace_ctx) as local_collector:
         with _telemetry.span("worker.batch", jobs=len(jobs)):
             results = [
-                execute_job(
-                    job, num_threads=threads_per_rank, guards=guards,
-                    pdiv_partitions=pdiv_partitions, transport=transport,
-                )
+                execute_job(job, num_threads=threads_per_rank, guards=guards)
                 for job in jobs
             ]
     if local_collector is not None:
@@ -271,11 +247,10 @@ class WorkerPool:
     ``task_fn`` is the picklable job entry point (defaults to
     :func:`execute_job`); tests and chaos drills substitute
     :func:`chaos_task` or a slow variant.  :meth:`run` calls it with one
-    job and the keywords ``num_threads``, ``trace_ctx``, ``guards``,
-    ``transport`` and ``pdiv_partitions``.  ``on_retry`` hears each
-    retry's attempt number, ``on_handoff`` each returned job's
-    :attr:`~repro.service.handoff.Parcel.way` and worker-side export
-    seconds.  All public methods are thread-safe — the scheduler calls
+    job and the keywords ``num_threads``, ``trace_ctx`` and ``guards``.
+    ``on_retry`` hears each retry's attempt number, ``on_handoff`` each
+    returned job's :attr:`~repro.service.handoff.Parcel.way` and
+    worker-side export seconds.  All public methods are thread-safe — the scheduler calls
     :meth:`run` from several dispatcher threads against the one shared
     pool.
 
@@ -309,8 +284,6 @@ class WorkerPool:
         retry_backoff_max: float = 2.0,
         task_fn: Callable[..., JobResult] = execute_job,
         threads_per_rank: int = 1,
-        transport: str | None = None,
-        pdiv_partitions: int = 0,
         guards: GuardConfig | None = None,
         on_retry: Callable[[int], None] | None = None,
         on_handoff: Callable[[str, float], None] | None = None,
@@ -329,8 +302,6 @@ class WorkerPool:
         self._task_kwargs = {
             "num_threads": threads_per_rank,
             "guards": guards,
-            "transport": transport,
-            "pdiv_partitions": pdiv_partitions,
         }
         self._on_retry = on_retry
         self._on_handoff = on_handoff
@@ -340,8 +311,8 @@ class WorkerPool:
         )
         #: The result segments this pool owns and lends.
         self.segments = handoff.ResultSegments(bound=workers)
-        # Started before any worker forks, so every process reports its
-        # segments (this pool's, the mp-shm transport's) to one tracker.
+        # Started before any worker forks, so the workers report the
+        # segments they map to this pool's tracker, not one of their own.
         resource_tracker.ensure_running()
         self._lock = threading.Lock()
         self._generation = 0

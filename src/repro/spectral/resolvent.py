@@ -190,8 +190,9 @@ class ResolventFactor:
         set, the factor screens the reduced chain and estimates its
         condition once, and every shift runs the band and result
         screens and the seed identity residual; a trip retries that
-        shift (a condition trip: every shift) through
-        :func:`~repro.core.fsi.fsi_resilient`'s fallback ladder.
+        shift (a trip on the reduced chain: every shift) through
+        :func:`~repro.core.fsi.fsi_resilient`'s fallback ladder.  A
+        non-finite input still raises.
     num_threads:
         Team size for the one-time CLS stage (sweeps parallelise over
         shifts instead; see :meth:`sweep`).
@@ -227,15 +228,20 @@ class ResolventFactor:
             # own dtype; BSOFI applies the scalar.
             with _telemetry.stage("cls"):
                 reduced = cls(pc, c, q, num_threads=num_threads)
-            if guards is not None and guards.screen_stages:
-                _guards.screen_finite("cls", reduced.B, report=report)
-            # s(z)^c R_i has the condition number of R_i, so one estimate
-            # on the unshifted chain gives every shift's verdict; a trip
-            # sends every shift straight to the fallback ladder.
+            # s(z)^c R_i has the condition number of R_i (and is finite
+            # where R_i is), so one screen and one estimate on the
+            # unshifted chain give every shift's verdict; a trip sends
+            # every shift straight to the fallback ladder, whose finer
+            # rungs may keep the cluster products in range.
             self._conditioned = True
-            if guards is not None and guards.condition_samples:
+            if guards is not None:
                 try:
-                    _guards.check_cluster_conditions(reduced.B, guards, report)
+                    if guards.screen_stages:
+                        _guards.screen_finite("cls", reduced.B, report=report)
+                    if guards.condition_samples:
+                        _guards.check_cluster_conditions(
+                            reduced.B, guards, report
+                        )
                 except NumericalHealthError:
                     self._conditioned = False
             self._reduced = reduced

@@ -21,7 +21,6 @@ from repro.core.cls import cls
 from repro.core.greens_explicit import greens_block
 from repro.core.patterns import Pattern, Selection
 from repro.core.pcyclic import BlockPCyclic, random_pcyclic, torus_index
-from repro.core.pdiv import fsi_distributed
 from repro.core.wrap import _up_down_steps, wrap
 from repro.hubbard.hs_field import HSField
 from repro.hubbard.lattice import RectangularLattice
@@ -34,7 +33,6 @@ from repro.spectral.resolvent import (
 from repro.telemetry import FlopTracer
 
 pipeline = importlib.import_module("repro.core.pipeline")
-pdiv = importlib.import_module("repro.core.pdiv")
 resolvent = importlib.import_module("repro.spectral.resolvent")
 
 
@@ -130,20 +128,6 @@ class TestDerivedMatricesCarryNoInverse:
             prod = chain.inverse(i) @ chain.block(i)
             assert prod.dtype == np.complex128
             np.testing.assert_allclose(prod, eye, rtol=0, atol=1e-12)
-
-    def test_pdiv_slices(self, monkeypatch):
-        pc, _, _ = _hubbard()
-        seen = []
-        real = pdiv.PCyclicSolver
-
-        def spy(local):
-            seen.append(local.inverses)
-            return real(local)
-
-        monkeypatch.setattr(pdiv, "PCyclicSolver", spy)
-        fsi_distributed(pc, 4, pattern=Pattern.DIAGONAL, q=0, partitions=3,
-                        ranks=1)
-        assert seen and all(inv is None for inv in seen)
 
     def test_chaos_corrupted_chain(self, monkeypatch):
         pc, _, _ = _hubbard()

@@ -754,12 +754,6 @@ class TestResultNbytes:
         assert res.rung == rung
         assert res.blocks.nbytes == job.result_nbytes
 
-    def test_pdiv_on_threads(self):
-        job = _job(2, Pattern.COLUMNS)
-        res = execute_job(job, pdiv_partitions=2, transport="threads")
-        assert res.rung == "pdiv(2)"
-        assert res.blocks.nbytes == job.result_nbytes
-
     def test_spectral_chunk(self):
         grid = SpectralSpec.linear(-2.0, -1.0, 6, 0.1)
         job = _job(3, Pattern.DIAGONAL, spectral=grid.chunk_specs(4)[1])

@@ -7,8 +7,6 @@ Covers the acceptance scenarios of the service subsystem:
 * LRU cache eviction under a byte budget;
 * worker-crash retry and per-batch timeout (chaos tasks);
 * graceful shutdown drain and forced shutdown;
-* PDIV serving, and a PDIV solve on an mp-shm world producing one
-  stitched trace;
 * one job per dispatch, each traced in its own request's trace;
 * how each dispatch's results came back, and the cache's drops, as
   exported metric families;
@@ -699,59 +697,6 @@ class TestServiceBackpressure:
             open(gate, "w").close()
             blocker.result(timeout=30.0)
             winner.result(timeout=30.0)
-
-
-# ----------------------------------------------------------------------
-class TestServiceTransport:
-    @pytest.fixture(autouse=True)
-    def _fresh_telemetry(self):
-        _telemetry.reset()
-        yield
-        _telemetry.reset()
-
-    def test_pdiv_serving_matches_oracle(self):
-        spec = ModelSpec(nx=2, ny=2, L=16, t=1.0, U=2.0, beta=1.0)
-        job = make_job(seed=11, c=4, pattern=Pattern.COLUMNS, q=1, spec=spec)
-        cfg = ServiceConfig(
-            workers=1, pdiv_partitions=2, transport="threads"
-        )
-        with GreensService(cfg) as svc:
-            res = svc.submit(job).result(timeout=120.0)
-        assert res.rung == "pdiv(2)"
-        expect = oracle_blocks(job)
-        assert set(res.blocks) == set(expect)
-        for kl, blk in expect.items():
-            np.testing.assert_allclose(res.blocks[kl], blk, atol=1e-10)
-
-    def test_mpshm_fleet_produces_single_stitched_trace(self):
-        # One PDIV serve request on an mp-shm world yields ONE trace
-        # spanning scheduler -> pool worker -> transport world -> every
-        # rank.
-        telemetry.configure(sample_rate=1.0)
-        spec = ModelSpec(nx=2, ny=2, L=16, t=1.0, U=2.0, beta=1.0)
-        job = make_job(seed=100, c=4, pattern=Pattern.COLUMNS, spec=spec)
-        cfg = ServiceConfig(workers=1, pdiv_partitions=2, transport="mp-shm")
-        with GreensService(cfg) as svc:
-            res = svc.submit(job).result(timeout=120.0)
-        assert res.rung == "pdiv(2)"
-        for kl, blk in oracle_blocks(job).items():
-            np.testing.assert_allclose(res.blocks[kl], blk, atol=1e-10)
-        # Find the trace holding the transport spans; it must also hold
-        # the request-side spans — i.e. everything stitched together.
-        traces = _telemetry.collector().traces()
-        world_traces = [
-            spans for spans in traces.values()
-            if any(s["name"] == "transport.world" for s in spans)
-        ]
-        assert len(world_traces) == 1
-        names = {s["name"] for s in world_traces[0]}
-        assert {
-            "service.request", "service.dispatch",
-            "worker.job", "pdiv", "transport.world", "transport.rank",
-        } <= names
-        ranks = [s for s in world_traces[0] if s["name"] == "transport.rank"]
-        assert len(ranks) == 2
-        assert all(s["attributes"]["backend"] == "mp-shm" for s in ranks)
 
 
 class TestDispatch:

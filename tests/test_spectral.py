@@ -24,13 +24,13 @@ import numpy as np
 import pytest
 
 from repro import telemetry
-from repro.core.fsi import fsi
+from repro.core.fsi import fsi, fsi_resilient
 from repro.core.patterns import Pattern
 from repro.core.pcyclic import BlockPCyclic, random_pcyclic
 from repro.dqmc.fourier import momentum_transform, structure_factor_grid
 from repro.hubbard.hs_field import HSField
 from repro.hubbard.lattice import RectangularLattice
-from repro.resilience.guards import GuardConfig
+from repro.resilience.guards import GuardConfig, NumericalHealthError
 from repro.service import (
     GreensJob,
     GreensService,
@@ -500,6 +500,34 @@ class TestSpectralResilience:
             assert counts.get("c=2") == 1.0
         finally:
             telemetry.reset()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_reduced_chain_goes_to_the_ladder(self):
+        """Cluster products of ``B_i ~ 1e80`` overflow at c = 8: the
+        factor's ``cls`` screen sends every shift to the ladder, as a
+        condition trip does, and each agrees with ``fsi_resilient`` on
+        the shifted chain."""
+        rng = np.random.default_rng(0)
+        pc = BlockPCyclic(rng.standard_normal((8, 4, 4)) * 1e80)
+        factor = ResolventFactor(pc, 8, guards=GuardConfig())
+        grid = OmegaGrid.linear(-1.0, 1.0, 3, 0.3)
+        swept = factor.sweep(grid)
+        for j, z in enumerate(grid.z):
+            pc_z, d = shifted_pcyclic(pc, z)
+            ref = fsi_resilient(pc_z, 8, Pattern.DIAGONAL, q=0,
+                                num_threads=1, guards=GuardConfig())
+            assert ref.rung == "c=2"
+            assert swept.rungs[j] == ref.rung
+            np.testing.assert_allclose(
+                swept.blocks.data[:, j], ref.selected.data / d,
+                rtol=1e-12, atol=0,
+            )
+
+    def test_non_finite_input_still_raises(self):
+        B = np.random.default_rng(0).standard_normal((8, 4, 4))
+        B[3, 1, 2] = np.nan
+        with pytest.raises(NumericalHealthError, match="at input"):
+            ResolventFactor(BlockPCyclic(B), 8, guards=GuardConfig())
 
     def test_shift_rung_counter(self):
         telemetry.reset()
