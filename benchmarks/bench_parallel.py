@@ -103,7 +103,6 @@ def bench_fleet_small(benchmark):
     cfg = HybridConfig(
         n_matrices=4,
         n_ranks=2,
-        threads_per_rank=1,
         c=4,
         pattern=Pattern.DIAGONAL,
         seed=0,
@@ -162,8 +161,7 @@ def measure_fleet(L: int, n_ranks: int = 4, n_jobs: int = 8,
     for backend in ("threads", "mp-shm"):
         def run(backend: str = backend):
             return run_selected_fleet(
-                model, jobs, n_ranks=n_ranks, threads_per_rank=1,
-                transport=backend,
+                model, jobs, n_ranks=n_ranks, transport=backend
             )
         outs[backend] = run()  # warm-up (and the correctness probe)
         times[backend] = _best_of(run, repeats=repeats)

@@ -73,7 +73,7 @@ def bench_fsi_resilient_healthy(benchmark, small_problem):
     """The ladder entry point when nothing trips (the common case)."""
     pc, _, _ = small_problem
     benchmark(
-        lambda: fsi_resilient(pc, BENCH_SMALL.c, num_threads=1, guards=GUARDS)
+        lambda: fsi_resilient(pc, BENCH_SMALL.c, guards=GUARDS)
     )
 
 

@@ -64,7 +64,7 @@ def real_stage_split(seed: int = 3) -> Table:
     """Measured stage flops/time on this host (scaled problem)."""
     w = Workload("f8-real", nx=6, ny=6, L=40, c=8, U=2.0, beta=1.0)
     pc, _, _ = make_hubbard(w, seed=seed)
-    run = run_fsi(pc, w.c, Pattern.COLUMNS, q=1, num_threads=1)
+    run = run_fsi(pc, w.c, Pattern.COLUMNS, q=1)
     table = Table(
         f"EXP-F8 (real, this host): stage split at (N, L, c) ="
         f" ({w.N}, {w.L}, {w.c})",

@@ -54,28 +54,28 @@ def modeled_sweep(
 
 
 def functional_run() -> Table:
-    """Scaled-down Alg. 3 on SimMPI: the real code path, real threads."""
+    """Scaled-down Alg. 3 on SimMPI: the real code path, one thread per
+    rank (each rank's solver runs on its own thread)."""
     model = HubbardModel(RectangularLattice(3, 3), L=16, U=2.0, beta=1.0)
     table = Table(
         "EXP-F9 (functional, this host): Alg. 3 on SimMPI,"
         " 8 matrices, (N, L, c) = (9, 16, 4)",
-        ["ranks x threads", "trace_sum", "frobenius^2", "seconds", "peak MB"],
+        ["ranks", "trace_sum", "frobenius^2", "seconds", "peak MB"],
         note="global reductions identical across decompositions",
     )
-    for ranks, threads in ((1, 4), (2, 2), (4, 1), (8, 1)):
+    for ranks in (1, 2, 4, 8):
         rep = run_fsi_fleet(
             model,
             HybridConfig(
                 n_matrices=8,
                 n_ranks=ranks,
-                threads_per_rank=threads,
                 c=4,
                 pattern=Pattern.COLUMNS,
                 seed=42,
             ),
         )
         table.add_row(
-            f"{ranks}x{threads}",
+            ranks,
             rep.global_measurements["trace_sum"],
             rep.global_measurements["frobenius_sq"],
             rep.elapsed_seconds,

@@ -114,7 +114,6 @@ def resolvent_columns(
     c: int,
     q: int | None = None,
     rng: np.random.Generator | int | None = None,
-    num_threads: int | None = None,
 ) -> dict[tuple[int, int], np.ndarray]:
     """Selected block *columns* of the resolvent ``R(z) = (I - zP)^{-1}``.
 
@@ -128,7 +127,7 @@ def resolvent_columns(
     class ``l`` starting from state ``i`` of class ``k``.
     """
     pc = chain.resolvent_pcyclic(z)
-    res = fsi(pc, c, pattern=Pattern.ROWS, q=q, rng=rng, num_threads=num_threads)
+    res = fsi(pc, c, pattern=Pattern.ROWS, q=q, rng=rng)
     out: dict[tuple[int, int], np.ndarray] = {}
     for (k, l), blk in res.selected.items():
         # (G^T)_{l,k} = R_{l,k}... G here is ((I - zP)^T)^{-1} = R^T, so

@@ -34,25 +34,21 @@ from ..core.solve import PCyclicSolver
 __all__ = ["exact_trace", "exact_diagonal", "hutchinson_trace", "HutchinsonResult"]
 
 
-def exact_diagonal(
-    pc: BlockPCyclic, c: int | None = None, num_threads: int | None = None
-) -> np.ndarray:
+def exact_diagonal(pc: BlockPCyclic, c: int | None = None) -> np.ndarray:
     """The exact diagonal of ``G = M^{-1}`` via FSI (length ``N*L``)."""
     from ..core.stability import recommend_c
 
     if c is None:
         c = recommend_c(pc.L)
-    res = fsi(pc, c, pattern=Pattern.FULL_DIAGONAL, q=0, num_threads=num_threads)
+    res = fsi(pc, c, pattern=Pattern.FULL_DIAGONAL, q=0)
     return np.concatenate(
         [np.diag(res.selected[(l, l)]) for l in range(1, pc.L + 1)]
     )
 
 
-def exact_trace(
-    pc: BlockPCyclic, c: int | None = None, num_threads: int | None = None
-) -> float:
+def exact_trace(pc: BlockPCyclic, c: int | None = None) -> float:
     """``tr(G)`` exactly, via the selected diagonal."""
-    return float(exact_diagonal(pc, c=c, num_threads=num_threads).sum())
+    return float(exact_diagonal(pc, c=c).sum())
 
 
 @dataclass(frozen=True)

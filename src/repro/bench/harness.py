@@ -106,14 +106,13 @@ def run_fsi(
     c: int,
     pattern: Pattern = Pattern.COLUMNS,
     q: int = 1,
-    num_threads: int | None = 1,
     repeats: int = 1,
     warmup: int = 0,
 ) -> TimedRun:
     """One traced FSI execution (min/median over ``repeats``)."""
     return _timed(
         "fsi",
-        lambda: fsi(pc, c, pattern=pattern, q=q, num_threads=num_threads),
+        lambda: fsi(pc, c, pattern=pattern, q=q),
         repeats=repeats,
         warmup=warmup,
     )

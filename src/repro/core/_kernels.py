@@ -195,7 +195,8 @@ class LUFactors:
     (``trsm``) directly instead of calling LAPACK ``getrs``, which does
     the same arithmetic: the ``getrs`` of the OpenBLAS that scipy
     bundles corrupts the heap when several threads call it at once, as
-    the spectral thread teams do.
+    the ranks of a ``threads`` transport fleet do (one OS thread per
+    rank, :func:`~repro.parallel.hybrid.run_selected_fleet`).
     """
 
     __slots__ = ("lu", "piv", "perm", "n")

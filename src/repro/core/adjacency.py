@@ -45,9 +45,10 @@ class AdjacencyOps:
 
     Notes
     -----
-    Formed inverses are cached per block index and shared across
-    threads (the cache is filled under a plain dict set, which is
-    atomic in CPython; a redundant inversion in a race is harmless).
+    Formed inverses are cached per block index, in a plain dict.  A
+    :class:`~repro.spectral.resolvent.ResolventFactor` shares one
+    instance among its shifts, which run one after another on the
+    calling thread.
     """
 
     def __init__(self, pc: BlockPCyclic):

@@ -110,8 +110,9 @@ def fsi(
     rng:
         Source of randomness for ``q``.
     num_threads:
-        OpenMP-style team size for the CLS loop (WRP runs on the
-        calling thread).
+        Accepted and ignored: every stage runs on the calling thread,
+        where a thread team measured no faster.  Kept so that existing
+        callers, which pass a team size, run unchanged.
     guards:
         When given, run the :mod:`repro.resilience.guards` battery on
         inputs and stage outputs; a trip raises
@@ -128,9 +129,7 @@ def fsi(
     with _telemetry.span(
         "fsi", L=pc.L, N=pc.N, c=c, q=q, pattern=pattern.name
     ):
-        selected, seeds, report = run_stages(
-            pc, selection, guards=guards, num_threads=num_threads
-        )
+        selected, seeds, report = run_stages(pc, selection, guards=guards)
     return FSIResult(
         selected=selected, seed_set=seeds, selection=selection, health=report
     )
@@ -169,7 +168,6 @@ def fsi_resilient(
     pattern: Pattern = Pattern.COLUMNS,
     q: int | None = None,
     rng: np.random.Generator | int | None = None,
-    num_threads: int | None = None,
     guards: GuardConfig | None = None,
 ) -> FSIResult:
     """:func:`fsi` with guards and the adaptive fallback ladder.
@@ -196,10 +194,7 @@ def fsi_resilient(
     for cur in fallback_rungs(c):
         rung = "direct" if cur == c else f"c={cur}"
         try:
-            result = fsi(
-                pc, cur, pattern, q=q % cur, num_threads=num_threads,
-                guards=guards,
-            )
+            result = fsi(pc, cur, pattern, q=q % cur, guards=guards)
         except NumericalHealthError as err:
             last_err = err
             continue

@@ -16,6 +16,7 @@ the shifted chain ``t R`` without forming it, and the band screen and
 seed residual see the shifted chain's inverse.
 
 Each stage is a :func:`repro.telemetry.stage` (span + flop accounting).
+Every stage runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .patterns import SelectedInversion, Selection
 from .pcyclic import BlockPCyclic
 from .wrap import wrap
 
-__all__ = ["cluster_offset", "run_stages"]
+__all__ = ["cluster_offset", "cls_stage", "run_stages"]
 
 
 def cluster_offset(
@@ -48,11 +49,26 @@ def cluster_offset(
     return q
 
 
+def cls_stage(
+    pc: BlockPCyclic, c: int, q: int, guards: GuardConfig | None
+) -> BlockPCyclic:
+    """The ``"cls"`` stage.
+
+    When a ``cls`` screen follows (``guards.screen_stages``), cluster
+    products that overflow are that screen's to report, so numpy's
+    overflow and invalid-value warnings are silenced for the stage;
+    unscreened calls keep them.
+    """
+    screened = guards is not None and guards.screen_stages
+    quiet = {"over": "ignore", "invalid": "ignore"} if screened else {}
+    with _telemetry.stage("cls"), np.errstate(**quiet):
+        return cls(pc, c, q)
+
+
 def run_stages(
     pc: BlockPCyclic,
     selection: Selection,
     guards: GuardConfig | None = None,
-    num_threads: int | None = None,
     reduced: BlockPCyclic | None = None,
     t: complex = 1.0,
     scale: complex | None = None,
@@ -71,8 +87,7 @@ def run_stages(
     if reduced is None:
         if guards is not None and guards.screen_input:
             _guards.screen_finite("input", pc.B, report=report)
-        with _telemetry.stage("cls"):
-            reduced = cls(pc, selection.c, selection.q, num_threads=num_threads)
+        reduced = cls_stage(pc, selection.c, selection.q, guards)
         if _chaos.is_active():
             corrupted = _chaos.corrupt_array("cls.output", reduced.B)
             if corrupted is not None:
@@ -92,7 +107,7 @@ def run_stages(
                 reduced.B, seeds.band, guards, report, t=t
             )
     with _telemetry.stage("wrp", pattern=selection.pattern.name):
-        selected = wrap(pc, seeds, selection, num_threads=num_threads)
+        selected = wrap(pc, seeds, selection)
     if scale is not None:
         # The wrap output is a fresh buffer, so the scale is safe in place.
         selected.data *= scale

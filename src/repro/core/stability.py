@@ -84,7 +84,7 @@ def cluster_condition_growth(
     for c in c_values:
         if pc.L % c != 0:
             raise ValueError(f"c={c} does not divide L={pc.L}")
-        red = cls(pc, c, q=0, num_threads=1)
+        red = cls(pc, c, q=0)
         out[c] = float(max(np.linalg.cond(red.B[i]) for i in range(red.L)))
     return out
 
@@ -120,7 +120,7 @@ def fsi_accuracy_sweep(
     cond = cluster_condition_growth(pc, c_values)
     points = []
     for c in c_values:
-        res = fsi(pc, c, pattern=pattern, q=min(q, c - 1), num_threads=1)
+        res = fsi(pc, c, pattern=pattern, q=min(q, c - 1))
         points.append(
             AccuracyPoint(
                 c=c,

@@ -114,8 +114,9 @@ def wrap(
         Pattern + ``(L, c, q)`` geometry.  Must be consistent with the
         seed grid shape (``b = L / c``).
     num_threads:
-        Unused by WRP, which runs on the calling thread; accepted so
-        that every stage takes the same arguments.
+        Accepted and ignored: WRP runs on the calling thread, where a
+        thread team measured no faster.  Kept so that existing callers,
+        which pass a team size, run unchanged.
 
     Returns
     -------

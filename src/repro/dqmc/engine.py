@@ -74,7 +74,8 @@ class DQMCConfig:
     bin_size:
         Measurement bin size for the jackknife analysis.
     num_threads:
-        OpenMP-style team size for FSI and measurement loops.
+        OpenMP-style team size for the measurement loops (FSI runs on
+        the calling thread).
     measure_time_dependent:
         Compute SPXX (needs rows+columns) in addition to equal-time
         observables.
@@ -337,27 +338,16 @@ class DQMC:
             sigmas = (+1, -1)
         for sigma in sigmas:
             pc = self.model.build_matrix(self.field, sigma)
-            res = fsi(
-                pc,
-                self.c,
-                pattern=Pattern.FULL_DIAGONAL,
-                q=q,
-                num_threads=cfg.num_threads,
-            )
+            res = fsi(pc, self.c, pattern=Pattern.FULL_DIAGONAL, q=q)
             rows = cols = None
             if cfg.measure_time_dependent:
                 L = pc.L
                 rows = wrap(
-                    pc,
-                    res.seeds,
-                    Selection(Pattern.ROWS, L=L, c=self.c, q=q),
-                    num_threads=cfg.num_threads,
+                    pc, res.seeds, Selection(Pattern.ROWS, L=L, c=self.c, q=q)
                 )
                 cols = wrap(
-                    pc,
-                    res.seeds,
+                    pc, res.seeds,
                     Selection(Pattern.COLUMNS, L=L, c=self.c, q=q),
-                    num_threads=cfg.num_threads,
                 )
             out[sigma] = GreensBundle(
                 full_diagonal=res.selected, rows=rows, cols=cols

@@ -2,8 +2,10 @@
 
 The rank runtime lives in :mod:`repro.transport` (threads, mp-shm, and
 sockets backends); this package holds the fleet drivers, the
-OpenMP-style thread teams and the per-process parallelism budget
-(:mod:`repro.parallel.budget`).
+OpenMP-style thread teams of the DQMC measurements and the
+block-tridiagonal solver, and the per-process parallelism budget
+(:mod:`repro.parallel.budget`).  Each Green's-function solve runs on
+its calling thread.
 """
 
 from .budget import ParallelBudget, process_budget
@@ -15,14 +17,7 @@ from .hybrid import (
     run_fsi_fleet,
     run_selected_fleet,
 )
-from .openmp import (
-    ThreadTeam,
-    chunk_ranges,
-    get_max_threads,
-    parallel_for,
-    parallel_map,
-    set_max_threads,
-)
+from .openmp import chunk_ranges, get_max_threads, parallel_for
 
 __all__ = [
     "FleetJobOutput",
@@ -30,13 +25,10 @@ __all__ = [
     "HybridConfig",
     "HybridReport",
     "ParallelBudget",
-    "ThreadTeam",
     "chunk_ranges",
     "get_max_threads",
     "parallel_for",
-    "parallel_map",
     "process_budget",
     "run_fsi_fleet",
     "run_selected_fleet",
-    "set_max_threads",
 ]

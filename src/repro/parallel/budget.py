@@ -1,22 +1,25 @@
 """One parallelism budget per process.
 
-Three parallel layers nest in the service: its worker processes
+Three parallel layers can nest: worker processes
 (:class:`~repro.service.workers.WorkerPool`, one rank each),
-:func:`~repro.parallel.openmp.parallel_for` thread teams, and the
-threads of the BLAS library under every ``gemm`` and LAPACK call.
-Their product is what the host has to run, so they are resolved
-together, once, into one :class:`ParallelBudget`:
+:func:`~repro.parallel.openmp.parallel_for` thread teams (the DQMC
+measurement reductions and the block-tridiagonal solver; a
+Green's-function solve runs on its calling thread, and a service
+worker runs no team), and the threads of the BLAS library under every
+``gemm`` and LAPACK call.  Their product is what the host has to run,
+so they are resolved together, once, into one :class:`ParallelBudget`:
 
 * ``cores`` — the CPUs this process may run on (its affinity mask);
 * ``processes`` — service worker processes (each solves inline);
 * ``team`` — the default ``parallel_for`` team size: ``REPRO_NUM_THREADS``
   when set, else the cores left per process, ``cores // processes``;
+  the service fixes it at 1;
 * ``blas`` — BLAS threads per caller: **1**.  The repo's parallelism
-  lives in the layers above, which split work at the granularity the
-  paper threads (clusters, seeds, shifts, jobs — Sec. III).  A BLAS call
-  at the paper's N = 100 is too small to split: on a 2-core host a
-  second BLAS thread makes paper-scale DIAGONAL ``fsi`` 5x slower
-  (225 vs 43 ms), and under a team it oversubscribes the cores.  An
+  lives in the layers above, which split work at the granularity of
+  whole jobs and measurements.  A BLAS call at the paper's N = 100 is
+  too small to split: on a 2-core host a second BLAS thread makes
+  paper-scale DIAGONAL ``fsi`` 5x slower (225 vs 43 ms), and under a
+  team it oversubscribes the cores.  An
   explicit ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
   ``MKL_NUM_THREADS`` (first one set wins) overrides the rule;
   ``source`` then reads ``"env"``.
@@ -25,8 +28,9 @@ together, once, into one :class:`ParallelBudget`:
 OpenBLAS through its own ``ctypes`` setter — numpy and scipy each bundle
 a separate copy, and either one running threaded is enough to
 oversubscribe.  The budget is applied in the service process before its
-pool exists, in every pool worker (including recycled ones), and before
-any thread team starts (:func:`process_budget`).
+pool exists, in every pool worker (including recycled ones), at the
+start of every solve (:func:`~repro.core.cls.cls`) and before any
+thread team starts (:func:`process_budget`).
 """
 
 from __future__ import annotations
@@ -114,9 +118,9 @@ class ParallelBudget:
     ) -> ParallelBudget:
         """The budget for ``processes`` worker processes on this host.
 
-        ``team`` fixes the team size (the service passes its
-        ``threads_per_rank``); ``None`` takes ``REPRO_NUM_THREADS``, else
-        the cores left per process.  ``environ`` defaults to ``os.environ``.
+        ``team`` fixes the team size (the service's worker pool passes
+        1); ``None`` takes ``REPRO_NUM_THREADS``, else the cores left
+        per process.  ``environ`` defaults to ``os.environ``.
         """
         if processes < 1:
             raise ValueError(f"processes must be >= 1, got {processes}")

@@ -8,8 +8,9 @@ instead of real MPI:
   matrices in one MPI process is neither efficient nor feasible") and
   scatters them as flat int8 buffers;
 * each rank rebuilds its Hubbard matrices locally, runs FSI per matrix
-  with its OpenMP-style thread team (CLS clusters and WRP seeds are the
-  threaded loops), accumulates *local* measurement quantities, and
+  on its own thread (the paper threads the CLS clusters and WRP seeds;
+  at paper scale on a 2-core host a 2-thread team was no faster than
+  one thread), accumulates *local* measurement quantities, and
 * a final ``Reduce`` aggregates the local quantities into global ones
   on the root.
 
@@ -74,7 +75,6 @@ class HybridConfig:
 
     n_matrices: int
     n_ranks: int
-    threads_per_rank: int
     c: int
     pattern: Pattern = Pattern.COLUMNS
     sigma: int = +1
@@ -88,8 +88,6 @@ class HybridConfig:
                 f"n_matrices={self.n_matrices} < n_ranks={self.n_ranks}:"
                 " some ranks would be idle; shrink the world instead"
             )
-        if self.threads_per_rank < 1:
-            raise ValueError("threads_per_rank must be >= 1")
 
     def batch_bounds(self, rank: int) -> tuple[int, int]:
         """Global matrix index range ``[lo, hi)`` owned by ``rank``."""
@@ -139,9 +137,9 @@ def rank_work(
     Returns the rank's local measurement dict (also reduced to root via
     the communicator — the return value is used by the tests).
     """
-    # Imported here rather than at module level: repro.core's stage
-    # modules import repro.parallel.openmp, so a module-level import of
-    # the FSI driver from inside repro.parallel would be circular.
+    # Imported here rather than at module level: repro.core.cls imports
+    # repro.parallel.budget, so a module-level import of the FSI driver
+    # from inside repro.parallel would be circular.
     from ..core.fsi import fsi
 
     L, N = model.L, model.N
@@ -177,7 +175,6 @@ def rank_work(
                 cfg.c,
                 pattern=cfg.pattern,
                 rng=np.random.default_rng((cfg.seed, global_index)),
-                num_threads=cfg.threads_per_rank,
             )
         except Exception as exc:
             raise FleetMatrixError(global_index, exc) from exc
@@ -228,7 +225,6 @@ def _selected_rank_work(
     comm: Communicator,
     model: HubbardModel,
     jobs: Sequence[tuple[np.ndarray, int, Pattern, int]],
-    threads_per_rank: int,
     sigma: int,
 ) -> list[FleetJobOutput] | None:
     """Rank body of :func:`run_selected_fleet` (scatter/compute/gather)."""
@@ -254,8 +250,7 @@ def _selected_rank_work(
             with _telemetry.span("fleet.job", index=global_index):
                 with FlopTracer() as tracer:
                     t0 = time.perf_counter()
-                    res = fsi(pc, c, pattern=pattern, q=q,
-                              num_threads=threads_per_rank)
+                    res = fsi(pc, c, pattern=pattern, q=q)
                     elapsed = time.perf_counter() - t0
         except Exception as exc:
             raise FleetMatrixError(global_index, exc) from exc
@@ -285,7 +280,6 @@ def run_selected_fleet(
     model: HubbardModel,
     jobs: Sequence[tuple[np.ndarray, int, Pattern, int]],
     n_ranks: int,
-    threads_per_rank: int = 1,
     sigma: int = +1,
     transport: str | None = None,
 ) -> list[FleetJobOutput]:
@@ -306,11 +300,9 @@ def run_selected_fleet(
     world = create_world(n_ranks, backend=transport)
     with _telemetry.span(
         "fleet.selected", jobs=len(jobs), ranks=n_ranks,
-        threads_per_rank=threads_per_rank, backend=world.name,
+        backend=world.name,
     ):
-        results = world.run(
-            _selected_rank_work, model, list(jobs), threads_per_rank, sigma
-        )
+        results = world.run(_selected_rank_work, model, list(jobs), sigma)
     root = results[0]
     assert root is not None
     return root

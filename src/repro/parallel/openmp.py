@@ -2,19 +2,23 @@
 
 The paper parallelises the CLS cluster products, the WRP seeds and the
 measurement accumulation with OpenMP worker threads inside each MPI
-process (Sec. III-B).  This module provides the equivalent construct
-for the Python reproduction:
+process (Sec. III-B).  Here the Green's-function solver runs on the
+calling thread: at paper scale on a 2-core host a 2-thread team was no
+faster than one thread for CLS (4.4 vs 4.1 ms), DIAGONAL ``fsi``
+(22.4 vs 19.8 ms) or an 8-shift spectral sweep (45.4 vs 44.3 ms), in
+6 alternating rounds at 1 BLAS thread.  The teams left are the DQMC
+measurement reductions and the block-tridiagonal solver:
 
 * :func:`parallel_for` — an ``!$omp parallel do`` stand-in over an index
-  range with static or dynamic scheduling, backed by a per-call thread
-  pool.  NumPy's BLAS releases the GIL, so gemm-rich loop bodies do run
+  range with static scheduling, backed by a per-call thread pool.
+  NumPy's BLAS releases the GIL, so gemm-rich loop bodies do run
   concurrently;
-* :class:`ThreadTeam` — a reusable team when many loops share workers;
-* :func:`get_max_threads` / :func:`set_max_threads` — the default team
-  size: the process's :class:`~repro.parallel.budget.ParallelBudget`
-  team (``REPRO_NUM_THREADS``, else the cores left per rank) unless set
-  explicitly.  ``OMP_NUM_THREADS`` belongs to the BLAS runtime and does
-  not size teams.
+* :func:`thread_local_reduce` — the Alg. 3 per-thread accumulators;
+* :func:`get_max_threads` — the default team size: the process's
+  :class:`~repro.parallel.budget.ParallelBudget` team
+  (``REPRO_NUM_THREADS``, else the cores left per rank).
+  ``OMP_NUM_THREADS`` belongs to the BLAS runtime and does not size
+  teams.
 
 Every team of more than one thread starts under the process's budget,
 which runs BLAS single-threaded: the team is the parallel layer, and
@@ -30,44 +34,25 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 from ..telemetry import runtime as _telemetry
 from .budget import process_budget
 
 __all__ = [
     "parallel_for",
-    "parallel_map",
     "thread_local_reduce",
-    "ThreadTeam",
     "get_max_threads",
-    "set_max_threads",
     "chunk_ranges",
 ]
 
 T = TypeVar("T")
 
-_max_threads_lock = threading.Lock()
-_max_threads: int | None = None
-
 
 def get_max_threads() -> int:
-    """Current default team size: :func:`set_max_threads`, else the
-    process's :class:`~repro.parallel.budget.ParallelBudget` team."""
-    with _max_threads_lock:
-        if _max_threads is not None:
-            return _max_threads
+    """Default team size: the process's
+    :class:`~repro.parallel.budget.ParallelBudget` team."""
     return process_budget().team
-
-
-def set_max_threads(n: int) -> None:
-    """Set the default team size for subsequent parallel regions."""
-    global _max_threads
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    with _max_threads_lock:
-        _max_threads = n
 
 
 def chunk_ranges(n: int, parts: int) -> list[range]:
@@ -113,7 +98,6 @@ def parallel_for(
     body: Callable[[int], None],
     n: int,
     num_threads: int | None = None,
-    schedule: str = "static",
 ) -> None:
     """Run ``body(i)`` for ``i in range(n)``, distributed over a team.
 
@@ -121,16 +105,12 @@ def parallel_for(
     ----------
     body:
         The loop body; must be safe to run concurrently for distinct
-        ``i`` (the CLS clusters and WRP seeds are data-independent,
-        which is exactly why the paper threads them).
+        ``i``.
     n:
         Iteration count.
     num_threads:
-        Team size; defaults to :func:`get_max_threads`.
-    schedule:
-        ``"static"`` — contiguous chunks, one per worker (OpenMP
-        default); ``"dynamic"`` — workers pull single iterations from a
-        shared counter (better for irregular bodies).
+        Team size; defaults to :func:`get_max_threads`.  Each worker
+        runs one contiguous chunk (OpenMP static scheduling).
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
@@ -139,74 +119,15 @@ def parallel_for(
     nt = num_threads if num_threads is not None else get_max_threads()
     if nt < 1:
         raise ValueError(f"num_threads must be >= 1, got {nt}")
-    if schedule == "static":
-        chunks = chunk_ranges(n, nt)
 
-        def make_task(rng: range) -> Callable[[], None]:
-            def task() -> None:
-                for i in rng:
-                    body(i)
-
-            return task
-
-        _run_team([make_task(r) for r in chunks], nt)
-    elif schedule == "dynamic":
-        counter = iter(range(n))
-        lock = threading.Lock()
-
+    def make_task(rng: range) -> Callable[[], None]:
         def task() -> None:
-            while True:
-                with lock:
-                    i = next(counter, None)
-                if i is None:
-                    return
+            for i in rng:
                 body(i)
 
-        _run_team([task for _ in range(min(nt, n))], nt)
-    else:
-        raise ValueError(f"unknown schedule {schedule!r} (use static|dynamic)")
+        return task
 
-
-def parallel_map(
-    fn: Callable[[T], Any],
-    items: Iterable[T],
-    num_threads: int | None = None,
-) -> list[Any]:
-    """Map ``fn`` over ``items`` on a team; results in input order."""
-    items = list(items)
-    results: list[Any] = [None] * len(items)
-
-    def body(i: int) -> None:
-        results[i] = fn(items[i])
-
-    parallel_for(body, len(items), num_threads=num_threads)
-    return results
-
-
-@dataclass
-class ThreadTeam:
-    """A named, reusable thread-count configuration.
-
-    Mirrors selecting "the number of OpenMP threads per MPI process"
-    before launching the application (Sec. III-A): the hybrid driver
-    constructs one team per simulated MPI rank.
-    """
-
-    num_threads: int = field(default_factory=get_max_threads)
-
-    def __post_init__(self) -> None:
-        if self.num_threads < 1:
-            raise ValueError(
-                f"num_threads must be >= 1, got {self.num_threads}"
-            )
-
-    def parallel_for(
-        self, body: Callable[[int], None], n: int, schedule: str = "static"
-    ) -> None:
-        parallel_for(body, n, num_threads=self.num_threads, schedule=schedule)
-
-    def map(self, fn: Callable[[T], Any], items: Iterable[T]) -> list[Any]:
-        return parallel_map(fn, items, num_threads=self.num_threads)
+    _run_team([make_task(r) for r in chunk_ranges(n, nt)], nt)
 
 
 def thread_local_reduce(

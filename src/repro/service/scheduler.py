@@ -86,7 +86,9 @@ class ServiceConfig:
     #: Ranks per worker process: always 1, each worker solves its job
     #: inline.  A constant, not a knob.
     fleet_ranks: ClassVar[int] = 1
-    threads_per_rank: int = 1
+    #: Threads per rank: always 1, each job solves on its worker's
+    #: calling thread.  A constant, not a knob.
+    threads_per_rank: ClassVar[int] = 1
     task_fn: Callable = dataclass_field(default=execute_job)
     #: When set, workers solve through ``fsi_resilient`` with these
     #: guards, and the scheduler screens results before caching them.
@@ -237,7 +239,6 @@ class GreensService:
             retry_backoff=cfg.retry_backoff,
             retry_backoff_max=cfg.retry_backoff_max,
             task_fn=task_fn,
-            threads_per_rank=cfg.threads_per_rank,
             guards=cfg.guards,
             # Bound to the counter, not to ``self``: a closure over the
             # service would keep a shut-down service alive in a cycle.

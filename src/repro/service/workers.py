@@ -84,6 +84,9 @@ def execute_job(
     ``spectral(n_omega)`` with blocks stacked ``(n_omega, N, N)``.
     Every path reports ``stage_flops`` by its
     :func:`repro.telemetry.stage` labels (``cls``/``bsofi``/``wrp``).
+    ``num_threads`` is accepted and ignored: every path solves on the
+    calling thread.  Kept so that existing callers, which pass a team
+    size, run unchanged.
     """
     model = job.spec.build_model()
     pc = model.build_matrix(job.field(), job.spec.sigma)
@@ -93,7 +96,7 @@ def execute_job(
             workload=job.workload,
         ), _chaos.job_key(job.fingerprint), FlopTracer() as tracer:
             t0 = time.perf_counter()
-            selection, blocks, rung = _solve(job, pc, num_threads, guards)
+            selection, blocks, rung = _solve(job, pc, guards)
             elapsed = time.perf_counter() - t0
     return JobResult(
         fingerprint=job.fingerprint,
@@ -108,10 +111,7 @@ def execute_job(
 
 
 def _solve(
-    job: GreensJob,
-    pc: BlockPCyclic,
-    num_threads: int | None,
-    guards: GuardConfig | None,
+    job: GreensJob, pc: BlockPCyclic, guards: GuardConfig | None
 ) -> tuple[Selection, BlockArray, str]:
     """``(selection, blocks, rung)`` of the one serving path for ``job``:
     a spectral sweep, else the guarded ladder, else ``fsi``."""
@@ -123,16 +123,12 @@ def _solve(
 
         grid = job.spectral.grid()
         factor = ResolventFactor(
-            pc, job.c, pattern=job.pattern, q=job.q, guards=guards,
-            num_threads=num_threads,
+            pc, job.c, pattern=job.pattern, q=job.q, guards=guards
         )
-        swept = factor.sweep(grid, num_threads=num_threads)
+        swept = factor.sweep(grid)
         return factor.selection, swept.blocks, f"spectral({grid.n})"
     solve = fsi if guards is None else fsi_resilient
-    out = solve(
-        pc, job.c, pattern=job.pattern, q=job.q, num_threads=num_threads,
-        guards=guards,
-    )
+    out = solve(pc, job.c, pattern=job.pattern, q=job.q, guards=guards)
     return out.selection, out.selected, out.rung
 
 
@@ -149,9 +145,11 @@ def execute_batch(
     The service never calls this: its pool runs one job per task.  It
     is the replay loop of the end-to-end benchmark harness
     (``benchmarks/e2e/replay.py``).  ``fleet_ranks`` must be 1: the
-    worker processes are the only rank level.  When ``trace_ctx``
-    carries a sampled span context, all spans recorded in this process
-    are attached to the *first* result's ``spans`` (one drain per call).
+    worker processes are the only rank level.  ``threads_per_rank`` is
+    accepted and ignored, as :func:`execute_job`'s ``num_threads`` is.
+    When ``trace_ctx`` carries a sampled span context, all spans
+    recorded in this process are attached to the *first* result's
+    ``spans`` (one drain per call).
     """
     if fleet_ranks != 1:
         raise ValueError(
@@ -164,10 +162,7 @@ def execute_batch(
         raise ValueError("execute_batch requires jobs sharing one compat_key")
     with _telemetry.activate_remote(trace_ctx) as local_collector:
         with _telemetry.span("worker.batch", jobs=len(jobs)):
-            results = [
-                execute_job(job, num_threads=threads_per_rank, guards=guards)
-                for job in jobs
-            ]
+            results = [execute_job(job, guards=guards) for job in jobs]
     if local_collector is not None:
         results[0].spans = local_collector.drain()
     return results
@@ -247,7 +242,7 @@ class WorkerPool:
     ``task_fn`` is the picklable job entry point (defaults to
     :func:`execute_job`); tests and chaos drills substitute
     :func:`chaos_task` or a slow variant.  :meth:`run` calls it with one
-    job and the keywords ``num_threads``, ``trace_ctx`` and ``guards``.
+    job and the keywords ``trace_ctx`` and ``guards``.
     ``on_retry`` hears each retry's attempt number, ``on_handoff`` each
     returned job's :attr:`~repro.service.handoff.Parcel.way` and
     worker-side export seconds.  All public methods are thread-safe — the scheduler calls
@@ -256,9 +251,9 @@ class WorkerPool:
 
     Every worker process, including those of a recycled executor, first
     applies :attr:`budget` (a :class:`~repro.parallel.budget.ParallelBudget`
-    resolved from ``workers`` and ``threads_per_rank``, one rank per
-    worker), so worker-side BLAS runs single-threaded
-    under the pool's own process parallelism.
+    resolved from ``workers``, one rank and a team of one per worker),
+    so worker-side BLAS runs single-threaded under the pool's own
+    process parallelism.
 
     Retry sleeps use *full jitter*: ``uniform(0, min(cap, backoff *
     2^(attempt-1)))``.  Deterministic backoff synchronises retry storms
@@ -283,7 +278,6 @@ class WorkerPool:
         retry_backoff: float = 0.05,
         retry_backoff_max: float = 2.0,
         task_fn: Callable[..., JobResult] = execute_job,
-        threads_per_rank: int = 1,
         guards: GuardConfig | None = None,
         on_retry: Callable[[int], None] | None = None,
         on_handoff: Callable[[str, float], None] | None = None,
@@ -299,16 +293,11 @@ class WorkerPool:
         self.retry_backoff_max = retry_backoff_max
         self._task_fn = task_fn
         #: Forwarded to ``task_fn`` with every job (plus ``trace_ctx``).
-        self._task_kwargs = {
-            "num_threads": threads_per_rank,
-            "guards": guards,
-        }
+        self._task_kwargs = {"guards": guards}
         self._on_retry = on_retry
         self._on_handoff = on_handoff
         #: Applied in every worker process this pool starts.
-        self.budget = ParallelBudget.resolve(
-            processes=workers, team=threads_per_rank
-        )
+        self.budget = ParallelBudget.resolve(processes=workers, team=1)
         #: The result segments this pool owns and lends.
         self.segments = handoff.ResultSegments(bound=workers)
         # Started before any worker forks, so the workers report the

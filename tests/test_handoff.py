@@ -597,8 +597,7 @@ def _job(seed: int, pattern: Pattern = Pattern.COLUMNS, c: int = 4,
 
 def _inline(job: GreensJob, solve=fsi, **kwargs) -> np.ndarray:
     pc = job.spec.build_model().build_matrix(job.field(), job.spec.sigma)
-    return solve(pc, job.c, job.pattern, q=job.q, num_threads=1,
-                 **kwargs).selected.data
+    return solve(pc, job.c, job.pattern, q=job.q, **kwargs).selected.data
 
 
 @pytest.fixture

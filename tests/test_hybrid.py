@@ -24,25 +24,25 @@ def model():
 class TestConfig:
     def test_idle_ranks_rejected(self):
         with pytest.raises(ValueError, match="idle"):
-            HybridConfig(n_matrices=2, n_ranks=3, threads_per_rank=1, c=4)
+            HybridConfig(n_matrices=2, n_ranks=3, c=4)
 
     def test_batch_bounds_partition(self):
-        cfg = HybridConfig(n_matrices=7, n_ranks=3, threads_per_rank=1, c=4)
+        cfg = HybridConfig(n_matrices=7, n_ranks=3, c=4)
         bounds = [cfg.batch_bounds(r) for r in range(3)]
         assert bounds == [(0, 3), (3, 5), (5, 7)]
 
     def test_positive_counts(self):
         with pytest.raises(ValueError):
-            HybridConfig(n_matrices=0, n_ranks=1, threads_per_rank=1, c=4)
+            HybridConfig(n_matrices=0, n_ranks=1, c=4)
         with pytest.raises(ValueError):
-            HybridConfig(n_matrices=4, n_ranks=2, threads_per_rank=0, c=4)
+            HybridConfig(n_matrices=4, n_ranks=0, c=4)
 
 
 class TestFleet:
     def test_report_fields(self, model):
         rep = run_fsi_fleet(
             model,
-            HybridConfig(n_matrices=4, n_ranks=2, threads_per_rank=1, c=4, seed=1),
+            HybridConfig(n_matrices=4, n_ranks=2, c=4, seed=1),
         )
         assert isinstance(rep, HybridReport)
         assert rep.matrices_done == 4
@@ -56,37 +56,20 @@ class TestFleet:
         """Global sums identical for any rank decomposition (same seed)."""
         rep = run_fsi_fleet(
             model,
-            HybridConfig(
-                n_matrices=5, n_ranks=ranks, threads_per_rank=1, c=4, seed=9
-            ),
+            HybridConfig(n_matrices=5, n_ranks=ranks, c=4, seed=9),
         )
         ref = run_fsi_fleet(
             model,
-            HybridConfig(n_matrices=5, n_ranks=1, threads_per_rank=1, c=4, seed=9),
+            HybridConfig(n_matrices=5, n_ranks=1, c=4, seed=9),
         )
         for key in ("trace_sum", "frobenius_sq"):
             assert rep.global_measurements[key] == pytest.approx(
                 ref.global_measurements[key], rel=1e-12
             )
 
-    def test_threads_do_not_change_results(self, model):
-        a = run_fsi_fleet(
-            model,
-            HybridConfig(n_matrices=2, n_ranks=2, threads_per_rank=1, c=4, seed=5),
-        )
-        b = run_fsi_fleet(
-            model,
-            HybridConfig(n_matrices=2, n_ranks=2, threads_per_rank=3, c=4, seed=5),
-        )
-        assert a.global_measurements["trace_sum"] == pytest.approx(
-            b.global_measurements["trace_sum"], rel=1e-12
-        )
-
     def test_trace_sum_matches_direct_fsi(self, model):
         """The reduced quantity equals a serial recomputation."""
-        cfg = HybridConfig(
-            n_matrices=2, n_ranks=2, threads_per_rank=1, c=4, seed=2
-        )
+        cfg = HybridConfig(n_matrices=2, n_ranks=2, c=4, seed=2)
         rep = run_fsi_fleet(model, cfg)
         L, N = model.L, model.N
         rng = np.random.default_rng(cfg.seed)
@@ -102,7 +85,6 @@ class TestFleet:
                 cfg.c,
                 pattern=Pattern.COLUMNS,
                 rng=np.random.default_rng((cfg.seed, g)),
-                num_threads=1,
             )
             for (k, l), blk in res.selected.items():
                 if k == l:
@@ -120,7 +102,6 @@ class TestFleet:
             HybridConfig(
                 n_matrices=2,
                 n_ranks=1,
-                threads_per_rank=1,
                 c=4,
                 pattern=Pattern.DIAGONAL,
                 seed=3,
@@ -131,7 +112,6 @@ class TestFleet:
             HybridConfig(
                 n_matrices=2,
                 n_ranks=1,
-                threads_per_rank=1,
                 c=4,
                 pattern=Pattern.DIAGONAL,
                 seed=3,
@@ -218,7 +198,7 @@ class TestLazySeedGrid:
         from repro.telemetry import FlopTracer
         from repro.transport import create_world
 
-        cfg = HybridConfig(n_matrices=4, n_ranks=2, threads_per_rank=1, c=4,
+        cfg = HybridConfig(n_matrices=4, n_ranks=2, c=4,
                            pattern=Pattern.DIAGONAL)
 
         def traced(comm, model, cfg):
@@ -233,7 +213,7 @@ class TestLazySeedGrid:
                 2 * bsofi_band_flops(model.L // 4, model.N))
 
     def test_peak_counts_the_band(self, model):
-        kwargs = dict(n_matrices=2, n_ranks=1, threads_per_rank=1, c=4)
+        kwargs = dict(n_matrices=2, n_ranks=1, c=4)
         diag = run_fsi_fleet(model, HybridConfig(pattern=Pattern.DIAGONAL,
                                                  **kwargs))
         cols = run_fsi_fleet(model, HybridConfig(**kwargs))
@@ -246,7 +226,7 @@ class TestMemory:
 
         rep = run_fsi_fleet(
             model,
-            HybridConfig(n_matrices=2, n_ranks=1, threads_per_rank=1, c=4, seed=0),
+            HybridConfig(n_matrices=2, n_ranks=1, c=4, seed=0),
         )
         modeled = fsi_rank_memory_bytes(
             model.N, model.L, 4, Pattern.COLUMNS, include_workspace=False

@@ -88,7 +88,6 @@ class TestEngineHybridConsistency:
                 HybridConfig(
                     n_matrices=2,
                     n_ranks=2,
-                    threads_per_rank=1,
                     c=4,
                     pattern=pattern,
                     seed=1,

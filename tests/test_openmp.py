@@ -5,14 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.parallel.openmp import (
-    ThreadTeam,
-    chunk_ranges,
-    get_max_threads,
-    parallel_for,
-    parallel_map,
-    set_max_threads,
-)
+from repro.parallel.openmp import chunk_ranges, parallel_for
 from repro.telemetry import FlopTracer, record_flops
 
 
@@ -42,9 +35,8 @@ class TestChunkRanges:
 
 
 class TestParallelFor:
-    @pytest.mark.parametrize("schedule", ["static", "dynamic"])
     @pytest.mark.parametrize("threads", [1, 2, 5])
-    def test_every_index_once(self, schedule, threads):
+    def test_every_index_once(self, threads):
         hits = np.zeros(37, dtype=np.int64)
         lock = threading.Lock()
 
@@ -52,7 +44,7 @@ class TestParallelFor:
             with lock:
                 hits[i] += 1
 
-        parallel_for(body, 37, num_threads=threads, schedule=schedule)
+        parallel_for(body, 37, num_threads=threads)
         assert np.all(hits == 1)
 
     def test_zero_iterations(self):
@@ -65,10 +57,6 @@ class TestParallelFor:
 
         with pytest.raises(RuntimeError, match="boom"):
             parallel_for(body, 8, num_threads=2)
-
-    def test_invalid_schedule(self):
-        with pytest.raises(ValueError, match="schedule"):
-            parallel_for(lambda i: None, 4, num_threads=2, schedule="guided")
 
     def test_invalid_thread_count(self):
         with pytest.raises(ValueError):
@@ -90,52 +78,6 @@ class TestParallelFor:
         parallel_for(lambda i: out1.__setitem__(i, i * i), 20, num_threads=1)
         parallel_for(lambda i: out4.__setitem__(i, i * i), 20, num_threads=4)
         np.testing.assert_array_equal(out1, out4)
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        assert parallel_map(lambda x: x * 2, range(10), num_threads=3) == [
-            2 * i for i in range(10)
-        ]
-
-    def test_empty(self):
-        assert parallel_map(lambda x: x, [], num_threads=2) == []
-
-
-class TestThreadConfig:
-    def test_set_get(self):
-        old = get_max_threads()
-        try:
-            set_max_threads(3)
-            assert get_max_threads() == 3
-        finally:
-            set_max_threads(old)
-
-    def test_set_invalid(self):
-        with pytest.raises(ValueError):
-            set_max_threads(0)
-
-
-class TestThreadTeam:
-    def test_team_runs(self):
-        team = ThreadTeam(num_threads=2)
-        acc = []
-        lock = threading.Lock()
-
-        def body(i):
-            with lock:
-                acc.append(i)
-
-        team.parallel_for(body, 5)
-        assert sorted(acc) == list(range(5))
-
-    def test_team_map(self):
-        team = ThreadTeam(num_threads=2)
-        assert team.map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-
-    def test_invalid_team(self):
-        with pytest.raises(ValueError):
-            ThreadTeam(num_threads=0)
 
 
 class TestThreadLocalReduce:

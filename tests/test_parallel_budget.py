@@ -93,8 +93,32 @@ class TestApply:
         budget.apply()
         assert set(blas_threads().values()) == {1}
 
-    def test_default_team_comes_from_the_budget(self, monkeypatch):
-        monkeypatch.setattr(openmp, "_max_threads", None)
+    @pytest.mark.skipif(CORES < 2, reason="OpenBLAS caps threads at the cores")
+    def test_a_library_solve_runs_under_the_budget(self):
+        """A plain ``fsi`` call in a fresh interpreter with no BLAS
+        variable set runs its BLAS single-threaded: the solve applies
+        the process's budget before its first gemm."""
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from repro.core.fsi import fsi
+            from repro.core.pcyclic import random_pcyclic
+            from repro.parallel.budget import blas_threads
+
+            pc = random_pcyclic(8, 4, np.random.default_rng(0), scale=0.7)
+            fsi(pc, 4)
+            print(sorted(set(blas_threads().values())))
+            """
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[1]"
+
+    def test_default_team_comes_from_the_budget(self):
         assert openmp.get_max_threads() == process_budget().team
 
 
@@ -133,24 +157,28 @@ class TestWorkers:
 
 
 def test_threaded_teams_without_blas_variables_exit_cleanly():
-    """4-thread CLS/WRP teams around BSOFI, many times over, in a fresh
-    interpreter with no BLAS variable set.  This aborted (heap
-    corruption) while WRP solved through LAPACK ``getrs``, which is not
-    safe to call from several threads at once."""
+    """4 ranks of a ``threads`` transport fleet (one OS thread each)
+    solving COLUMNS jobs at once, many times over, in a fresh
+    interpreter with no BLAS variable set.  Concurrent solves aborted
+    (heap corruption) while WRP solved through LAPACK ``getrs``, which
+    is not safe to call from several threads at once."""
     script = textwrap.dedent(
         """
         import numpy as np
-        from repro.core.fsi import fsi
         from repro.core.patterns import Pattern
         from repro.hubbard import HubbardModel, RectangularLattice
         from repro.hubbard.hs_field import HSField
+        from repro.parallel import run_selected_fleet
 
         model = HubbardModel(RectangularLattice(3, 3), L=8, t=1.0, U=4.0,
                              beta=2.0)
-        field = HSField.random(8, model.N, np.random.default_rng(0))
-        pc = model.build_matrix(field, 1)
-        for _ in range(300):
-            fsi(pc, 4, Pattern.COLUMNS, num_threads=4)
+        rng = np.random.default_rng(0)
+        jobs = [(HSField.random(8, model.N, rng).h, 4, Pattern.COLUMNS,
+                 q % 4) for q in range(8)]
+        for _ in range(40):
+            outs = run_selected_fleet(model, jobs, n_ranks=4,
+                                      transport="threads")
+            assert len(outs) == len(jobs)
         print("ok")
         """
     )

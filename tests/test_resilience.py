@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -104,8 +105,9 @@ class TestGuards:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_estimate_condition_large_blocks_under_a_team(self, dtype):
-        """4 threads estimating a large block at once (as spectral
-        sweep teams do) must agree with the serial value."""
+        """4 threads estimating a large block at once (as the ranks of
+        a ``threads`` transport fleet can) must agree with the serial
+        value."""
         from repro.parallel.openmp import parallel_for
 
         rng = np.random.default_rng(7)
@@ -270,6 +272,22 @@ class TestFallbackLadder:
         assert res.seeds.shape == (b, b, pc.N, pc.N)
         assert res.selection.seeds == oracle.selection.seeds
         np.testing.assert_allclose(res.seeds, oracle.seeds, atol=1e-8)
+
+    def test_overflowing_cluster_products_serve_a_finer_rung(self):
+        """``B_i ~ 1e80``: the c = 8 and c = 4 cluster products overflow,
+        the ``cls`` screen trips, and rung ``c=2`` serves the solve.
+        The overflow is the screen's to report, so numpy warns
+        nothing."""
+        B = np.random.default_rng(0).standard_normal((8, 4, 4)) * 1e80
+        pc = BlockPCyclic(B)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = fsi_resilient(pc, 8, Pattern.DIAGONAL, q=0,
+                                guards=GuardConfig())
+        assert res.rung == "c=2"
+        direct = fsi(pc, 2, Pattern.DIAGONAL, q=0)
+        for kl in res.selected:
+            np.testing.assert_array_equal(res.selected[kl], direct.selected[kl])
 
     def test_udt_rung_is_last_resort(self):
         pc = toy_pcyclic()

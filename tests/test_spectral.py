@@ -501,7 +501,6 @@ class TestSpectralResilience:
         finally:
             telemetry.reset()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_reduced_chain_goes_to_the_ladder(self):
         """Cluster products of ``B_i ~ 1e80`` overflow at c = 8: the
         factor's ``cls`` screen sends every shift to the ladder, as a
@@ -515,7 +514,7 @@ class TestSpectralResilience:
         for j, z in enumerate(grid.z):
             pc_z, d = shifted_pcyclic(pc, z)
             ref = fsi_resilient(pc_z, 8, Pattern.DIAGONAL, q=0,
-                                num_threads=1, guards=GuardConfig())
+                                guards=GuardConfig())
             assert ref.rung == "c=2"
             assert swept.rungs[j] == ref.rung
             np.testing.assert_allclose(

@@ -500,7 +500,8 @@ class TestStage:
         assert tr.flops("cls") == cls_flops(pc.L, pc.N, 4)
 
     def test_sweep_shift_stages_reach_the_forking_tracer(self):
-        """Shift solves open their stages on team threads."""
+        """A sweep's shift stages reach the caller's tracer, and the
+        ignored ``num_threads`` changes no count."""
         from repro.spectral.grid import OmegaGrid
         from repro.spectral.resolvent import ResolventFactor
 

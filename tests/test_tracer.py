@@ -197,8 +197,8 @@ class TestThreadLocalStages:
         assert tr.flops("main") == 2.0
 
     def test_stage_in_a_team_thread_reaches_the_forking_tracer(self):
-        """A spectral sweep opens its per-shift stages on team threads;
-        they land in the tracer of the thread that forked the team."""
+        """Stages opened on team threads land in the tracer of the
+        thread that forked the team."""
         with FlopTracer() as tr:
             def shift(i):
                 with telemetry.stage("shift"):
