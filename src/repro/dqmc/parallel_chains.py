@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hubbard.matrix import HubbardModel
-from ..transport.threads import Communicator, SimMPI
+from ..transport import BaseCommunicator as Communicator
+from ..transport import SimMPI
 from .engine import DQMC, DQMCConfig
 from .stats import jackknife, jackknife_ratio
 

@@ -1,7 +1,7 @@
 """Hybrid parallel runtime: transport ranks + OpenMP-style threads.
 
-The rank runtime lives in :mod:`repro.transport` (threads, mp-shm, and
-sockets backends); this package holds the fleet drivers, the
+The rank runtime lives in :mod:`repro.transport` (threads and mp-shm
+backends); this package holds the fleet drivers, the
 OpenMP-style thread teams of the DQMC measurements and the
 block-tridiagonal solver, and the per-process parallelism budget
 (:mod:`repro.parallel.budget`).  Each Green's-function solve runs on

@@ -1,9 +1,9 @@
-"""Transport interface: communicators, stats, and the backend registry.
+"""Transport interface: communicators, stats, and the world contract.
 
 The paper's coarse-grained level distributes independent Hubbard
 matrices over MPI ranks (Alg. 3).  ``mpi4py`` is not available here, so
 :mod:`repro.transport` defines the abstract surface those algorithms
-program against and lets the runtime be swapped:
+program against, with two runtimes under it:
 
 ========== ============================ =====================================
 backend     ranks are                    payload path
@@ -11,28 +11,25 @@ backend     ranks are                    payload path
 ``threads`` threads in this process      in-memory mailbox (buffer copy)
 ``mp-shm``  forked OS processes          pipes; large buffers via POSIX
                                          ``multiprocessing.shared_memory``
-``sockets`` forked OS processes          localhost TCP, length-prefixed
-                                         pickle frames (host:port rank map)
 ========== ============================ =====================================
 
-Every backend exposes the same mpi4py-flavoured :class:`BaseCommunicator`
+Both backends expose the same mpi4py-flavoured :class:`BaseCommunicator`
 API — lowercase object methods (``send``/``recv``/``bcast``/``scatter``/
 ``gather``/``reduce``/``allreduce``) and uppercase buffer methods
-(``Send``/``Recv``/``Scatter``/``Reduce``) — and tallies every transfer
+(``Send``/``Recv``/``Scatter``/``Reduce``) — and tally every transfer
 into :class:`CommStats`.  Collectives are implemented *once*, here, on
 top of two backend primitives (:meth:`BaseCommunicator._send_raw` and
 :meth:`BaseCommunicator._recv_raw`), so message tallies are identical
 across backends and reflect an actual fan-in/fan-out.
 
-Backends are looked up by name through :func:`get_transport`; the
-``REPRO_TRANSPORT`` environment variable selects the default for
-:func:`create_world` (used by the fleet drivers and the service).
+:func:`repro.transport.create_world` picks the backend by name, or from
+the ``REPRO_TRANSPORT`` environment variable.
 """
 
 from __future__ import annotations
 
-import os
 import threading
+import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass, field
@@ -48,21 +45,15 @@ __all__ = [
     "RankError",
     "TransportTimeoutError",
     "CommStats",
-    "Request",
     "BaseCommunicator",
     "Transport",
-    "register_backend",
-    "available_backends",
-    "get_transport",
-    "default_backend",
-    "create_world",
     "TRANSPORT_ENV",
 ]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: Environment variable naming the default backend for :func:`create_world`.
+#: Environment variable naming the default backend of ``create_world``.
 TRANSPORT_ENV = "REPRO_TRANSPORT"
 
 # Collective tags descend from this base, one generation per collective
@@ -72,7 +63,7 @@ _TAG_COLL_BASE = -1000
 
 
 class TransportTimeoutError(TimeoutError):
-    """A typed timeout from ``recv``/``Request.wait``/world teardown.
+    """A typed timeout from ``recv`` or ``Transport.run``.
 
     Subclasses :class:`TimeoutError` so callers that caught the old
     untyped error keep working.
@@ -231,8 +222,8 @@ class _Mailbox:
     immediately.  The world aborts all mailboxes when a rank dies, so
     peers blocked on a message that will never arrive fail fast instead
     of hanging until the join timeout (real MPI likewise tears the job
-    down when one rank aborts).  Process backends feed one mailbox per
-    rank from their channel reader threads.
+    down when one rank aborts).  The ``mp-shm`` backend feeds each
+    rank's mailbox from its channel reader threads.
     """
 
     def __init__(self) -> None:
@@ -257,59 +248,24 @@ class _Mailbox:
                     return idx
             return None
 
+        # One deadline for the whole receive: a non-matching message
+        # wakes the wait but must not restart the timeout.
+        deadline = None if timeout is None else time.monotonic() + timeout
         with self._cv:
             idx = match()
             while idx is None:
                 if self._abort_reason is not None:
                     raise _Aborted(self._abort_reason)
-                if not self._cv.wait(timeout=timeout):
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
                     raise TransportTimeoutError(
                         f"recv(source={source}, tag={tag}) timed out"
                     )
+                self._cv.wait(timeout=remaining)
                 idx = match()
             item = self._items[idx]
             del self._items[idx]
             return item
-
-
-class Request:
-    """Handle for a non-blocking operation (mpi4py ``Request`` analogue).
-
-    ``isend`` completes immediately in this runtime (buffered send);
-    ``irecv`` completes when a matching message is drained.  ``test``
-    never blocks; ``wait`` blocks until completion and returns the
-    received object (``None`` for sends, matching mpi4py).  ``wait``
-    with a finite timeout raises :class:`TransportTimeoutError` if the
-    operation has not completed in time.
-    """
-
-    def __init__(self, poll: Callable[[float | None], tuple[bool, Any]]) -> None:
-        self._poll = poll
-        self._done = False
-        self._value: Any = None
-
-    def test(self) -> tuple[bool, Any]:
-        """Non-blocking completion check: ``(done, value-or-None)``."""
-        if not self._done:
-            done, value = self._poll(0.0)
-            if done:
-                self._done, self._value = True, value
-        return self._done, self._value
-
-    def wait(self, timeout: float | None = None) -> Any:
-        """Block until complete; return the received object.
-
-        Raises :class:`TransportTimeoutError` when ``timeout`` elapses
-        before the operation completes.
-        """
-        if not self._done:
-            done, value = self._poll(timeout)
-            if not done:
-                raise TransportTimeoutError(
-                    f"request did not complete within {timeout}s"
-                )
-            self._done, self._value = True, value
-        return self._value
 
 
 class BaseCommunicator:
@@ -388,27 +344,6 @@ class BaseCommunicator:
              timeout: float | None = None) -> Any:
         _, _, payload = self._recv_raw(source, tag, timeout)
         return payload
-
-    def isend(self, obj: Any, dest: int, tag: int = 0) -> Request:
-        """Non-blocking send: buffered, completes immediately."""
-        self.send(obj, dest, tag)
-
-        def poll(_timeout: float | None) -> tuple[bool, Any]:
-            return True, None
-
-        return Request(poll)
-
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive; complete via ``Request.test``/``wait``."""
-
-        def poll(timeout: float | None) -> tuple[bool, Any]:
-            try:
-                _, _, payload = self._recv_raw(source, tag, timeout)
-            except TransportTimeoutError:
-                return False, None
-            return True, payload
-
-        return Request(poll)
 
     def Send(self, buf: np.ndarray, dest: int, tag: int = 0) -> None:
         """Buffer send (contiguous NumPy array)."""
@@ -508,6 +443,7 @@ class BaseCommunicator:
 
     def Scatter(self, sendbuf: np.ndarray | None, recvbuf: np.ndarray, root: int = 0) -> None:
         """Buffer scatter: root's ``(size, ...)`` array, one row per rank."""
+        self._check_rank(root)
         tag = self._coll_tag()
         if self._rank == root:
             if sendbuf is None or sendbuf.shape[0] != self.size:
@@ -562,7 +498,7 @@ class Transport(ABC):
         results = create_world(4, backend="mp-shm").run(main)
     """
 
-    #: Registry name of the backend (``threads`` / ``mp-shm`` / ``sockets``).
+    #: Backend name (``threads`` / ``mp-shm``).
     name: ClassVar[str] = "abstract"
 
     def __init__(self, size: int) -> None:
@@ -585,65 +521,3 @@ class Transport(ABC):
         ranks attached; raises :class:`TransportTimeoutError` if ranks
         do not finish within ``timeout``.
         """
-
-
-# -- backend registry ------------------------------------------------------
-
-_BACKENDS: dict[str, type[Transport]] = {}
-
-_ALIASES = {
-    "thread": "threads",
-    "simmpi": "threads",
-    "mpshm": "mp-shm",
-    "shm": "mp-shm",
-    "socket": "sockets",
-    "tcp": "sockets",
-}
-
-_BACKEND_MODULES = {
-    "threads": "repro.transport.threads",
-    "mp-shm": "repro.transport.mpshm",
-    "sockets": "repro.transport.sockets",
-}
-
-
-def register_backend(name: str, cls: type[Transport]) -> None:
-    _BACKENDS[name] = cls
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(_BACKEND_MODULES)
-
-
-def _normalize(name: str) -> str:
-    key = name.strip().lower()
-    return _ALIASES.get(key, key)
-
-
-def get_transport(name: str) -> type[Transport]:
-    """Resolve a backend name (or alias) to its :class:`Transport` class."""
-    key = _normalize(name)
-    cls = _BACKENDS.get(key)
-    if cls is None:
-        module = _BACKEND_MODULES.get(key)
-        if module is None:
-            raise ValueError(
-                f"unknown transport backend {name!r};"
-                f" available: {', '.join(available_backends())}"
-            )
-        import importlib
-
-        importlib.import_module(module)
-        cls = _BACKENDS[key]
-    return cls
-
-
-def default_backend() -> str:
-    """The backend :func:`create_world` uses when none is named
-    (``REPRO_TRANSPORT`` environment variable, else ``threads``)."""
-    return _normalize(os.environ.get(TRANSPORT_ENV) or "threads")
-
-
-def create_world(size: int, backend: str | None = None, **kwargs: Any) -> Transport:
-    """Instantiate a world of ``size`` ranks on the named backend."""
-    return get_transport(backend or default_backend())(size, **kwargs)

@@ -6,15 +6,17 @@ Message payloads live in shared memory trivially (one address space):
 object sends decouple NumPy arrays by copy, everything else is passed
 by reference (ranks must not mutate received objects they also keep).
 
-This backend is the conformance baseline: collectives, tallies, and
-failure semantics are inherited from :class:`~repro.transport.base.
-BaseCommunicator`/:class:`~repro.transport.base.Transport`, so the
-process backends can be checked against it operation for operation.
+This backend is the default and the conformance baseline: collectives,
+tallies, and failure semantics are inherited from
+:class:`~repro.transport.base.BaseCommunicator`/
+:class:`~repro.transport.base.Transport`, so the ``mp-shm`` backend can
+be checked against it operation for operation.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Callable
 
 import numpy as np
@@ -23,13 +25,11 @@ from ..telemetry import runtime as _telemetry
 from ..telemetry.context import current_context, use_context
 from .base import (
     BaseCommunicator,
-    CommStats,
     RankError,
     Transport,
     TransportTimeoutError,
     _Aborted,
     _Mailbox,
-    register_backend,
 )
 
 __all__ = ["SimMPI", "ThreadsCommunicator"]
@@ -67,10 +67,6 @@ class SimMPI(Transport):
         super().__init__(size)
         self._mailboxes = [_Mailbox() for _ in range(size)]
 
-    def _check_rank(self, r: int) -> None:
-        if not 0 <= r < self.size:
-            raise ValueError(f"rank {r} out of range for world size {self.size}")
-
     def run(
         self,
         main: Callable[..., Any],
@@ -80,7 +76,10 @@ class SimMPI(Transport):
         """Run ``main(comm, *args)`` on every rank; return per-rank results.
 
         Raises :class:`RankError` (for the lowest failing rank) if any
-        rank raises; surviving ranks are joined first.
+        rank raises; surviving ranks are joined first.  On timeout every
+        mailbox is aborted before :class:`TransportTimeoutError` is
+        raised, so ranks blocked in a receive exit instead of keeping
+        the process alive.
         """
         results: list[Any] = [None] * self.size
         errors: list[BaseException | None] = [None] * self.size
@@ -114,9 +113,12 @@ class SimMPI(Transport):
         ]
         for t in threads:
             t.start()
+        deadline = None if timeout is None else time.monotonic() + timeout
         for t in threads:
-            t.join(timeout=timeout)
+            t.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
             if t.is_alive():
+                for box in self._mailboxes:
+                    box.abort(f"{t.name} timed out")
                 raise TransportTimeoutError(
                     f"{t.name} did not finish within {timeout}s (deadlock?)"
                 )
@@ -138,10 +140,3 @@ class SimMPI(Transport):
             rank, exc = secondary[0]
             raise RankError(rank, exc, stats=self.stats) from exc
         return results
-
-
-# Back-compat alias: the historical module exposed the communicator
-# class simply as ``Communicator``.
-Communicator = ThreadsCommunicator
-
-register_backend(SimMPI.name, SimMPI)

@@ -164,31 +164,32 @@ class TestJobStreamFailureHandling:
 
 
 # ----------------------------------------------------------------------
-# transport teardown handlers (RPR008: transport/process.py, mpshm.py)
+# transport teardown handlers (RPR008: transport/mpshm.py)
 # ----------------------------------------------------------------------
 
-class _ExplodingChannels:
-    """ChannelSet whose sends fail with a configurable exception."""
+class _ExplodingPipe:
+    """Pipe end whose sends and close fail with a configurable exception."""
 
     def __init__(self, exc: BaseException):
-        from repro.transport.process import ChannelSet
+        self.exc = exc
 
-        class _Set(ChannelSet):
-            def _send_obj(self, peer, frame):
-                raise exc
+    def send(self, frame):
+        raise self.exc
 
-            def _close_peer(self, peer):
-                raise exc
+    def close(self):
+        raise self.exc
 
-            def _decode_buffer(self, descriptor):
-                raise NotImplementedError
 
-        self.channels = _Set(rank=0, size=2)
+def _exploding_channels(exc: BaseException):
+    """ChannelSet whose one peer pipe fails with ``exc``."""
+    from repro.transport.mpshm import ChannelSet
+
+    return ChannelSet(rank=0, peers={1: _ExplodingPipe(exc)})
 
 
 class TestTransportTeardown:
     def test_peer_gone_is_swallowed(self):
-        ch = _ExplodingChannels(BrokenPipeError("peer died")).channels
+        ch = _exploding_channels(BrokenPipeError("peer died"))
         ch.say_bye()
         ch.broadcast_abort("going down")
         ch.close()
@@ -196,7 +197,7 @@ class TestTransportTeardown:
     def test_unexpected_error_propagates(self):
         """Pre-fix: `except Exception: pass` hid programming errors in
         the frame encoder behind 'peer may already be gone'."""
-        ch = _ExplodingChannels(KeyError("bug in frame encoding")).channels
+        ch = _exploding_channels(KeyError("bug in frame encoding"))
         with pytest.raises(KeyError):
             ch.say_bye()
         with pytest.raises(KeyError):
@@ -207,7 +208,7 @@ class TestTransportTeardown:
     def test_tracker_unregister_tolerates_api_failures(self, monkeypatch):
         from multiprocessing import resource_tracker
 
-        from repro.transport.process import untrack_segment
+        from repro.transport.mpshm import untrack_segment
 
         def refuse(name, rtype):
             raise ValueError(f"unknown segment {name}")

@@ -285,56 +285,3 @@ class TestStats:
 
         world.run(main)
         assert world.stats.bytes["Send"] == 800
-
-
-class TestNonBlocking:
-    def test_isend_completes_immediately(self):
-        def main(comm):
-            if comm.rank == 0:
-                req = comm.isend("x", dest=1)
-                done, val = req.test()
-                assert done and val is None
-                return req.wait()
-            return comm.recv(source=0)
-
-        out = SimMPI(2).run(main)
-        assert out == [None, "x"]
-
-    def test_irecv_out_of_order_tags(self):
-        def main(comm):
-            if comm.rank == 0:
-                for i in range(3):
-                    comm.isend(i * 10, dest=1, tag=i)
-                return None
-            r2 = comm.irecv(source=0, tag=2)
-            r0 = comm.irecv(source=0, tag=0)
-            return (r2.wait(timeout=5), r0.wait(timeout=5),
-                    comm.recv(source=0, tag=1))
-
-        assert SimMPI(2).run(main)[1] == (20, 0, 10)
-
-    def test_irecv_test_before_message(self):
-        def main(comm):
-            if comm.rank == 1:
-                req = comm.irecv(source=0, tag=7)
-                done, _ = req.test()  # nothing sent yet (probably)
-                comm.send("go", dest=0, tag=1)
-                val = req.wait(timeout=5)
-                return val
-            comm.recv(source=1, tag=1)  # wait until peer has posted irecv
-            comm.send(99, dest=1, tag=7)
-            return None
-
-        assert SimMPI(2).run(main)[1] == 99
-
-    def test_wait_idempotent(self):
-        def main(comm):
-            if comm.rank == 0:
-                comm.send(5, dest=1)
-                return None
-            req = comm.irecv(source=0)
-            a = req.wait(timeout=5)
-            b = req.wait()  # cached, returns the same value
-            return (a, b)
-
-        assert SimMPI(2).run(main)[1] == (5, 5)
