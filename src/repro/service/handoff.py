@@ -1,10 +1,11 @@
 """Result handoff across the worker-pool boundary through shared memory.
 
-A COLUMNS result at paper scale is 41 MB.  Pickled through the pool's
-result pipe it is serialised in the worker, written and read through
-the pipe, and rebuilt in the service process.  Instead, the pool lends
-each job a POSIX shared-memory segment sized for its result, and the
-worker hands the result's block buffer (:attr:`JobResult.blocks.data
+A COLUMNS result at paper scale is 41 MB, a FULL_DIAGONAL one 5.12 MB.
+Pickled through the pool's result pipe a result is serialised in the
+worker, written and read through the pipe, and rebuilt in the service
+process.  Instead, the pool lends each job a POSIX shared-memory
+segment sized for its result, and the worker hands the result's block
+buffer (:attr:`JobResult.blocks.data
 <repro.core.patterns.BlockArray.data>`) back in it: :func:`export`
 returns a :class:`Parcel`, the result with an empty buffer and how it
 got there.  The service process maps the segment and rebuilds the
@@ -17,13 +18,14 @@ The service process owns every segment: its pool's
 only maps the one it was lent.
 
 * :meth:`ResultSegments.lease` takes the smallest idle segment that
-  holds the job's :attr:`~repro.service.job.GreensJob.result_nbytes`,
-  or creates one, registered with the service process's resource
-  tracker.  Results under :data:`MIN_SEGMENT_BYTES`, and every result
-  where ``/dev/shm`` does not exist, get no lease and travel pickled.
+  holds the job's :attr:`~repro.service.job.GreensJob.result_nbytes`
+  and is at most twice that size, or creates one, registered with the
+  service process's resource tracker.  Every result gets a lease, at
+  any size; only where ``/dev/shm`` does not exist do results travel
+  pickled.
 * The worker installs an :class:`Arena` over the lease as its thread's
   :func:`~repro.core.patterns.result_buffers` provider, so the job's
-  first large result allocation (:meth:`~repro.core.patterns.
+  first result allocation (:meth:`~repro.core.patterns.
   SelectedInversion.empty`) is a view of the segment: the solve writes
   the result where the service process will read it, and
   :func:`export` copies nothing (``in_place``).  Any other buffer is
@@ -35,6 +37,11 @@ only maps the one it was lent.
 * The lease of a job whose worker crashed or timed out is lent again
   only once that worker is joined (:meth:`ResultSegments.strand`), so
   no dead job can still write into a segment another job holds.
+
+Pickled, a served FULL_DIAGONAL solve took 1.37-1.79x its inline time
+on a 2-core host; solved into a lease, 0.97-1.18x (bench_handoff).  The
+end-to-end pairs of every workload are in docs/service.md ("No size
+floor").
 
 Only the pool calls :func:`export` and receives parcels: pickling a
 :class:`~repro.service.job.JobResult` anywhere else copies its buffer
@@ -62,7 +69,7 @@ import numpy as np
 from ..core.patterns import BlockArray
 
 __all__ = [
-    "Arena", "Lease", "MIN_SEGMENT_BYTES", "POOLED_ROOT", "Parcel",
+    "Arena", "Lease", "POOLED_ROOT", "Parcel",
     "ResultSegments", "WAYS", "export",
 ]
 
@@ -70,12 +77,9 @@ __all__ = [
 POOLED_ROOT = "repro-pooled-"
 #: Where POSIX shared memory segments appear as files (Linux).
 SHM_DIR = "/dev/shm"
-#: Results smaller than this travel pickled: the serving benchmark's
-#: workloads with 0.64-5.1 MB results (DIAGONAL, spectral chunks,
-#: FULL_DIAGONAL) served 2-11% more requests per second when their
-#: results were pickled than through a new segment each
-#: (docs/service.md).
-MIN_SEGMENT_BYTES = 8 << 20
+#: An idle segment is lent only to a result at least ``1 / _MAX_SLACK``
+#: of its size: a small result never pins a large segment's pages.
+_MAX_SLACK = 2
 #: Pre-fault a pooled segment's pages when the worker maps it: one
 #: populate pass instead of a page fault per 4 KiB during the solve.
 _MAP_POPULATE = getattr(mmap, "MAP_POPULATE", 0)
@@ -157,13 +161,13 @@ def _copy_in(lease: Lease, buf: np.ndarray) -> bool:
 
 class Arena:
     """Worker side: the leased segment as the buffer of the job's first
-    large result, so the solve writes it where the service process will
-    read it.
+    result, so the solve writes it where the service process will read
+    it.
 
     A :func:`repro.core.patterns.result_buffers` provider.  The first
-    allocation it is offered takes the segment when it is at least
-    :data:`MIN_SEGMENT_BYTES` and fits the lease: it gets a view at
-    offset 0 of a ``MAP_SHARED | MAP_POPULATE`` mapping made only then.
+    allocation it is offered takes the segment when it fits the lease:
+    it gets a view at offset 0 of a ``MAP_SHARED | MAP_POPULATE``
+    mapping made only then.
     Every other allocation, and every one in a forked child, is left to
     the caller.  :func:`export` then copies nothing for that buffer.
     """
@@ -181,7 +185,7 @@ class Arena:
             return None
         self._offered = True
         nbytes = math.prod(shape) * dtype.itemsize
-        if not max(MIN_SEGMENT_BYTES, 1) <= nbytes <= self.lease.size:
+        if not 0 < nbytes <= self.lease.size:
             return None
         mapping = _map_lease(self.lease, nbytes)
         if mapping is None:
@@ -249,11 +253,12 @@ class ResultSegments:
 
     A segment is in one of three states: *idle*, *out* (leased to a job
     that has not come back), or *held* (mapped by the array of a result
-    the service handed out).  :meth:`lease` moves the smallest idle
-    segment that fits out, or creates one; :meth:`receive` moves it to
-    held; a ``weakref.finalize`` on the mapping moves it back to idle
-    when the last array over it is freed.  At most ``bound`` segments
-    stay idle: beyond that the smallest is unlinked.
+    the service handed out).  :meth:`lease` moves out the smallest idle
+    segment that fits the result and is at most ``_MAX_SLACK`` times its
+    size, or creates one; :meth:`receive` moves it to held; a
+    ``weakref.finalize`` on the mapping moves it back to idle when the
+    last array over it is freed.  At most ``bound`` segments stay idle:
+    beyond that the smallest is unlinked.
 
     Every segment is registered with this process's ``multiprocessing``
     resource tracker when it is created, so the tracker unlinks it if
@@ -272,20 +277,24 @@ class ResultSegments:
         self._owned: set[str] = set()
         self._idle: list[Lease] = []
         self._out: set[str] = set()
+        self._held: set[Lease] = set()
         self._stranded: list[tuple[int, Lease]] = []
         self._reaped = 0
         self._closed = False
 
     def lease(self, nbytes: int) -> Lease | None:
-        """Take the smallest idle segment of at least ``nbytes`` out, or
-        create one; ``None`` for a result under :data:`MIN_SEGMENT_BYTES`,
-        without ``/dev/shm``, or after :meth:`close`."""
-        if nbytes < max(MIN_SEGMENT_BYTES, 1) or not os.path.isdir(SHM_DIR):
+        """Take out the smallest idle segment of ``nbytes`` to
+        ``_MAX_SLACK * nbytes``, or create one; ``None`` for an empty
+        result, without ``/dev/shm``, or after :meth:`close`."""
+        if nbytes < 1 or not os.path.isdir(SHM_DIR):
             return None
         with self._lock:
             if self._closed:
                 return None
-            fits = [idle for idle in self._idle if idle.size >= nbytes]
+            fits = [
+                idle for idle in self._idle
+                if nbytes <= idle.size <= _MAX_SLACK * nbytes
+            ]
             if fits:
                 lease = min(fits, key=lambda idle: idle.size)
                 self._idle.remove(lease)
@@ -308,6 +317,7 @@ class ResultSegments:
             return
         with self._lock:
             self._out.discard(lease.name)
+            self._held.discard(lease)
             if lease.name not in self._owned:
                 return  # unlinked by close()
             drop = lease
@@ -357,7 +367,9 @@ class ResultSegments:
         with self._lock:
             self._out.discard(lease.name)
             keep = not self._closed
-            if not keep:
+            if keep:
+                self._held.add(lease)
+            else:
                 self._owned.discard(lease.name)
         if keep:
             weakref.finalize(mapping, self.release, lease).atexit = False
@@ -372,6 +384,11 @@ class ResultSegments:
         with self._lock:
             return sum(lease.size for lease in self._idle)
 
+    def held_bytes(self) -> int:
+        """Bytes of the segments that results handed out still map."""
+        with self._lock:
+            return sum(lease.size for lease in self._held)
+
     def close(self) -> None:
         """Unlink every owned segment not leased to a running job; those
         are unlinked when they come back."""
@@ -380,6 +397,7 @@ class ResultSegments:
             names = [name for name in self._owned if name not in self._out]
             self._owned.difference_update(names)
             self._idle.clear()
+            self._held.clear()
             self._stranded.clear()
         for name in names:
             _unlink_tracked(name)

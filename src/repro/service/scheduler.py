@@ -332,6 +332,12 @@ class GreensService:
             callback=live(lambda svc: svc._pool.segments.idle_bytes()),
         )
         r.gauge(
+            "repro_result_segments_held_bytes",
+            "Bytes of pooled result segments mapped by results handed out"
+            " (cached or with a caller)",
+            callback=live(lambda svc: svc._pool.segments.held_bytes()),
+        )
+        r.gauge(
             "repro_delta_states",
             "Warm per-base Woodbury factorisations held for delta serving",
             callback=live(lambda svc: len(svc._delta_states)),
@@ -911,6 +917,7 @@ class GreensService:
             }
         )
         data["delta"]["states"] = len(self._delta_states)
+        data["handoff"]["held_bytes"] = self._pool.segments.held_bytes()
         data["parallel"] = self.budget.as_dict()
         return data
 

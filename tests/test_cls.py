@@ -66,8 +66,8 @@ class TestCLS:
                     atol=1e-9,
                 )
 
-    def test_threaded_equals_serial(self, small_pc):
-        a = cls(small_pc, 3, 1, num_threads=1)
+    def test_num_threads_is_accepted_and_changes_nothing(self, small_pc):
+        a = cls(small_pc, 3, 1)
         b = cls(small_pc, 3, 1, num_threads=4)
         np.testing.assert_array_equal(a.B, b.B)
 
@@ -100,7 +100,8 @@ class TestFlops:
             cls(small_pc, 3, 0, num_threads=1)
         assert tr.total_flops == cls_flops(small_pc.L, small_pc.N, 3)
 
-    def test_measured_matches_formula_threaded(self, small_pc):
+    def test_num_threads_changes_neither_flops_nor_output(self, small_pc):
         with FlopTracer() as tr:
-            cls(small_pc, 2, 1, num_threads=3)
+            b = cls(small_pc, 2, 1, num_threads=3)
         assert tr.total_flops == cls_flops(small_pc.L, small_pc.N, 2)
+        np.testing.assert_array_equal(b.B, cls(small_pc, 2, 1).B)

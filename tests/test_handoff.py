@@ -3,17 +3,17 @@
 * :func:`repro.service.handoff.export` moves a result's block buffer
   into the segment the pool leased for it, and
   :meth:`~repro.service.handoff.ResultSegments.receive` rebuilds it
-  there; a result under the floor, or larger than its lease, travels
-  pickled;
+  there, at any size; a result larger than its lease, or any result
+  on a host without ``/dev/shm``, travels pickled;
 * only the service process creates segments: a pool reuses the segment
   a dropped result released, never lends one a live result still
   views or a stranded lease whose worker may still be alive, creates
-  one for a job larger than every idle segment, and leaves none behind
-  after shutdown, a crash, a timeout, or a SIGKILL of the service
-  process;
-* a worker solves a large result straight into its lease and copies
-  nothing, falls back to a copy when it cannot, and never maps a lease
-  for small results;
+  one for a job larger than every idle segment or under half of it,
+  and leaves none behind after shutdown, a crash, a timeout, or a
+  SIGKILL of the service process;
+* a worker solves every result, small and spectral ones too, straight
+  into its lease and copies nothing, and falls back to a copy when it
+  cannot;
 * the scheduler's store-side screen still names a single poisoned
   block of a flat result.
 """
@@ -71,13 +71,6 @@ def _segments(prefix: str) -> list[str]:
 
 
 @pytest.fixture
-def no_floor(monkeypatch):
-    """Send even these tiny test results through a segment (forked pool
-    workers inherit the patched floor)."""
-    monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 0)
-
-
-@pytest.fixture
 def segments():
     """Result segments owned by this process, as a pool's are; every
     one is unlinked after the test, leased or not."""
@@ -98,7 +91,7 @@ def _result(fp: str, blocks: dict) -> JobResult:
 
 
 class TestExportReceive:
-    def test_round_trip_through_the_lease(self, no_floor, segments):
+    def test_round_trip_through_the_lease(self, segments):
         rng = np.random.default_rng(0)
         real = _result("a", {(1, 1): rng.standard_normal((3, 3)),
                              (2, 2): rng.standard_normal((3, 3))})
@@ -119,8 +112,7 @@ class TestExportReceive:
         back.blocks[(2, 2)] = np.zeros((5, 2, 2))
         assert not back.blocks.data.any()
 
-    def test_round_trip_maps_one_segment_and_unlinks_it(self, no_floor,
-                                                        segments):
+    def test_round_trip_maps_one_segment_and_unlinks_it(self, segments):
         # A job that comes back after its pool closed: its segment is
         # unlinked at once, and the result still reads its mapping.
         sent = _result("c", {(1, 1): np.full((4, 4), 7.0)})
@@ -131,29 +123,41 @@ class TestExportReceive:
         assert _segments(segments.prefix) == []
         np.testing.assert_array_equal(back.blocks.data, 7.0)
 
-    def test_small_batches_travel_in_band(self, segments):
+    def test_small_batches_travel_in_band(self, segments, monkeypatch):
+        # Only a host without /dev/shm sends a result through the pipe.
+        monkeypatch.setattr(handoff, "SHM_DIR", "/nonexistent-shm")
         small = _result("d", {(1, 1): np.eye(2)})
-        assert segments.lease(small.nbytes) is None  # under the floor
+        assert segments.lease(small.nbytes) is None
         parcel = handoff.export(small, None)
         assert parcel.way == "pickled"
         assert segments.receive(parcel, None) is small
+
+    def test_small_batches_take_a_segment(self, segments):
+        small = _result("d", {(1, 1): np.eye(2)})
+        lease = segments.lease(small.nbytes)
+        assert lease.size == small.nbytes == 32
+        parcel = handoff.export(small, lease)
+        assert parcel.way == "copied"
+        back = segments.receive(parcel, lease)
+        assert isinstance(back.blocks.data.base, mmap.mmap)
+        np.testing.assert_array_equal(back.blocks.data[0], np.eye(2))
+        del back
         # An item without blocks travels as it is, lease or not.
-        lease = segments.lease(handoff.MIN_SEGMENT_BYTES)
+        lease = segments.lease(small.nbytes)
         parcel = handoff.export({"x": 1}, lease)
         assert parcel.way == "pickled"
         assert segments.receive(parcel, lease) == {"x": 1}
         assert segments.idle_bytes() == lease.size  # the unused lease
 
     def test_large_batches_take_a_segment(self, segments):
-        big = _result("e", {(1, 1): np.ones(handoff.MIN_SEGMENT_BYTES // 8)})
+        big = _result("e", {(1, 1): np.ones(8 << 17)})  # 8 MiB
         lease = segments.lease(big.nbytes)
         assert lease.size == big.nbytes
         back = segments.receive(handoff.export(big, lease), lease)
         assert isinstance(back.blocks.data.base, mmap.mmap)
-        assert back.blocks.data.sum() == handoff.MIN_SEGMENT_BYTES // 8
+        assert back.blocks.data.sum() == 8 << 17
 
-    def test_result_larger_than_its_lease_travels_pickled(self, no_floor,
-                                                          segments):
+    def test_result_larger_than_its_lease_travels_pickled(self, segments):
         result = _result("f", {(1, 1): np.ones((8, 8))})
         lease = segments.lease(result.nbytes // 2)
         parcel = handoff.export(result, lease)
@@ -199,7 +203,7 @@ def _owned(pool) -> list[str]:
 
 
 class TestNoSegmentLeftBehind:
-    def test_killed_worker_leaves_no_pool_segment(self, no_floor):
+    def test_killed_worker_leaves_no_pool_segment(self):
         pool = WorkerPool(workers=1, max_retries=0, retry_backoff=0.0,
                           task_fn=_filled)
         try:
@@ -212,7 +216,7 @@ class TestNoSegmentLeftBehind:
             pool.shutdown()
         assert _owned(pool) == []
 
-    def test_timed_out_task_leaves_no_pool_segment(self, no_floor):
+    def test_timed_out_task_leaves_no_pool_segment(self):
         pool = WorkerPool(workers=1, job_timeout=0.5, task_fn=_filled)
         try:
             with pytest.raises(JobTimeoutError):
@@ -226,7 +230,7 @@ class TestNoSegmentLeftBehind:
             pool.shutdown()
         assert _owned(pool) == []
 
-    def test_shutdown_during_a_job_leaves_no_pool_segment(self, no_floor):
+    def test_shutdown_during_a_job_leaves_no_pool_segment(self):
         pool = WorkerPool(workers=1, task_fn=_filled)
         errors: list[Exception] = []
 
@@ -257,7 +261,7 @@ class TestNoSegmentLeftBehind:
         assert _owned(pool) == []
 
     def test_shutdown_before_submit_is_service_closed(
-        self, no_floor, monkeypatch
+        self, monkeypatch
     ):
         """A shutdown between ``_current()`` and ``submit`` is typed."""
         pool = WorkerPool(workers=1, task_fn=_filled)
@@ -273,7 +277,7 @@ class TestNoSegmentLeftBehind:
             pool.run(Fill(1.0, 8))
         assert _owned(pool) == []
 
-    def test_shutdown_after_the_lease_releases_it(self, no_floor, monkeypatch):
+    def test_shutdown_after_the_lease_releases_it(self, monkeypatch):
         pool = WorkerPool(workers=1, task_fn=_filled)
         lease = pool.segments.lease
         leased = []
@@ -316,7 +320,7 @@ class TestNoSegmentLeftBehind:
         finally:
             svc.shutdown()
 
-    def test_service_leaves_no_segments(self, no_floor):
+    def test_service_leaves_no_segments(self):
         field = HSField.random(SPEC.L, SPEC.N, np.random.default_rng(3))
         job = GreensJob.from_field(SPEC, field, c=4, pattern=Pattern.COLUMNS, q=1)
         with GreensService(ServiceConfig(workers=1)) as svc:
@@ -328,7 +332,7 @@ class TestNoSegmentLeftBehind:
 
 
 class TestPooledSegments:
-    def test_dropped_result_segment_is_reused(self, no_floor):
+    def test_dropped_result_segment_is_reused(self):
         pool = WorkerPool(workers=1, task_fn=_filled)
         try:
             first = pool.run(Fill(1.0, 8))
@@ -348,7 +352,7 @@ class TestPooledSegments:
         finally:
             pool.shutdown()
 
-    def test_live_result_segment_is_never_lent(self, no_floor):
+    def test_live_result_segment_is_never_lent(self):
         pool = WorkerPool(workers=2, task_fn=_filled)
         try:
             held = pool.run(Fill(1.0, 8))
@@ -369,7 +373,7 @@ class TestPooledSegments:
         finally:
             pool.shutdown()
 
-    def test_cached_entry_segment_is_never_lent(self, no_floor):
+    def test_cached_entry_segment_is_never_lent(self):
         fields = [HSField.random(SPEC.L, SPEC.N, np.random.default_rng(s))
                   for s in range(4)]
         jobs = [GreensJob.from_field(SPEC, f, c=4, pattern=Pattern.COLUMNS, q=1)
@@ -382,7 +386,7 @@ class TestPooledSegments:
             assert isinstance(cached.blocks.data.base, mmap.mmap)
             np.testing.assert_array_equal(cached.blocks.data, expect)
 
-    def test_too_small_idle_segment_falls_back_and_is_kept(self, no_floor):
+    def test_too_small_idle_segment_falls_back_and_is_kept(self):
         pool = WorkerPool(workers=2, task_fn=_filled)
         try:
             pool.run(Fill(1.0, 2))  # dropped at once: small one idle
@@ -397,7 +401,7 @@ class TestPooledSegments:
         finally:
             pool.shutdown()
 
-    def test_idle_bound_unlinks_the_smallest(self, no_floor):
+    def test_idle_bound_unlinks_the_smallest(self):
         pool = WorkerPool(workers=1, task_fn=_filled)
         try:
             pool.run(Fill(1.0, 2))
@@ -411,7 +415,7 @@ class TestPooledSegments:
             pool.shutdown()
 
     def test_stranded_lease_is_not_lent_before_its_generation_is_reaped(
-        self, no_floor, segments
+        self, segments
     ):
         stranded = segments.lease(4096)
         segments.strand(stranded, generation=0)
@@ -424,7 +428,7 @@ class TestPooledSegments:
         segments.reaped(1)
         assert segments.lease(4096) == stranded
 
-    def test_concurrent_jobs_never_share_a_segment(self, no_floor):
+    def test_concurrent_jobs_never_share_a_segment(self):
         # More workers than cores and a short switch interval: a segment
         # lent to two jobs at once would show one job's value in the
         # other's result.
@@ -460,7 +464,7 @@ class TestPooledSegments:
                 assert res.blocks.data.flat[0] // 10 == i
         assert _owned(pool) == []
 
-    def test_release_in_gc_on_another_thread_does_not_deadlock(self, no_floor):
+    def test_release_in_gc_on_another_thread_does_not_deadlock(self):
         pool = WorkerPool(workers=1, task_fn=_filled)
         gc.disable()
         try:
@@ -494,7 +498,7 @@ class TestPooledSegments:
             gc.enable()
             pool.shutdown()
 
-    def test_crash_and_recycle_keep_idle_segments(self, no_floor):
+    def test_crash_and_recycle_keep_idle_segments(self):
         pool = WorkerPool(workers=1, max_retries=0, retry_backoff=0.0,
                           task_fn=_filled)
         try:
@@ -513,7 +517,7 @@ class TestPooledSegments:
             pool.shutdown()
         assert _owned(pool) == []
 
-    def test_shutdown_unlinks_pooled_segments(self, no_floor):
+    def test_shutdown_unlinks_pooled_segments(self):
         pool = WorkerPool(workers=2, task_fn=_filled)
         try:
             held = pool.run(Fill(1.0, 8))
@@ -539,7 +543,6 @@ class TestPooledSegments:
                 GreensJob, GreensService, ModelSpec, ServiceConfig, handoff,
             )
 
-            handoff.MIN_SEGMENT_BYTES = 0
             spec = ModelSpec(nx=2, ny=2, L=8, t=1.0, U=2.0, beta=1.0)
             svc = GreensService(ServiceConfig(workers=2))
             for seed in range(3):
@@ -628,8 +631,7 @@ def _served(pool: WorkerPool, job: GreensJob) -> np.ndarray:
 
 class TestSolvedInPlace:
     @pytest.mark.parametrize("pattern", list(Pattern))
-    def test_served_in_place_equals_inline_fsi(self, no_floor, count_calls,
-                                               pattern):
+    def test_served_in_place_equals_inline_fsi(self, count_calls, pattern):
         copies = count_calls("_copy_in")
         ways: list[str] = []
         pool = WorkerPool(workers=1, on_handoff=lambda way, _s: ways.append(way))
@@ -644,7 +646,7 @@ class TestSolvedInPlace:
         for job, blocks in zip(jobs, served):
             np.testing.assert_array_equal(blocks, _inline(job))
 
-    def test_job_larger_than_every_idle_segment_gets_a_new_one(self, no_floor):
+    def test_job_larger_than_every_idle_segment_gets_a_new_one(self):
         ways: list[str] = []
         pool = WorkerPool(workers=2, on_handoff=lambda way, _s: ways.append(way))
         try:
@@ -662,8 +664,35 @@ class TestSolvedInPlace:
         assert ways == ["in_place", "in_place"]
         np.testing.assert_array_equal(blocks, _inline(big))
 
+    def test_small_result_never_pins_a_large_segment(self):
+        # A 4 KiB COLUMNS result goes idle; a 256-byte DIAGONAL result and
+        # a 1 KiB spectral one would fit its segment, but each gets one
+        # at most twice its size.
+        workers = 2
+        pool = WorkerPool(workers=workers)
+        try:
+            _served(pool, _job(0, Pattern.COLUMNS, c=2))
+            assert pool.segments.idle_bytes() == 4096
+            held = [
+                pool.run(_job(1, Pattern.DIAGONAL)),
+                pool.run(_job(2, Pattern.DIAGONAL,
+                              spectral=SpectralSpec.linear(-2.0, -1.0, 2, 0.1))),
+            ]
+            sizes = [len(res.blocks.data.base) for res in held]
+            assert [res.blocks.data.nbytes for res in held] == [256, 1024]
+            for res, size in zip(held, sizes):
+                assert res.blocks.data.nbytes <= size <= 2 * res.blocks.data.nbytes
+            assert pool.segments.held_bytes() == sum(sizes)
+            assert pool.segments.idle_bytes() == 4096
+            assert len(_owned(pool)) - len(held) <= workers
+            del held, res
+            assert pool.segments.held_bytes() == 0
+            assert len(_owned(pool)) <= workers  # all idle, within the bound
+        finally:
+            pool.shutdown()
+
     def test_tripped_direct_rung_is_served_from_a_finer_rung(
-        self, no_floor, monkeypatch
+        self, monkeypatch
     ):
         fsi_module = importlib.import_module("repro.core.fsi")
         real = fsi_module.run_stages
@@ -698,30 +727,68 @@ class TestSolvedInPlace:
             blocks, _inline(job, fsi_resilient, guards=GuardConfig())
         )
 
-    def test_small_and_spectral_results_never_map_the_lease(
-        self, monkeypatch, count_calls
+    def test_small_and_spectral_results_are_solved_in_place(
+        self, count_calls
     ):
-        # A 4 KiB COLUMNS result leaves a 4 KiB idle segment; the 256-byte
-        # DIAGONAL and 2 KiB spectral results would fit it, but are under
-        # the floor.
-        monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 4096)
-        maps = count_calls("_map_lease")
+        # A 4 KiB COLUMNS result leaves a 4 KiB idle segment.  The
+        # 256-byte DIAGONAL result gets a segment of its own; the 2 KiB
+        # spectral result takes the idle one.
+        copies = count_calls("_copy_in")
         ways: list[str] = []
         pool = WorkerPool(workers=1, on_handoff=lambda way, _s: ways.append(way))
         try:
             _served(pool, _job(0, Pattern.COLUMNS, c=2))
-            assert pool.segments.idle_bytes() == 4096
-            mapped = maps.value
+            [large] = _owned(pool)
             small = _job(1, Pattern.DIAGONAL)
             spectral = _job(2, Pattern.DIAGONAL,
                             spectral=SpectralSpec.linear(-2.0, -1.0, 4, 0.1))
             np.testing.assert_array_equal(_served(pool, small), _inline(small))
-            assert _served(pool, spectral).shape == (2, 4, 4, 4)
-            assert pool.segments.idle_bytes() == 4096  # never lent
+            served = _served(pool, spectral)
+            # One idle segment at most: the 256-byte one was unlinked.
+            assert _owned(pool) == [large]
         finally:
             pool.shutdown()
-        assert ways == ["in_place", "pickled", "pickled"]
-        assert maps.value == mapped
+        assert ways == ["in_place"] * 3
+        assert copies.value == 0
+        assert served.shape == (2, 4, 4, 4)
+        np.testing.assert_array_equal(served, execute_job(spectral).blocks.data)
+
+    @pytest.mark.parametrize("rung, finest_kept, expected_way", [
+        ("direct", 4, "in_place"), ("c=2", 2, "copied"), ("c=1", 1, "copied"),
+        ("udt", 0, "in_place"),
+    ])
+    def test_every_rung_is_served_bitwise_inline(self, monkeypatch, rung,
+                                                 finest_kept, expected_way):
+        # A 256-byte DIAGONAL result comes back through its lease on
+        # every rung; a finer rung filters its result into a private
+        # buffer, which is copied.
+        fsi_module = importlib.import_module("repro.core.fsi")
+        real = fsi_module.run_stages
+
+        def trip_coarser(pc, selection, *args, **kwargs):
+            if selection.c > finest_kept:
+                raise NumericalHealthError(
+                    "tripped", check="finite", site="result"
+                )
+            return real(pc, selection, *args, **kwargs)
+
+        monkeypatch.setattr(fsi_module, "run_stages", trip_coarser)
+        ways: list[str] = []
+        pool = WorkerPool(workers=1, guards=GuardConfig(),
+                          on_handoff=lambda way, _s: ways.append(way))
+        job = _job(1, Pattern.DIAGONAL)
+        try:
+            res = pool.run(job)
+            assert res.rung == rung
+            assert isinstance(res.blocks.data.base, mmap.mmap)
+            blocks = res.blocks.data.copy()
+            del res
+        finally:
+            pool.shutdown()
+        assert ways == [expected_way]
+        np.testing.assert_array_equal(
+            blocks, _inline(job, fsi_resilient, guards=GuardConfig())
+        )
 
 
 class TestResultNbytes:
@@ -772,7 +839,7 @@ class TestArena:
         out.data[:] = np.arange(len(out))[:, None, None]
         return out
 
-    def test_hollow_results_do_not_pin_the_mapping(self, no_floor, segments):
+    def test_hollow_results_do_not_pin_the_mapping(self, segments):
         lease = segments.lease(2048)
         arena = handoff.Arena(lease)
         out = self._solve(arena)
@@ -789,21 +856,20 @@ class TestArena:
         back = segments.receive(parcel, lease)
         np.testing.assert_array_equal(back.blocks.data, expect)
 
-    def test_only_the_first_allocation_is_offered(self, monkeypatch,
-                                                  segments):
-        # The 256-byte first result is under the floor; the 2 KiB one
-        # after it would take the lease, but is never offered it.
-        monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 1024)
+    def test_only_the_first_allocation_is_offered(self, segments):
+        # The 256-byte first result takes the lease; the 2 KiB one after
+        # it would fit too, but is never offered it.
         arena = handoff.Arena(segments.lease(4096))
         with result_buffers(arena):
             small = SelectedInversion.empty(
                 Selection(Pattern.DIAGONAL, L=8, c=4, q=1), (4, 4)
             )
             big = SelectedInversion.empty(self.SELECTION, (4, 4))
-        assert small.data.base is None and big.data.base is None
+        assert isinstance(small.data.base, mmap.mmap)
+        assert big.data.base is None
 
     def test_out_of_place_buffer_in_the_lease_is_copied_out_first(
-        self, no_floor, segments
+        self, segments
     ):
         lease = segments.lease(2048)
         arena = handoff.Arena(lease)

@@ -520,10 +520,7 @@ class TestServiceCacheEviction:
 
 
 class TestHandoffMetrics:
-    def test_steady_state_results_are_counted_in_place(self, monkeypatch):
-        # The pool and its forked workers read the patched floor: even
-        # 2 KiB results take a segment.
-        monkeypatch.setattr(handoff, "MIN_SEGMENT_BYTES", 0)
+    def test_steady_state_results_are_counted_in_place(self):
         jobs = [make_job(seed, pattern=Pattern.COLUMNS) for seed in range(3)]
         # A budget under one result: every put is a drop, and each
         # dropped result hands its segment back to the pool.
@@ -543,12 +540,29 @@ class TestHandoffMetrics:
         assert "repro_cache_drops 3" in text
         assert "repro_cache_evictions 0" in text
 
-    def test_small_results_are_counted_pickled(self):
+    def test_small_results_are_counted_in_place(self):
+        job = make_job(0)
+        with GreensService(ServiceConfig(workers=1)) as svc:
+            svc.compute(job, timeout=60)
+            handoffs = svc.stats()["handoff"]
+            text = prometheus_text(svc.metrics.registry)
+        assert job.result_nbytes < 1024
+        assert handoffs["in_place"] == 1
+        assert handoffs["copied"] == handoffs["pickled"] == 0
+        # The cached result maps its segment: its bytes are held.
+        assert handoffs["held_bytes"] == job.result_nbytes
+        assert f"repro_result_segments_held_bytes {job.result_nbytes}" in text
+        assert "repro_result_segments_idle_bytes 0" in text
+
+    def test_results_are_counted_pickled_without_shm(self, monkeypatch):
+        # The pool and its forked workers read the patched path.
+        monkeypatch.setattr(handoff, "SHM_DIR", "/nonexistent-shm")
         with GreensService(ServiceConfig(workers=1)) as svc:
             svc.compute(make_job(0), timeout=60)
             handoffs = svc.stats()["handoff"]
         assert handoffs["pickled"] == 1
         assert handoffs["in_place"] == handoffs["copied"] == 0
+        assert handoffs["held_bytes"] == 0
 
 
 class TestQueueWait:

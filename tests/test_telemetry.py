@@ -490,14 +490,15 @@ class TestStage:
             assert attributes["flops"] == tr.flops(name)
             assert attributes["bytes"] == tr.mem_bytes(name)
 
-    def test_threaded_cls_credits_exactly_the_cls_count(self):
+    def test_cls_given_num_threads_credits_exactly_the_cls_count(self):
         from repro.core.cls import cls, cls_flops
 
         pc = make_hubbard_pc()
         with FlopTracer() as tr, telemetry.stage("cls"):
-            cls(pc, 4, 1, num_threads=4)
+            reduced = cls(pc, 4, 1, num_threads=4)
         assert tr.stages == ("cls",)
         assert tr.flops("cls") == cls_flops(pc.L, pc.N, 4)
+        np.testing.assert_array_equal(reduced.B, cls(pc, 4, 1).B)
 
     def test_sweep_shift_stages_reach_the_forking_tracer(self):
         """A sweep's shift stages reach the caller's tracer, and the
