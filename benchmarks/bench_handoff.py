@@ -30,13 +30,21 @@ Two more points run a real solve of one paper-scale COLUMNS
 
 Two more do the same for a paper-scale FULL_DIAGONAL job, whose result
 is 5.12 MB (``delta_star``'s bases): **served_full_diagonal**, through
-the same pool, and **inline_full_diagonal**.
+the same pool, and **inline_full_diagonal**.  And two for the guarded
+paper-scale DIAGONAL job of ``chain_deployed`` (0.64 MB):
+**served_diagonal**, through a 1-worker pool with ``GuardConfig()``,
+and **inline_diagonal**, with the same guards.
 
-All seven run interleaved, one round each in turn.  Three gates compare
-points of the same run: pooled ms / fresh ms must stay under
-:data:`RATIO_CEILING`, served ms / inline ms under
+All nine run interleaved, one round each in turn.  Every solve point
+also reports the median of its jobs' ``JobResult.minor_faults``: a
+pool worker keeps its heap across jobs (:mod:`repro.parallel.heap`),
+so a served job faults in only what it has not touched before.  Four
+gates compare points of the same run: pooled ms / fresh ms must stay
+under :data:`RATIO_CEILING`, served ms / inline ms under
 :data:`SERVED_CEILING`, and the FULL_DIAGONAL served ms / inline ms
-under :data:`SERVED_FULL_DIAGONAL_CEILING`.  It writes
+under :data:`SERVED_FULL_DIAGONAL_CEILING`; the served DIAGONAL job's
+minor faults, a count and not a time, must stay under
+:data:`SERVED_DIAGONAL_FAULTS_CEILING`.  It writes
 ``BENCH_handoff.json`` (the envelope of ``benchmarks/envelope.py``).
 
 Run the gate locally with::
@@ -62,6 +70,7 @@ from repro.bench.workloads import VALIDATION
 from repro.core.patterns import BlockArray, Pattern, Selection
 from repro.hubbard.hs_field import HSField
 from repro.parallel.budget import process_budget
+from repro.resilience.guards import GuardConfig
 from repro.service import (
     GreensJob, JobResult, ModelSpec, WorkerPool, execute_job, handoff,
 )
@@ -85,6 +94,13 @@ SERVED_CEILING = 1.1
 #: and four more runs 0.97-1.18.  With the 5.12 MB result pickled
 #: instead of solved into a lease, four runs read 1.37-1.79.
 SERVED_FULL_DIAGONAL_CEILING = 1.3
+
+#: Median minor faults per served DIAGONAL job must stay below this.
+#: A count, not a time: a worker keeps its heap across jobs, so a warm
+#: guarded DIAGONAL job faults in almost nothing.  The first committed
+#: point read 11 on a 2-core host; with the worker's ``keep_heap()``
+#: call removed, the same benchmark read 2,379.
+SERVED_DIAGONAL_FAULTS_CEILING = 200
 
 #: The precomputed result every task returns (set before any fork).
 _RESULT: JobResult | None = None
@@ -148,12 +164,18 @@ def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
     nbytes = _RESULT.blocks.data.nbytes
     job = _job(Pattern.COLUMNS)
     assert job.result_nbytes == nbytes
-    diagonal = _job(Pattern.FULL_DIAGONAL)
+    full_diagonal = _job(Pattern.FULL_DIAGONAL)
+    diagonal = _job(Pattern.DIAGONAL)
+    guards = GuardConfig()
     pool = WorkerPool(workers=2, task_fn=_precomputed)
     plain = ProcessPoolExecutor(max_workers=2)
     handoffs: list[str] = []
     solver = WorkerPool(
         workers=2, on_handoff=lambda way, _s: handoffs.append(way)
+    )
+    guarded = WorkerPool(
+        workers=1, guards=guards,
+        on_handoff=lambda way, _s: handoffs.append(way),
     )
     prefix = f"repro-bench-fresh-{secrets.token_hex(4)}-"
     names = itertools.count()
@@ -170,23 +192,30 @@ def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
         res = plain.submit(_pickled).result()
         assert res.blocks.data.nbytes == nbytes
 
-    def served_as(solved: GreensJob):
-        def served() -> None:
-            res = solver.run(solved)
+    def served_as(solved: GreensJob, pool: WorkerPool = solver):
+        def served() -> int:
+            res = pool.run(solved)
             assert res.blocks.data.nbytes == solved.result_nbytes
+            return res.minor_faults
         return served
 
-    def inline_as(solved: GreensJob):
-        def inline() -> None:
-            res = execute_job(solved, num_threads=1)
+    def inline_as(solved: GreensJob, guards: GuardConfig | None = None):
+        def inline() -> int:
+            res = execute_job(solved, num_threads=1, guards=guards)
             assert res.blocks.data.nbytes == solved.result_nbytes
+            return res.minor_faults
         return inline
 
     ways = {"pooled": pooled, "fresh": fresh, "pickled": pickled,
             "served": served_as(job), "inline": inline_as(job),
-            "served_full_diagonal": served_as(diagonal),
-            "inline_full_diagonal": inline_as(diagonal)}
+            "served_full_diagonal": served_as(full_diagonal),
+            "inline_full_diagonal": inline_as(full_diagonal),
+            "served_diagonal": served_as(diagonal, guarded),
+            "inline_diagonal": inline_as(diagonal, guards)}
     samples: dict[str, list[float]] = {name: [] for name in ways}
+    faults: dict[str, list[int]] = {
+        name: [] for name in ways if name.startswith(("served", "inline"))
+    }
     served_ways: dict[str, list[str]] = {
         name: [] for name in ways if name.startswith("served")
     }
@@ -194,14 +223,17 @@ def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
         for r in range(warmup + rounds):
             for name, trip in ways.items():
                 t0 = time.perf_counter()
-                trip()
+                minor_faults = trip()
                 if r >= warmup:
                     samples[name].append((time.perf_counter() - t0) * 1e3)
+                    if name in faults:
+                        faults[name].append(minor_faults)
                     if name in served_ways:
                         served_ways[name].append(handoffs[-1])
     finally:
         pool.shutdown()
         solver.shutdown()
+        guarded.shutdown()
         plain.shutdown()
         for name in os.listdir(handoff.SHM_DIR):  # a round cut short
             if name.startswith(prefix):
@@ -213,6 +245,8 @@ def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
         points.append({"way": name, "ms_median": float(med),
                        "ms_q1": float(q1), "ms_q3": float(q3),
                        "rounds": len(ms)})
+        if name in faults:
+            points[-1]["minor_faults_median"] = float(np.median(faults[name]))
         if name in served_ways:
             # How the measured rounds came back: all in place when the
             # pool is in steady state.
@@ -223,8 +257,11 @@ def measure_handoff(rounds: int = 15, warmup: int = 3) -> dict:
     return {
         "workload": {"N": VALIDATION.N, "L": VALIDATION.L, "c": VALIDATION.c,
                      "pattern": "columns", "result_mb": nbytes / 1e6,
-                     "full_diagonal_result_mb": diagonal.result_nbytes / 1e6,
-                     "workers": 2},
+                     "full_diagonal_result_mb":
+                         full_diagonal.result_nbytes / 1e6,
+                     "diagonal_result_mb": diagonal.result_nbytes / 1e6,
+                     "workers": 2, "diagonal_workers": 1,
+                     "diagonal_guards": "GuardConfig()"},
         "points": points,
     }
 
@@ -236,7 +273,9 @@ def main(argv: list[str] | None = None) -> int:
         "--check", action="store_true",
         help=f"exit non-zero when pooled / fresh ms >= {RATIO_CEILING},"
              f" served / inline ms >= {SERVED_CEILING} (COLUMNS) or"
-             f" >= {SERVED_FULL_DIAGONAL_CEILING} (FULL_DIAGONAL)",
+             f" >= {SERVED_FULL_DIAGONAL_CEILING} (FULL_DIAGONAL), or"
+             f" served DIAGONAL minor faults per job >="
+             f" {SERVED_DIAGONAL_FAULTS_CEILING}",
     )
     parser.add_argument(
         "--json-out",
@@ -251,16 +290,23 @@ def main(argv: list[str] | None = None) -> int:
     ratio = ms["pooled"] / ms["fresh"]
     served = ms["served"] / ms["inline"]
     served_fd = ms["served_full_diagonal"] / ms["inline_full_diagonal"]
+    diagonal_faults = next(p["minor_faults_median"] for p in stats["points"]
+                           if p["way"] == "served_diagonal")
     workload = stats["workload"]
     for p in stats["points"]:
-        mb = workload["full_diagonal_result_mb" if p["way"].endswith(
-            "full_diagonal") else "result_mb"]
+        pattern = p["way"].partition("_")[2]
+        mb = workload[f"{pattern}_result_mb" if pattern else "result_mb"]
+        faults = (f", {p['minor_faults_median']:.0f} minor faults"
+                  if "minor_faults_median" in p else "")
         print(f"{p['way']:>20}: {p['ms_median']:6.1f} ms per {mb:.2f} MB"
-              f" round trip (quartiles {p['ms_q1']:.1f}-{p['ms_q3']:.1f})")
+              f" round trip (quartiles {p['ms_q1']:.1f}-{p['ms_q3']:.1f})"
+              f"{faults}")
     print(f"  pooled / fresh = {ratio:.2f} (ceiling {RATIO_CEILING})")
     print(f"  served / inline = {served:.2f} (ceiling {SERVED_CEILING})")
     print(f"  FULL_DIAGONAL served / inline = {served_fd:.2f}"
           f" (ceiling {SERVED_FULL_DIAGONAL_CEILING})")
+    print(f"  served DIAGONAL minor faults per job = {diagonal_faults:.0f}"
+          f" (ceiling {SERVED_DIAGONAL_FAULTS_CEILING})")
     gates = {
         "pooled_vs_fresh": {
             "metric": "pooled ms / fresh-segment ms per round trip (same run)",
@@ -281,6 +327,13 @@ def main(argv: list[str] | None = None) -> int:
             "ratio": served_fd,
             "ceiling": SERVED_FULL_DIAGONAL_CEILING,
             "passed": served_fd < SERVED_FULL_DIAGONAL_CEILING,
+        },
+        "served_diagonal_faults": {
+            "metric": "median minor faults per served guarded DIAGONAL"
+                      " execute_job (0.64 MB result, ru_minflt in the worker)",
+            "faults": diagonal_faults,
+            "ceiling": SERVED_DIAGONAL_FAULTS_CEILING,
+            "passed": diagonal_faults < SERVED_DIAGONAL_FAULTS_CEILING,
         },
     }
     passed = write_record(args.json_out, "result-handoff", stats["workload"],

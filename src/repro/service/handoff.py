@@ -258,7 +258,8 @@ class ResultSegments:
     size, or creates one; :meth:`receive` moves it to held; a
     ``weakref.finalize`` on the mapping moves it back to idle when the
     last array over it is freed.  At most ``bound`` segments stay idle:
-    beyond that the smallest is unlinked.
+    beyond that the smallest is unlinked, as the cheapest to create
+    again (about 0.5 ms at 0.64 MB against 31 ms at 41 MB, populated).
 
     Every segment is registered with this process's ``multiprocessing``
     resource tracker when it is created, so the tracker unlinks it if
@@ -272,6 +273,8 @@ class ResultSegments:
         #: Names of this pool's segments start with this.
         self.prefix = f"{POOLED_ROOT}{os.getpid():x}-{secrets.token_hex(4)}-"
         self.bound = bound
+        #: Segments :meth:`lease` has created, since start.
+        self.created = 0
         self._lock = threading.RLock()
         self._names = itertools.count()
         self._owned: set[str] = set()
@@ -307,6 +310,7 @@ class ResultSegments:
                     lease.name, create=True, size=nbytes
                 ).close()
                 self._owned.add(lease.name)
+                self.created += 1
             self._out.add(lease.name)
             return lease
 

@@ -301,6 +301,11 @@ class JobResult:
     blocks: BlockArray
     stage_flops: dict[str, float] = field(default_factory=dict)
     exec_seconds: float = 0.0
+    #: Minor page faults the process took over the job, model build
+    #: included (``ru_minflt``; 0 for results the service built itself).
+    #: A worker that keeps its heap (:mod:`repro.parallel.heap`) takes
+    #: tens per paper-scale DIAGONAL job, one that does not thousands.
+    minor_faults: int = 0
     #: Which solve path served the blocks: ``"direct"``, a fallback
     #: ``"c=<n>"`` rung, ``"udt"`` (see ``core.fsi.fsi_resilient``),
     #: ``"delta(<k>)"`` for a rank-``k`` Sherman–Morrison update of a

@@ -145,6 +145,10 @@ class ServiceMetrics:
         self.exec_time = r.histogram(
             "repro_exec_seconds", "Worker-side job execution time"
         )
+        self.minor_faults = r.histogram(
+            "repro_worker_minor_faults",
+            "Minor page faults a worker took per job (ru_minflt)",
+        )
         # flop accounting (per-stage flops shipped with each result)
         self._stage_flops = r.counter(
             "repro_stage_flops_total",
@@ -222,6 +226,7 @@ class ServiceMetrics:
             "latency_seconds": self.latency.snapshot(),
             "queue_wait_seconds": self.queue_wait.snapshot(),
             "exec_seconds": self.exec_time.snapshot(),
+            "minor_faults": self.minor_faults.snapshot(),
             "handoff": {
                 **self.handoffs(),
                 "export_seconds": self.export_time.snapshot(),

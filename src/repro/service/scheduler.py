@@ -338,6 +338,12 @@ class GreensService:
             callback=live(lambda svc: svc._pool.segments.held_bytes()),
         )
         r.gauge(
+            "repro_result_segments_created",
+            "Pooled result segments created (a lease no idle one served),"
+            " since start",
+            callback=live(lambda svc: svc._pool.segments.created),
+        )
+        r.gauge(
             "repro_delta_states",
             "Warm per-base Woodbury factorisations held for delta serving",
             callback=live(lambda svc: len(svc._delta_states)),
@@ -593,6 +599,7 @@ class GreensService:
                 blocks=blocks,
                 stage_flops=stage_flops,
                 exec_seconds=sum(r.exec_seconds for r in results),
+                minor_faults=sum(r.minor_faults for r in results),
                 rung=f"spectral({job.spectral.n_omega})",
             )
             self.metrics.spectral_stitch.observe(time.perf_counter() - t0)
@@ -891,6 +898,7 @@ class GreensService:
         dispatch_span.end()
         self.metrics.executions.inc()
         self.metrics.exec_time.observe(result.exec_seconds)
+        self.metrics.minor_faults.observe(result.minor_faults)
         self.metrics.absorb_stage_flops(result.stage_flops)
         if result.spans:
             # Re-absorb the worker process's spans into the global
@@ -918,6 +926,7 @@ class GreensService:
         )
         data["delta"]["states"] = len(self._delta_states)
         data["handoff"]["held_bytes"] = self._pool.segments.held_bytes()
+        data["handoff"]["created"] = self._pool.segments.created
         data["parallel"] = self.budget.as_dict()
         return data
 

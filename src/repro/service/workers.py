@@ -28,6 +28,12 @@ CLS/BSOFI/WRP rates without re-tracing; spectral jobs report the same
 stages.  The worker processes are the service's one parallel layer
 (the ranks of the paper's Alg. 3): every job runs inline through
 :func:`execute_job` in the worker that received it.
+
+A worker solves job after job, so it keeps its heap between them
+(:mod:`repro.parallel.heap`): otherwise glibc returns each job's freed
+transients to the kernel and the next job faults them in again.
+:func:`execute_job` reports the page faults it took as
+``JobResult.minor_faults``.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ from __future__ import annotations
 import functools
 import os
 import random
+import resource
 import threading
 import time
 from concurrent.futures import (
@@ -50,6 +57,7 @@ from typing import Callable, Sequence
 from ..core.patterns import BlockArray, Selection, result_buffers
 from ..core.pcyclic import BlockPCyclic
 from ..parallel.budget import ParallelBudget
+from ..parallel.heap import keep_heap
 from ..telemetry import FlopTracer
 from ..resilience import chaos as _chaos
 from ..resilience.chaos import FaultKind, FaultPlan
@@ -84,30 +92,41 @@ def execute_job(
     ``spectral(n_omega)`` with blocks stacked ``(n_omega, N, N)``.
     Every path reports ``stage_flops`` by its
     :func:`repro.telemetry.stage` labels (``cls``/``bsofi``/``wrp``).
+    ``JobResult.minor_faults`` (and the span's ``minor_faults``) counts
+    the page faults this process took from the model build to the end
+    of the solve; run inline, other threads' faults count too.
     ``num_threads`` is accepted and ignored: every path solves on the
     calling thread.  Kept so that existing callers, which pass a team
     size, run unchanged.
     """
+    faults0 = _minor_faults()
     model = job.spec.build_model()
     pc = model.build_matrix(job.field(), job.spec.sigma)
     with _telemetry.activate_remote(trace_ctx) as local_collector:
         with _telemetry.span(
             "worker.job", fingerprint=job.fingerprint[:12],
             workload=job.workload,
-        ), _chaos.job_key(job.fingerprint), FlopTracer() as tracer:
+        ) as span, _chaos.job_key(job.fingerprint), FlopTracer() as tracer:
             t0 = time.perf_counter()
             selection, blocks, rung = _solve(job, pc, guards)
             elapsed = time.perf_counter() - t0
+            faults = _minor_faults() - faults0
+            span.set_attribute("minor_faults", faults)
     return JobResult(
         fingerprint=job.fingerprint,
         selection=selection,
         blocks=blocks,
         stage_flops={name: tracer.flops(name) for name in tracer.stages},
         exec_seconds=elapsed,
+        minor_faults=faults,
         rung=rung,
         h=job.h,
         spans=local_collector.drain() if local_collector is not None else [],
     )
+
+
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _solve(
@@ -216,14 +235,20 @@ _PARENT_POLL_SECONDS = 0.5
 
 
 def _init_worker(budget: ParallelBudget, parent: int) -> None:
-    """Initializer of every pool worker: apply the pool's budget, and
-    exit once process ``parent`` (the service) is gone.
+    """Initializer of every pool worker: apply the pool's budget, keep
+    the worker's heap across jobs, and exit once process ``parent``
+    (the service) is gone.
+
+    :func:`~repro.parallel.heap.keep_heap` stops glibc from handing a
+    job's freed heap back to the kernel: without it, every paper-scale
+    job faults its 7-9 MB of transients in again, page by page.
 
     An orphaned worker would otherwise wait on its call queue forever,
     holding the resource tracker's pipe open, so the tracker would
     never unlink the segments of a killed service.
     """
     budget.apply()
+    keep_heap()
     threading.Thread(
         target=_exit_with_parent, args=(parent,), name="repro-parent-watch",
         daemon=True,
@@ -253,7 +278,8 @@ class WorkerPool:
     applies :attr:`budget` (a :class:`~repro.parallel.budget.ParallelBudget`
     resolved from ``workers``, one rank and a team of one per worker),
     so worker-side BLAS runs single-threaded under the pool's own
-    process parallelism.
+    process parallelism, and then keeps its heap from job to job
+    (:func:`~repro.parallel.heap.keep_heap`).
 
     Retry sleeps use *full jitter*: ``uniform(0, min(cap, backoff *
     2^(attempt-1)))``.  Deterministic backoff synchronises retry storms

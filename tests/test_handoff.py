@@ -691,6 +691,22 @@ class TestSolvedInPlace:
         finally:
             pool.shutdown()
 
+    def test_alternating_sizes_recreate_the_small_segment(self):
+        # One idle segment at most: each release of a DIAGONAL segment
+        # finds the FULL_DIAGONAL one idle, and the smaller is unlinked.
+        pool = WorkerPool(workers=1)
+        after = []
+        try:
+            for seed in range(6):
+                pattern = (Pattern.DIAGONAL, Pattern.FULL_DIAGONAL)[seed % 2]
+                job = _job(seed, pattern)
+                np.testing.assert_array_equal(_served(pool, job), _inline(job))
+                after.append(pool.segments.created)
+        finally:
+            pool.shutdown()
+        # Every DIAGONAL job makes a segment; FULL_DIAGONAL only the first.
+        assert after == [1, 2, 3, 3, 4, 4]
+
     def test_tripped_direct_rung_is_served_from_a_finer_rung(
         self, monkeypatch
     ):

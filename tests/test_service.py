@@ -534,8 +534,10 @@ class TestHandoffMetrics:
         assert stats["handoff"]["in_place"] == 3
         assert stats["handoff"]["copied"] == stats["handoff"]["pickled"] == 0
         assert stats["handoff"]["export_seconds"]["count"] == 3
+        assert stats["handoff"]["created"] == 1  # then reused twice
         assert stats["cache"]["drops"] == 3
         assert 'repro_result_handoff_total{way="in_place"} 3' in text
+        assert "repro_result_segments_created 1" in text
         assert "repro_handoff_export_seconds_count 3" in text
         assert "repro_cache_drops 3" in text
         assert "repro_cache_evictions 0" in text
